@@ -324,17 +324,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # the drain deadline to finish, warm entries spill to --cache-dir.
     # The drain must run off the serve_forever thread — shutdown() from
     # that thread deadlocks by design of ThreadingHTTPServer.
-    drain_started = threading.Event()
+    drain_threads: list = []
 
     def _graceful_stop(*_args) -> None:
-        if drain_started.is_set():
+        if drain_threads:
             return
-        drain_started.set()
-        threading.Thread(
+        thread = threading.Thread(
             target=server.drain_and_shutdown,
             name="mfcsl-drain",
             daemon=True,
-        ).start()
+        )
+        drain_threads.append(thread)
+        thread.start()
 
     try:
         signal.signal(signal.SIGTERM, _graceful_stop)
@@ -348,6 +349,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # drain thread's shutdown() call to finish the accept loop.
     finally:
         server.server_close()
+        # The drain thread is a daemon: exiting before it finishes would
+        # kill its spill midway, so wait for it (its deadline bounds the
+        # drain; the spill itself runs to completion).
+        for thread in drain_threads:
+            thread.join()
         server.service.close()
     return 0
 

@@ -164,6 +164,11 @@ class EvalStats:
         each is renamed to ``*.corrupt`` and its key blacklisted so a
         corrupt file is read at most once, never re-probed per cold
         request.
+    service_spill_failures:
+        Spill writes that raised (a full disk, an unwritable or
+        non-directory ``cache_dir``, an unpicklable payload).  The
+        entry's warm state is lost but serving continues — spill is an
+        optimization, never a correctness dependency.
     service_client_disconnects:
         Responses that could not be written because the client hung up
         mid-response (``BrokenPipeError``/``ConnectionResetError``);
@@ -233,6 +238,7 @@ class EvalStats:
     service_worker_restarts: int = 0
     service_crash_breaker_trips: int = 0
     service_spill_quarantined: int = 0
+    service_spill_failures: int = 0
     service_client_disconnects: int = 0
     service_connection_timeouts: int = 0
     service_drain_rejections: int = 0

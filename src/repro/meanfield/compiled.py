@@ -10,7 +10,10 @@ tree, on *each* right-hand-side evaluation.  A
 - **expression** rates are compiled to one numpy closure each
   (:meth:`~repro.meanfield.expressions.Expression.compile`);
 - arbitrary Python callables are kept as-is (they are already a single
-  call).
+  call);
+- members of a :class:`~repro.meanfield.rates.RateFamily` are grouped by
+  family, so the per-transition table (:meth:`transition_rates`) calls
+  each family once per evaluation instead of once per member.
 
 Per evaluation the assembler copies the base matrix, fills in the few
 dynamic entries, and closes the diagonal — no per-transition dispatch
@@ -40,7 +43,7 @@ import scipy.sparse
 
 from repro.exceptions import InvalidRateError, ModelError
 from repro.meanfield.expressions import Expression
-from repro.meanfield.rates import evaluate_rate
+from repro.meanfield.rates import FamilyMember, evaluate_rate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.meanfield.local_model import LocalModel
@@ -51,11 +54,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: small-model trajectories stay bitwise identical to earlier releases.
 DRIFT_ACTION_MIN_K = 256
 
-#: Per-transition rate kinds (see ``_per_transition`` / ``transition_rates``).
+#: Kinds of the dynamic transitions ``transition_rates`` evaluates one by
+#: one (constants and rate-family members are handled in bulk).
 #: ``_VECTOR`` covers compiled expressions *and* callables that declare
 #: ``vectorized = True`` (see :mod:`repro.meanfield.rates`): both map a
 #: ``(B, K)`` occupancy batch to a ``(B,)`` value array in one call.
-_CONST, _VECTOR, _CALLABLE = 0, 1, 2
+_VECTOR, _CALLABLE = 0, 1
 
 
 class CompiledGenerator:
@@ -78,12 +82,14 @@ class CompiledGenerator:
         k = model.num_states
         dummy = np.full(k, 1.0 / k)
         dynamic = []
-        per_transition = []
+        const_cols, const_values = [], []
+        families: dict = {}
+        singles = []
         num_compiled = 0
-        for tr in model.transitions:
+        for j, tr in enumerate(model.transitions):
             if tr.constant:
-                value = evaluate_rate(tr.rate, dummy, 0.0)
-                per_transition.append((tr.source, tr.target, _CONST, value))
+                const_cols.append(j)
+                const_values.append(evaluate_rate(tr.rate, dummy, 0.0))
             elif isinstance(tr.rate, Expression):
                 compiled = tr.rate.compile()
                 if compiled.max_index >= k:
@@ -92,18 +98,18 @@ class CompiledGenerator:
                         f"for K={k} in rate {tr.rate!r}"
                     )
                 dynamic.append((tr.source, tr.target, compiled, True))
-                per_transition.append((tr.source, tr.target, _VECTOR, compiled))
+                singles.append((j, _VECTOR, compiled))
                 num_compiled += 1
+            elif isinstance(tr.rate, FamilyMember):
+                dynamic.append((tr.source, tr.target, tr.rate, True))
+                cols, members = families.setdefault(tr.rate.family, ([], []))
+                cols.append(j)
+                members.append(tr.rate.index)
             else:
                 vectorized = bool(getattr(tr.rate, "vectorized", False))
                 dynamic.append((tr.source, tr.target, tr.rate, vectorized))
-                per_transition.append(
-                    (
-                        tr.source,
-                        tr.target,
-                        _VECTOR if vectorized else _CALLABLE,
-                        tr.rate,
-                    )
+                singles.append(
+                    (j, _VECTOR if vectorized else _CALLABLE, tr.rate)
                 )
         #: Dense constant base, built lazily on first dense assembly so
         #: sparse-only workloads never pay the K² allocation.
@@ -111,20 +117,33 @@ class CompiledGenerator:
         #: CSR structure cache: ``(indptr, indices, tr_pos, diag_pos)``.
         self._structure = None
         self._dynamic: Tuple = tuple(dynamic)
-        self._per_transition: Tuple = tuple(per_transition)
+        # The per-transition table's plan (see ``transition_rates``):
+        # constant columns and their values, one ``(family, columns,
+        # member indices)`` group per rate family, and every remaining
+        # dynamic transition as ``(column, kind, rate)``.
+        self._const_cols = np.array(const_cols, dtype=np.intp)
+        self._const_values = np.array(const_values, dtype=float)
+        self._families: Tuple = tuple(
+            (family, np.asarray(cols, np.intp), np.asarray(idx, np.intp))
+            for family, (cols, idx) in families.items()
+        )
+        self._singles: Tuple = tuple(singles)
+        self._num_transitions = len(model.transitions)
         #: Source state of every transition, in model order (``(T,)``).
         self.transition_sources = np.array(
-            [p[0] for p in per_transition], dtype=np.intp
+            [tr.source for tr in model.transitions], dtype=np.intp
         )
         #: Target state of every transition, in model order (``(T,)``).
         self.transition_targets = np.array(
-            [p[1] for p in per_transition], dtype=np.intp
+            [tr.target for tr in model.transitions], dtype=np.intp
         )
         self._k = k
         #: Transitions whose rate is re-evaluated per call.
         self.num_dynamic = len(dynamic)
         #: Of those, how many run through a compiled expression closure.
         self.num_compiled = num_compiled
+        #: Distinct rate families the dynamic transitions belong to.
+        self.num_families = len(self._families)
         #: Transitions folded into the constant base matrix.
         self.num_constant = len(model.transitions) - len(dynamic)
 
@@ -137,9 +156,12 @@ class CompiledGenerator:
         """The dense constant base (built lazily, cached)."""
         if self._base is None:
             base = np.zeros((self._k, self._k))
-            for src, dst, kind, payload in self._per_transition:
-                if kind == _CONST:
-                    base[src, dst] += payload
+            cols = self._const_cols
+            np.add.at(
+                base,
+                (self.transition_sources[cols], self.transition_targets[cols]),
+                self._const_values,
+            )
             self._base = base
         return self._base
 
@@ -217,10 +239,15 @@ class CompiledGenerator:
         """Per-transition rate values for a whole batch of occupancies.
 
         Unlike :meth:`batch`, which merges transitions into generator
-        entries, this keeps the *per-transition* resolution the finite-N
-        Gillespie engine needs: replica ``b``'s aggregate event rate for
-        transition ``j`` is ``counts[b, sources[j]] * rates[b, j]``, with
-        ``sources``/``targets`` given by :attr:`transition_sources` /
+        entries, this keeps the *per-transition* resolution that CSR
+        assembly (:meth:`sparse` and friends), the large-``K``
+        :meth:`drift` and the finite-N Gillespie engine need.  Constant
+        columns are filled by one indexed assignment and each rate family
+        is called once; only the remaining dynamic transitions are
+        evaluated one by one.  For the Gillespie engine, replica ``b``'s
+        aggregate event rate for transition ``j`` is
+        ``counts[b, sources[j]] * rates[b, j]``, with ``sources`` /
+        ``targets`` given by :attr:`transition_sources` /
         :attr:`transition_targets`.
 
         Parameters
@@ -250,11 +277,15 @@ class CompiledGenerator:
         t_arr = np.asarray(t, dtype=float)
         if t_arr.shape != (b,):
             t_arr = np.broadcast_to(t_arr, (b,))
-        out = np.empty((b, len(self._per_transition)))
-        for j, (_src, _dst, kind, payload) in enumerate(self._per_transition):
-            if kind == _CONST:
-                out[:, j] = payload
-            elif kind == _VECTOR:
+        out = np.empty((b, self._num_transitions))
+        out[:, self._const_cols] = self._const_values
+        for family, cols, members in self._families:
+            # One call per family; ``t`` as ``(B, 1)`` broadcasts against
+            # the family's ``(B, n)`` result.
+            values = family.evaluate(occupancies, t_arr[:, None])
+            out[:, cols] = values[..., members]
+        for j, kind, payload in self._singles:
+            if kind == _VECTOR:
                 # Fills the column directly; numpy broadcasts scalar
                 # results (rates that ignore the batch) on assignment.
                 out[:, j] = np.asarray(payload(occupancies, t_arr), dtype=float)
@@ -415,5 +446,6 @@ class CompiledGenerator:
     def __repr__(self) -> str:
         return (
             f"CompiledGenerator(K={self._k}, constant={self.num_constant}, "
-            f"dynamic={self.num_dynamic}, compiled={self.num_compiled})"
+            f"dynamic={self.num_dynamic}, compiled={self.num_compiled}, "
+            f"families={self.num_families})"
         )

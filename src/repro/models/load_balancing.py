@@ -28,6 +28,7 @@ import numpy as np
 from repro.exceptions import ModelError
 from repro.meanfield.local_model import LocalModelBuilder
 from repro.meanfield.overall_model import MeanFieldModel
+from repro.meanfield.rates import RateFamily
 
 _OCC_FLOOR = 1e-12
 
@@ -69,21 +70,18 @@ def load_balancing_model(
     p = params
     k_states = p.buffer + 1
 
-    def arrival_rate_for(level: int):
-        # ``m[..., level:]`` indexing and numpy ufuncs make the same
-        # body serve scalar (K,) and batched (B, K) evaluation; the
-        # ``vectorized`` declaration lets the compiled generator and
-        # the batched Monte-Carlo engines call it once per sweep (see
-        # repro.meanfield.rates) — essential at deep buffers, where a
-        # per-replica Python call per level would dominate.
-        def rate(m: np.ndarray):
-            tail_k = np.sum(m[..., level:], axis=-1)
-            tail_k1 = np.sum(m[..., level + 1 :], axis=-1)
-            mass = np.maximum(m[..., level], _OCC_FLOOR)
-            return p.lam * (tail_k**p.d - tail_k1**p.d) / mass
+    def arrival_rates(m: np.ndarray) -> np.ndarray:
+        # The arrival rates of levels 0..B-1 in one call: the tails s_k
+        # come from a single reverse cumulative sum (O(K) for all levels
+        # together), and ``m[..., ::-1]`` indexing serves scalar (K,) and
+        # batched (B, K) occupancies alike.  Summing from the top keeps
+        # s_k >= s_{k+1} for non-negative m, so an empty level's rate is
+        # exactly 0 rather than a rounding-level negative.
+        tails = np.cumsum(m[..., ::-1], axis=-1)[..., ::-1]
+        mass = np.maximum(m[..., :-1], _OCC_FLOOR)
+        return p.lam * (tails[..., :-1] ** p.d - tails[..., 1:] ** p.d) / mass
 
-        rate.vectorized = True
-        return rate
+    arrivals = RateFamily(arrival_rates, p.buffer)
 
     builder = LocalModelBuilder()
     for level in range(k_states):
@@ -98,7 +96,7 @@ def load_balancing_model(
             labels.append("full")
         builder.state(f"q{level}", *labels)
     for level in range(p.buffer):
-        builder.transition(f"q{level}", f"q{level + 1}", arrival_rate_for(level))
+        builder.transition(f"q{level}", f"q{level + 1}", arrivals[level])
         builder.transition(f"q{level + 1}", f"q{level}", p.mu)
     return MeanFieldModel(builder.build())
 

@@ -33,8 +33,9 @@ too small and every downstream probability inherits the truncation
 error.
 
 The generator is tridiagonal — structural density ``≈ 3/K`` — and all
-rates are either constants or one shared vectorized callable, so both
-CSR assembly and the batched engines stay O(K) per evaluation.
+rates are either constants or one shared size-1 rate family
+(:class:`~repro.meanfield.rates.RateFamily`), so both CSR assembly and
+the batched engines stay O(K) per evaluation.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.ctmc.transient import poisson_truncation_point
 from repro.exceptions import ModelError
 from repro.meanfield.local_model import LocalModelBuilder
 from repro.meanfield.overall_model import MeanFieldModel
+from repro.meanfield.rates import RateFamily
 
 
 def choose_capacity(lam: float, mu: float, epsilon: float = 1e-9) -> int:
@@ -119,13 +121,14 @@ def population_model(
     k_states = capacity + 1
     weights = np.arange(k_states, dtype=float) / capacity
 
-    # One shared closure for every birth transition: the rate depends
-    # on the occupancy only through the mean load, not on the level.
-    def birth_rate(m: np.ndarray):
+    # One size-1 rate family shared by every birth transition: the rate
+    # depends on the occupancy only through the mean load, not on the
+    # level, so the compiled generator evaluates it once per assembly.
+    def birth_rate(m: np.ndarray) -> np.ndarray:
         load = np.sum(np.asarray(m) * weights, axis=-1)
-        return p.lam * np.maximum(0.0, 1.0 - p.crowding * load)
+        return p.lam * np.maximum(0.0, 1.0 - p.crowding * load)[..., None]
 
-    birth_rate.vectorized = True
+    birth = RateFamily(birth_rate, 1)[0]
 
     builder = LocalModelBuilder()
     half_mean = 0.5 * p.rho
@@ -141,7 +144,7 @@ def population_model(
             labels.append("boundary")
         builder.state(f"n{j}", *labels)
     for j in range(capacity):
-        builder.transition(f"n{j}", f"n{j + 1}", birth_rate)
+        builder.transition(f"n{j}", f"n{j + 1}", birth)
         builder.transition(f"n{j + 1}", f"n{j}", (j + 1) * p.mu)
     return MeanFieldModel(builder.build())
 

@@ -420,6 +420,9 @@ class CheckingService:
         self._inflight: Dict[tuple, _InFlight] = {}
         self._slots = threading.BoundedSemaphore(self.config.max_concurrent)
         self._closed = False
+        #: Set once the first ``close()`` has finished spilling; later
+        #: ``close()`` calls wait on it so none returns mid-spill.
+        self._close_done = threading.Event()
         self._state = "starting"
         self._active = 0
         #: Entry keys whose spill file failed verification; never probed
@@ -1232,8 +1235,9 @@ class CheckingService:
         Responses and transient matrices are worth keeping (they answer
         future queries directly); propagator engines are not spilled —
         they are cheap to rebuild relative to their size on disk.
-        Failures are swallowed: spill is an optimization, never a
-        correctness dependency.
+        Failures are counted (``service_spill_failures``) and otherwise
+        swallowed: spill is an optimization, never a correctness
+        dependency.
         """
         path = self._spill_path(entry.key)
         if path is None:
@@ -1265,6 +1269,8 @@ class CheckingService:
                 fh.write(blob)
             tmp.replace(path)
         except Exception:
+            with self._lock:
+                self.stats.service_spill_failures += 1
             return
         with self._lock:
             self.stats.service_spill_saves += 1
@@ -1397,13 +1403,23 @@ class CheckingService:
         elsewhere), a closed service answers 400, because there is no
         point retrying against it.  Graceful shutdown is
         :meth:`drain` followed by ``close()``.
+
+        Safe to call from several threads: every call returns only
+        after the spill begun by the first one has finished, so a
+        process may exit as soon as any ``close()`` returns.
         """
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._state = "closed"
-            entries = list(self._entries.values())
-            self._entries.clear()
-        for entry in entries:
-            self._spill_entry(entry)
+            first = not self._closed
+            if first:
+                self._closed = True
+                self._state = "closed"
+                entries = list(self._entries.values())
+                self._entries.clear()
+        if not first:
+            self._close_done.wait()
+            return
+        try:
+            for entry in entries:
+                self._spill_entry(entry)
+        finally:
+            self._close_done.set()

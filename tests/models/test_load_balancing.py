@@ -134,3 +134,64 @@ class TestDeepModel:
         k = model.num_states
         assert k == 501
         assert compiled.structural_density <= 3.0 / k + 1e-12
+
+
+def _holed_geometric(ratio: float, holes, k: int = 1001) -> np.ndarray:
+    """Geometric occupancy ``m_k ∝ ratio^k`` with the ``holes`` emptied."""
+    occ = ratio ** np.arange(k, dtype=float)
+    occ[list(holes)] = 0.0
+    return occ / occ.sum()
+
+
+def _holed_occupancies():
+    """20 seeded geometric occupancies with 1-3 empty interior levels."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for ratio in (0.6, 0.7, 0.8, 0.9, 0.95):
+        for _ in range(4):
+            count = int(rng.integers(1, 4))
+            holes = sorted(
+                int(h) for h in rng.choice(np.arange(1, 40), count, False)
+            )
+            cases.append((ratio, holes))
+    return cases
+
+
+class TestEmptyInteriorLevels:
+    """An empty queue level has arrival rate exactly 0, never a
+    rounding-level negative that rate validation would reject."""
+
+    def test_rates_non_negative_and_zero_at_empty_levels(self):
+        local = deep_load_balancing_model().local
+        compiled = local.compiled_generator()
+        arrivals = [
+            j for j, tr in enumerate(local.transitions) if not tr.constant
+        ]
+        for ratio, holes in _holed_occupancies():
+            occ = _holed_geometric(ratio, holes)
+            # Raw rate values, before the assemblers' round-off clamp.
+            raw = np.array(
+                [local.transitions[j].rate(occ, 0.0) for j in arrivals]
+            )
+            assert np.all(raw >= 0.0), (ratio, holes)
+            assert np.all(raw[holes] == 0.0), (ratio, holes)
+            rates = compiled.transition_rates(occ[None, :])[0]
+            assert np.all(rates[arrivals][holes] == 0.0), (ratio, holes)
+
+    def test_service_answers_with_empty_levels(self):
+        from repro.server.service import CheckingService, ServerConfig
+
+        service = CheckingService(ServerConfig())
+        try:
+            status, body = service.handle(
+                {
+                    "command": "value",
+                    "model": "loadbalance-deep",
+                    "occupancy": _holed_geometric(0.95, (10, 20)).tolist(),
+                    "formula": "EP[>=0](busy U[0,0.5] idle)",
+                }
+            )
+        finally:
+            service.close()
+        assert status == 200, body
+        assert body["value"] == pytest.approx(0.0702, abs=5e-4)

@@ -373,6 +373,56 @@ class TestEvictionAndSpill:
         assert status == 400
         assert "shut down" in body["message"]
 
+    def test_failed_spill_is_counted(self, tmp_path):
+        """A cache_dir that is a regular file makes every spill fail;
+        the failure shows in /stats instead of vanishing."""
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("occupied")
+        svc = CheckingService(ServerConfig(cache_dir=str(not_a_dir)))
+        status, _ = svc.handle(check_request())
+        assert status == 200
+        svc.close()
+        assert svc.stats.service_spill_failures == 1
+        assert svc.stats.service_spill_saves == 0
+        assert svc.stats_payload()["service"]["service_spill_failures"] == 1
+
+    def test_second_close_waits_for_the_first_spill(self, tmp_path):
+        """Regression: a concurrent close() used to return at once while
+        the first caller was still spilling, letting ``mfcsl serve``
+        exit 0 with the drain thread's spill cut off."""
+        svc = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
+        svc.handle(check_request())
+        spilling = threading.Event()
+        release = threading.Event()
+        spilled = threading.Event()
+        original = svc._spill_entry
+
+        def blocking_spill(entry):
+            spilling.set()
+            release.wait(10.0)
+            original(entry)
+            spilled.set()
+
+        svc._spill_entry = blocking_spill
+        first = threading.Thread(target=svc.close)
+        first.start()
+        assert spilling.wait(10.0)
+        second_saw_spill_done = []
+
+        def second_close():
+            svc.close()
+            second_saw_spill_done.append(spilled.is_set())
+
+        second = threading.Thread(target=second_close)
+        second.start()
+        second.join(0.2)  # a non-waiting close() returns well within this
+        release.set()
+        first.join(10.0)
+        second.join(10.0)
+        assert not first.is_alive() and not second.is_alive()
+        assert second_saw_spill_done == [True]
+        assert svc.stats.service_spill_saves == 1
+
 
 class TestStatsPayload:
     def test_stats_payload_shape(self, service):
