@@ -38,10 +38,11 @@ def constant_model() -> MeanFieldModel:
 
 def test_inhomogeneous_checker_on_constant_model(benchmark, constant_model):
     ctx = EvaluationContext(constant_model, np.array([0.4, 0.3, 0.3]))
-    checker = LocalChecker(ctx)
 
+    # A fresh checker per round: a reused one would answer every round
+    # after the first from its path-probability memo.
     def solve():
-        return checker.path_probabilities(PATH)
+        return LocalChecker(ctx).path_probabilities(PATH)
 
     probs = benchmark(solve)
     record(benchmark, probabilities=probs)

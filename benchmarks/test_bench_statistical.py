@@ -18,10 +18,10 @@ PATH = parse_path("not_infected U[0,1] infected")
 
 
 def test_analytic_until(benchmark, ctx1):
-    checker = LocalChecker(ctx1)
-
+    # A fresh checker per round: a reused one would answer every round
+    # after the first from its path-probability memo.
     def solve():
-        return checker.path_probabilities(PATH)
+        return LocalChecker(ctx1).path_probabilities(PATH)
 
     probs = benchmark(solve)
     record(benchmark, analytic_prob_s1=float(probs[0]))

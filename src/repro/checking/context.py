@@ -1181,13 +1181,14 @@ class EvaluationContext:
     def local_checker(self):
         """The per-context memoizing :class:`~repro.checking.local.LocalChecker`.
 
-        Satisfaction sets and probability curves are functions of
-        (formula, context, θ) only, so one checker per context can serve
-        every occurrence of a repeated subformula from its caches — this
-        is the evaluation-time half of the ``dedup`` optimization (the
-        rewrite pass makes the occurrences *equal*; the shared checker
-        makes equality pay).  Lazily imported to keep the context module
-        free of a checking-layer dependency cycle.
+        Satisfaction sets, probability curves and path-probability
+        vectors are functions of (formula, context, θ or t) only, so one
+        checker per context can serve every occurrence of a repeated
+        subformula — and every re-thresholded ``EP``/``P`` leaf — from
+        its caches; this is the evaluation-time half of the ``dedup``
+        optimization (the rewrite pass makes the occurrences *equal*;
+        the shared checker makes equality pay).  Lazily imported to keep
+        the context module free of a checking-layer dependency cycle.
         """
         if self._local_checker is None:
             from repro.checking.local import LocalChecker
@@ -1196,11 +1197,12 @@ class EvaluationContext:
         return self._local_checker
 
     def clear_caches(self) -> None:
-        """Drop the generator memo, transient cache and every cached
-        propagator/action-engine cell (keeps the trajectory).  Engines
-        are cleared *in place* — each engine's internal cell/sliver/
-        reference caches are emptied rather than merely dropping the
-        lookup dict — so contexts sharing them through :meth:`at_time`,
+        """Drop the generator memo, transient cache, the shared local
+        checker with its memos and every cached propagator/action-engine
+        cell (keeps the trajectory).  Engines are cleared *in place* —
+        each engine's internal cell/sliver/reference caches are emptied
+        rather than merely dropping the lookup dict — so contexts
+        sharing them through :meth:`at_time`,
         and :class:`ContextPropagator`/:class:`ContextAction` handles
         captured before the clear, are invalidated together; they also
         share the trajectory the engines were built from.  The engines
@@ -1239,22 +1241,33 @@ class EvaluationContext:
         """Estimated bytes held by this context's solve caches.
 
         Sums the dense/sparse generator memos, the transient-matrix
-        cache and every shared engine's cell caches.  Used by the
-        serving layer's global memory guard
+        cache, every shared engine's cell caches and the shared local
+        checker's path-probability vectors and curve samples
+        (:meth:`~repro.checking.local.LocalChecker.memo_nbytes`).  Used
+        by the serving layer's global memory guard
         (:mod:`repro.server.service`); an estimate, not an accounting —
         trajectory segments and small bookkeeping are not counted.
+
+        The guard sums every entry while other entries compute on their
+        own threads, so each memo is copied with one ``tuple()`` call —
+        atomic under the interpreter lock — before it is walked: a
+        concurrent insert cannot raise "dictionary changed size during
+        iteration".
         """
         total = 0
-        for q in self._generator_cache.values():
+        for q in tuple(self._generator_cache.values()):
             total += int(q.nbytes)
-        for q in self._sparse_generator_cache.values():
+        for q in tuple(self._sparse_generator_cache.values()):
             total += int(q.data.nbytes + q.indices.nbytes + q.indptr.nbytes)
-        for pi in self._transient_cache.values():
+        for pi in tuple(self._transient_cache.values()):
             total += int(pi.nbytes)
-        for engine in self._propagator_engines.values():
+        for engine in tuple(self._propagator_engines.values()):
             total += engine.cache_nbytes()
-        for engine in self._action_engines.values():
+        for engine in tuple(self._action_engines.values()):
             total += engine.cache_nbytes()
+        checker = self._local_checker
+        if checker is not None:
+            total += checker.memo_nbytes()
         return total
 
     # ------------------------------------------------------------------

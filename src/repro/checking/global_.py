@@ -299,8 +299,10 @@ class MFModelChecker:
         # Under the ``dedup`` optimization every leaf shares the
         # context's local checker, so repeated subformulas (and the DAG
         # the rewrite pass produces) reuse each other's satisfaction
-        # sets and curves; otherwise each leaf gets a fresh checker
-        # (the seed behavior).
+        # sets, curves and path-probability vectors — an ``EP`` leaf
+        # checked again (with any threshold, or by ``check_detailed``'s
+        # second pass) costs one dot product; otherwise each leaf gets a
+        # fresh checker (the seed behavior).
         dedup = getattr(ctx, "_opt_dedup", False)
         checker = ctx.local_checker() if dedup else LocalChecker(ctx)
         if isinstance(psi, Expectation):
@@ -338,7 +340,9 @@ class MFModelChecker:
         formula walk plus vector algebra.  Within a group the rewrite
         pass hash-conses each formula DAG and the context's shared local
         checker memoizes per DAG node, so queries with overlapping
-        subformulas share satisfaction sets and probability curves;
+        subformulas share satisfaction sets, probability curves and
+        path-probability vectors (a re-thresholded ``EP`` costs a dot
+        product);
         *identical* queries are planned once and fanned back out (the
         duplicates receive the very same result object).
 

@@ -20,8 +20,12 @@ tree exactly as Section IV-E prescribes:
   can force either);
 - next path formulas use :mod:`repro.checking.next_op`.
 
-Results are cached per (formula, window), so shared sub-formulas are
-checked once.
+Satisfaction sets are memoized per (formula, window end), probability
+curves per (path, horizon) and path-probability vectors per (path,
+evaluation time), so a repeated sub-formula — or an ``EP``/``P`` leaf
+re-checked against another threshold ``p`` — is computed once per
+checker.  Memoized arrays are shared by every caller and stored
+read-only.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ class LocalChecker:
         self.ctx = ctx
         self._sat_cache: Dict[Tuple[CslFormula, float], PiecewiseSatSet] = {}
         self._curve_cache: Dict[Tuple[PathFormula, float], ProbabilityCurve] = {}
+        self._prob_cache: Dict[Tuple[PathFormula, float], np.ndarray] = {}
         self._steady_checker: Optional["LocalChecker"] = None
 
     # ------------------------------------------------------------------
@@ -171,8 +176,25 @@ class LocalChecker:
     def path_probabilities(
         self, path: PathFormula, t: float = 0.0
     ) -> np.ndarray:
-        """``Prob(s, φ, m̄, t)`` for every state — Equations (4)/(7)/(13)."""
+        """``Prob(s, φ, m̄, t)`` for every state — Equations (4)/(7)/(13).
+
+        The vector does not depend on any threshold, so it is memoized
+        per ``(path, t)`` and returned read-only.
+        """
         t = float(t)
+        key = (path, t)
+        cached = self._prob_cache.get(key)
+        if cached is not None:
+            self.ctx.stats.formula_memo_hits += 1
+            return cached
+        probs = self._path_probabilities_uncached(path, t)
+        probs.setflags(write=False)
+        self._prob_cache[key] = probs
+        return probs
+
+    def _path_probabilities_uncached(
+        self, path: PathFormula, t: float
+    ) -> np.ndarray:
         if isinstance(path, Until):
             window_end = t + path.interval.upper
             gamma1 = self.sat_piecewise(path.left, window_end)
@@ -229,6 +251,20 @@ class LocalChecker:
             raise FormulaError(f"not a CSL path formula: {path!r}")
         self._curve_cache[key] = curve
         return curve
+
+    def memo_nbytes(self) -> int:
+        """Bytes held by the path-probability memo and the sample caches
+        of the memoized curves, the steady-context checker's included.
+
+        Safe to call while another thread fills the memos (see
+        :meth:`~repro.checking.context.EvaluationContext.cache_nbytes`).
+        """
+        total = sum(p.nbytes for p in tuple(self._prob_cache.values()))
+        for curve in tuple(self._curve_cache.values()):
+            total += curve.cache_nbytes()
+        if self._steady_checker is not None:
+            total += self._steady_checker.memo_nbytes()
+        return total
 
     # ------------------------------------------------------------------
 

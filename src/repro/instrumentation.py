@@ -105,9 +105,9 @@ class EvalStats:
         :func:`repro.logic.rewrite.optimize` before checking.
     formula_memo_hits:
         Subformula evaluations answered from a memo instead of being
-        recomputed: local-checker satisfaction/curve cache hits plus
-        cSat-evaluator memo hits (the payoff of the ``dedup``
-        optimization).
+        recomputed: local-checker satisfaction-set, curve and
+        path-probability cache hits plus cSat-evaluator memo hits (the
+        payoff of the ``dedup`` optimization).
     early_exits:
         Threshold comparisons decided from partial probability-mass
         bounds before the full computation finished (the ``early-exit``

@@ -10,9 +10,12 @@ import pytest
 
 from repro.checking.context import EvaluationContext
 from repro.checking.global_ import MFModelChecker
+from repro.checking.local import LocalChecker
+from repro.checking.options import CheckOptions
 from repro.checking.transform import absorbing_generator_function
 from repro.ctmc.inhomogeneous import solve_forward_kolmogorov
 from repro.instrumentation import EvalStats
+from repro.logic.parser import parse_path
 from repro.meanfield.ode import ShiftedTrajectory
 from repro.models.diurnal import diurnal_virus_model
 
@@ -153,8 +156,29 @@ class TestTransientCache:
 
     def test_formula_result_unchanged_by_warm_cache(self, virus1, m_example1):
         """Checking the same formula twice on one context gives the exact
-        same verdict with the second run served largely from cache."""
+        same verdict; the shared checker's path-probability memo serves
+        the repeat, so it never reaches the transient cache."""
         checker = MFModelChecker(virus1)
+        ctx = checker.context(m_example1)
+        formula = "EP[<0.3](not_infected U[0,1] infected)"
+        first = checker.check(formula, m_example1, ctx=ctx)
+        hits_after_first = ctx.stats.transient_cache_hits
+        misses_after_first = ctx.stats.transient_cache_misses
+        memo_hits_after_first = ctx.stats.formula_memo_hits
+        second = checker.check(formula, m_example1, ctx=ctx)
+        assert second == first
+        assert ctx.stats.transient_cache_hits == hits_after_first
+        assert ctx.stats.transient_cache_misses == misses_after_first
+        assert ctx.stats.formula_memo_hits > memo_hits_after_first
+
+    def test_formula_result_unchanged_by_warm_transient_cache(
+        self, virus1, m_example1
+    ):
+        """Without the formula optimizations every leaf gets a fresh
+        checker, so the repeat is served from the transient cache."""
+        checker = MFModelChecker(
+            virus1, CheckOptions(formula_optimizations="none")
+        )
         ctx = checker.context(m_example1)
         formula = "EP[<0.3](not_infected U[0,1] infected)"
         first = checker.check(formula, m_example1, ctx=ctx)
@@ -302,6 +326,16 @@ class TestEngineClearInPlace:
         ctx1.propagator_engine(sig, q_abs).propagate(0.0, 1.0)
         ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
         assert ctx1.cache_nbytes() > 0
+        # A memo-less checker warms the transients of the path, so the
+        # shared checker's evaluation adds only its memoized vector.
+        path = parse_path("not_infected U[0,1] infected")
+        LocalChecker(ctx1).path_probabilities(path)
+        solved = ctx1.cache_nbytes()
+        MFModelChecker(ctx1.model).value(
+            "EP[<0.3](not_infected U[0,1] infected)", ctx1.initial, ctx=ctx1
+        )
+        memo = ctx1.local_checker().path_probabilities(path)
+        assert ctx1.cache_nbytes() == solved + memo.nbytes
         ctx1.clear_caches()
         assert ctx1.cache_nbytes() == 0
 

@@ -116,6 +116,30 @@ class TestColdWarm:
         assert r["theta"] == 5.0
         assert r["intervals"] == [[0.0, 5.0]]
 
+    def test_rethresholded_request_reuses_the_warm_path_probabilities(
+        self, service
+    ):
+        """A new threshold on a warm occupancy misses the response cache
+        but is answered from the context's path-probability memo: no
+        transient solve, no cache probe, no ODE right-hand side."""
+        s1, r1 = service.handle(check_request())
+        s2, r2 = service.handle(
+            check_request(formula="EP[<0.5](not_infected U[0,1] infected)")
+        )
+        assert s1 == s2 == 200
+        assert r2["cache"]["hit"] is False
+        assert r2["cache"]["context_reused"] is True
+        assert r1["verdict"]["value"] == 0.2338842135131094
+        assert r2["verdict"]["value"] == r1["verdict"]["value"]
+        delta = r2["stats_delta"]
+        for counter in (
+            "transient_cache_hits",
+            "transient_cache_misses",
+            "rhs_evaluations",
+        ):
+            assert counter not in delta
+        assert delta["formula_memo_hits"] > 0
+
     def test_distinct_occupancies_share_the_entry(self, service):
         service.handle(check_request())
         service.handle(check_request(occupancy=[0.7, 0.2, 0.1]))
