@@ -9,7 +9,7 @@ speedup ratios or accuracy defects), so regressions show up as a diff in
 the series rather than requiring two full benchmark-JSON files to be
 compared by hand.
 
-The propagator benchmark (``test_bench_propagators.py``) writes to
+The curve-method benchmark (``test_bench_propagators.py``) writes to
 :data:`DEFAULT_PATH` (``benchmarks/BENCH_propagators.json``); other
 benches can pass their own ``path``.
 """
@@ -86,10 +86,10 @@ def record_wall_times(
     Parameters
     ----------
     name:
-        Benchmark identifier (e.g. ``"nested_until_cells_vs_recompute"``).
+        Benchmark identifier (e.g. ``"nested_until_propagate_vs_recompute"``).
     timings:
         Mapping of label to wall-time in seconds (e.g.
-        ``{"cells": 0.05, "recompute": 0.31}``).
+        ``{"propagate": 0.11, "recompute": 0.43}``).
     extra:
         Optional additional values stored verbatim on the record
         (speedups, defects, workload sizes, …).

@@ -1,28 +1,22 @@
-"""Propagator-engine benchmark — cached cell products vs per-query solves.
+"""Curve-method benchmark — the window-shift ODE vs per-time recomputation.
 
-The acceptance workload of the piecewise-homogeneous propagator engine:
-a nested (time-varying-set) until whose probability curve is sampled at
-96 evaluation times.  ``curve_method="recompute"`` pays fresh Kolmogorov
-``solve_ivp`` integrations at every evaluation time; ``"cells"``
-amortizes one defect-controlled grid over all of them and composes each
-window from cached cell propagators.
+Two workloads, each a probability curve sampled at 96 evaluation times:
+a nested (time-varying-set) until and a simple until over ``[0.5, 2]``.
+``curve_method="propagate"`` (the production default) advances the
+reachability matrices through evaluation time by the window-shift ODE
+of Equations (6)/(12); ``"recompute"`` pays fresh Kolmogorov
+``solve_ivp`` integrations at every evaluation time and is the
+reference.
 
-Gates:
-
-- **accuracy** (always on): cells and recompute curves agree to the
-  engine's defect tolerance (``propagator_tol``, default 1e-6);
-- **cache reuse** (always on): ``EvalStats`` must show propagator cache
-  hits — the whole point of the engine;
-- **speedup** (``REPRO_BENCH_TIMING_GATE=0`` disables): cells is at
-  least :data:`SPEEDUP_FLOOR` times faster than recompute.  CI runs the
-  bench with the timing gate off (shared runners make wall-clock flaky)
-  so that it still verifies accuracy and reuse on every push.
+Gate (always on): the propagate and recompute curves agree to
+:data:`ACCURACY_TOL`.  Wall-times are recorded but not gated: the
+propagate/recompute ratio spreads too widely from run to run for a
+floor to mean anything.
 
 Wall-times of every run are appended to ``BENCH_propagators.json`` via
 :mod:`benchmarks.record` for cheap cross-run history.
 """
 
-import os
 import time
 
 import numpy as np
@@ -36,19 +30,14 @@ from repro.checking.reachability import SimpleUntilCurve
 from repro.checking.satsets import Piece, PiecewiseSatSet
 from repro.logic.ast import TimeInterval
 
-PROPAGATOR_TOL = 1e-6
-#: Minimum cells-vs-recompute speedup enforced when the timing gate is on.
-SPEEDUP_FLOOR = 5.0
+#: Largest tolerated propagate-vs-recompute deviation.
+ACCURACY_TOL = 1e-6
 THETA, UPPER = 8.0, 6.0
-#: 96 evaluation times — the "many query times" amortization regime.
+#: 96 evaluation times — the "many query times" regime.
 EVAL_TIMES = np.linspace(0.0, THETA, 96)
 
 NOT_INFECTED = frozenset({0})
 INFECTED = frozenset({1, 2})
-
-
-def _timing_gate() -> bool:
-    return os.environ.get("REPRO_BENCH_TIMING_GATE", "1") != "0"
 
 
 def _nested_sets(hi: float):
@@ -68,11 +57,7 @@ def _nested_curve_values(model, occupancy, method: str):
     """Build a fresh context + solver and sample the curve; return
     (values, wall-time, stats)."""
     ctx = EvaluationContext(
-        model,
-        occupancy,
-        options=CheckOptions(
-            curve_method=method, propagator_tol=PROPAGATOR_TOL
-        ),
+        model, occupancy, options=CheckOptions(curve_method=method)
     )
     hi = THETA + UPPER
     solver = TimeVaryingUntil(
@@ -85,17 +70,18 @@ def _nested_curve_values(model, occupancy, method: str):
     return values, elapsed, ctx.stats
 
 
-def test_nested_until_cells_vs_recompute(benchmark, virus2):
-    """The headline comparison: 96-query nested until, cells vs ODE."""
+def test_nested_until_propagate_vs_recompute(benchmark, virus2):
+    """The headline comparison: 96-query nested until, Appendix ODE (12)
+    vs per-time goal-chain products."""
     slow_values, slow_time, _ = _nested_curve_values(
         virus2, M_EXAMPLE_2, "recompute"
     )
 
-    def run_cells():
-        return _nested_curve_values(virus2, M_EXAMPLE_2, "cells")
+    def run_propagate():
+        return _nested_curve_values(virus2, M_EXAMPLE_2, "propagate")
 
     fast_values, fast_time, stats = benchmark.pedantic(
-        run_cells, rounds=3, iterations=1
+        run_propagate, rounds=3, iterations=1
     )
 
     deviation = float(np.max(np.abs(fast_values - slow_values)))
@@ -105,80 +91,66 @@ def test_nested_until_cells_vs_recompute(benchmark, virus2):
         max_abs_deviation=deviation,
         speedup=speedup,
         recompute_s=slow_time,
-        cells_s=fast_time,
+        propagate_s=fast_time,
         eval_times=len(EVAL_TIMES),
     )
     record_stats(benchmark, stats)
     record_wall_times(
-        "nested_until_cells_vs_recompute",
-        {"cells": fast_time, "recompute": slow_time},
+        "nested_until_propagate_vs_recompute",
+        {"propagate": fast_time, "recompute": slow_time},
         extra={
             "speedup": speedup,
             "max_abs_deviation": deviation,
             "eval_times": len(EVAL_TIMES),
-            "propagator_cells_built": stats.propagator_cells_built,
-            "propagator_cache_hits": stats.propagator_cache_hits,
         },
     )
     print(
-        f"\nnested until x{len(EVAL_TIMES)}: cells {fast_time:.3f}s, "
+        f"\nnested until x{len(EVAL_TIMES)}: propagate {fast_time:.3f}s, "
         f"recompute {slow_time:.3f}s, speedup {speedup:.1f}x, "
         f"max deviation {deviation:.2e}"
     )
-
-    # Accuracy gate: the engine must honour its defect tolerance.
-    assert deviation <= PROPAGATOR_TOL
-    # Reuse gate: the curve must actually hit the cell cache.
-    assert stats.propagator_engines >= 1
-    assert stats.propagator_cache_hits > 0
-    assert stats.propagator_products > 0
-    if _timing_gate():
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"cells path only {speedup:.2f}x faster than per-query "
-            f"solve_ivp (floor {SPEEDUP_FLOOR}x)"
-        )
+    assert deviation <= ACCURACY_TOL
 
 
-def test_simple_until_batched_cells(benchmark, virus1):
-    """Secondary workload: batched ``values_many`` on a simple until."""
+def test_simple_until_propagate_vs_recompute(benchmark, virus1):
+    """Secondary workload: a simple until over ``[0.5, 2]`` at 96 times."""
     interval = TimeInterval(0.5, 2.0)
     theta = 15.0
     ts = np.linspace(0.0, theta, 96)
 
-    def build(method):
+    def curve_values(method):
+        start = time.perf_counter()
         ctx = EvaluationContext(
-            virus1,
-            M_EXAMPLE_1,
-            options=CheckOptions(
-                curve_method=method, propagator_tol=PROPAGATOR_TOL
-            ),
+            virus1, M_EXAMPLE_1, options=CheckOptions(curve_method=method)
         )
         curve = SimpleUntilCurve(
             ctx, NOT_INFECTED, INFECTED, interval, theta, method=method
         )
-        return ctx, curve
-
-    start = time.perf_counter()
-    _ctx_slow, slow_curve = build("recompute")
-    slow_values = np.stack([slow_curve.values(t) for t in ts])
-    slow_time = time.perf_counter() - start
-
-    def run_cells():
-        ctx, curve = build("cells")
-        start = time.perf_counter()
         values = curve.values_many(ts)
         return values, time.perf_counter() - start, ctx.stats
 
-    fast_values, _query_time, stats = benchmark.pedantic(
-        run_cells, rounds=3, iterations=1
+    slow_values, slow_time, _ = curve_values("recompute")
+    fast_values, fast_time, stats = benchmark.pedantic(
+        curve_values, args=("propagate",), rounds=3, iterations=1
     )
     deviation = float(np.max(np.abs(fast_values - slow_values)))
-    record(benchmark, max_abs_deviation=deviation, recompute_s=slow_time)
+    speedup = slow_time / fast_time
+    record(
+        benchmark,
+        max_abs_deviation=deviation,
+        speedup=speedup,
+        recompute_s=slow_time,
+        propagate_s=fast_time,
+    )
     record_stats(benchmark, stats)
     record_wall_times(
-        "simple_until_batched_cells",
-        {"recompute": slow_time},
-        extra={"max_abs_deviation": deviation},
+        "simple_until_propagate_vs_recompute",
+        {"propagate": fast_time, "recompute": slow_time},
+        extra={"speedup": speedup, "max_abs_deviation": deviation},
     )
-    assert deviation <= PROPAGATOR_TOL
-    assert stats.propagator_cache_hits > 0
+    print(
+        f"\nsimple until x{len(ts)}: propagate {fast_time:.3f}s, "
+        f"recompute {slow_time:.3f}s, speedup {speedup:.1f}x, "
+        f"max deviation {deviation:.2e}"
+    )
+    assert deviation <= ACCURACY_TOL

@@ -15,13 +15,8 @@ Caching layers (see ``docs/performance.md``):
   solves sharing one trajectory never assemble the same generator twice;
 - :meth:`transient_matrix` caches Kolmogorov solutions ``Π(t', t'+T)``
   keyed by (generator-transform signature, window, solver and residual
-  tolerances, backend), so nested untils and repeated global-operator
-  checks stop re-solving identical problems;
-- :meth:`propagator_engine` keeps one piecewise-homogeneous
-  cell-product engine (:class:`~repro.ctmc.propagators.PropagatorEngine`)
-  per transformed chain, shared — with a time offset — across contexts
-  derived via :meth:`at_time` whenever the trajectory itself is shared,
-  and invalidated together with the other solve caches;
+  tolerances), so nested untils and repeated global-operator checks stop
+  re-solving identical problems;
 - :meth:`at_time` and :meth:`steady_context` derive child contexts that
   share whatever parent state remains sound (the steady-state result
   always; the trajectory and generator memo whenever the model has no
@@ -30,7 +25,10 @@ Caching layers (see ``docs/performance.md``):
   :attr:`matrix_backend`), :meth:`sparse_generator_function` memoizes
   CSR assemblies of ``Q(m̄(t))`` and :meth:`action_engine` keeps one
   :class:`~repro.ctmc.propagators.SparseActionPropagator` per
-  transformed chain; :meth:`transient_apply` then answers
+  transformed chain, shared — with a time offset — across contexts
+  derived via :meth:`at_time` whenever the trajectory itself is shared,
+  and invalidated together with the other solve caches;
+  :meth:`transient_apply` then answers
   vector-propagation queries through Krylov actions without ever
   forming a dense ``(K, K)`` matrix (docs/performance.md, "Backend
   selection").
@@ -48,7 +46,7 @@ import numpy as np
 
 from repro.checking.options import CheckOptions
 from repro.ctmc.inhomogeneous import solve_forward_kolmogorov
-from repro.ctmc.propagators import PropagatorEngine, SparseActionPropagator
+from repro.ctmc.propagators import SparseActionPropagator
 from repro.diagnostics import DiagnosticTrace, check_transient_residual
 from repro.exceptions import NumericalError, SteadyStateError
 from repro.instrumentation import EvalStats
@@ -69,7 +67,6 @@ _KEY_DECIMALS = 12
 #: and the :class:`~repro.resilience.ResultQuality` each rung delivers.
 LADDER_QUALITY = {
     "sparse": ResultQuality.EXACT,
-    "propagator": ResultQuality.EXACT,
     "ode": ResultQuality.EXACT,
     "uniformization": ResultQuality.DEGRADED,
     "mc": ResultQuality.STATISTICAL,
@@ -97,82 +94,12 @@ _MC_PATHS_PER_STATE = 200
 _MC_LADDER_SEED = 20130613
 
 
-class ContextPropagator:
-    """Context-relative view of a shared :class:`PropagatorEngine`.
-
-    Engines live on root-trajectory ("absolute") time so that contexts
-    derived via :meth:`EvaluationContext.at_time` can share one cell
-    cache; this thin handle translates the owning context's relative
-    times before delegating.
-    """
-
-    __slots__ = ("engine", "offset")
-
-    def __init__(self, engine: PropagatorEngine, offset: float):
-        self.engine = engine
-        self.offset = float(offset)
-
-    def ensure(
-        self, t_lo: float, t_hi: float, window: Optional[float] = None
-    ) -> None:
-        """Defect-validate the grid over context-relative ``[t_lo, t_hi]``.
-
-        ``window`` is the longest query window the caller will ask for
-        inside the range (defaults to the whole range); probing
-        query-length windows keeps the grid no finer than needed.
-        """
-        self.engine.ensure(
-            self.offset + float(t_lo),
-            self.offset + float(t_hi),
-            window=window,
-        )
-
-    def propagate(self, t_start: float, duration: float) -> np.ndarray:
-        """``Π(t_start, t_start + duration)`` in context-relative time."""
-        a = self.offset + float(t_start)
-        return self.engine.propagate(a, a + float(duration))
-
-    def propagate_many(self, ts, duration: float) -> np.ndarray:
-        """Batched ``Π(t_i, t_i + duration)`` — shape ``(len(ts), K, K)``."""
-        ts = np.asarray(ts, dtype=float) + self.offset
-        return self.engine.propagate_many(ts, float(duration))
-
-    def apply(
-        self, v: np.ndarray, t_start: float, duration: float,
-        side: str = "left",
-    ) -> np.ndarray:
-        """``v @ Π`` (left) or ``Π @ v`` (right) over a relative window.
-
-        ``v`` may be ``(K,)`` or a block — ``(M, K)`` rows on the left,
-        ``(K, M)`` columns on the right; the block is carried through
-        the shared cell cache in one matmat per cell (mirrors
-        :meth:`ContextAction.apply`).
-        """
-        a = self.offset + float(t_start)
-        return self.engine.apply(v, a, a + float(duration), side=side)
-
-    def apply_many(
-        self, ts, duration: float, v: np.ndarray, side: str = "left"
-    ) -> np.ndarray:
-        """Batched window actions — first axis indexes ``ts``."""
-        ts = np.asarray(ts, dtype=float) + self.offset
-        return self.engine.apply_many(ts, float(duration), v, side=side)
-
-    def prepare_windows(self, starts, ends) -> None:
-        """Warm cells/slivers for a batch of context-relative windows."""
-        self.engine.prepare_windows(
-            np.asarray(starts, dtype=float) + self.offset,
-            np.asarray(ends, dtype=float) + self.offset,
-        )
-
-
 class ContextAction:
     """Context-relative view of a shared :class:`SparseActionPropagator`.
 
-    Sparse counterpart of :class:`ContextPropagator`: the engine lives
-    on root-trajectory ("absolute") time so ``at_time`` children can
-    share one exponent cache; this handle translates the owning
-    context's relative times before delegating.
+    The engine lives on root-trajectory ("absolute") time so
+    ``at_time`` children can share one exponent cache; this handle
+    translates the owning context's relative times before delegating.
     """
 
     __slots__ = ("engine", "offset")
@@ -274,10 +201,9 @@ class EvaluationContext:
         self._sparse_generator_fn = None
         self._sparse_generator_cache: dict = {}
         self._transient_cache: dict = {}
-        # Propagator engines keyed by transform signature, shared (with
-        # a time offset) along at_time chains that share the trajectory.
-        self._propagator_engines: dict = {}
-        # Same discipline for the sparse action engines.
+        # Sparse action engines keyed by transform signature, shared
+        # (with a time offset) along at_time chains that share the
+        # trajectory.
         self._action_engines: dict = {}
         self._propagator_offset: float = 0.0
         # One-slot box for the stationary point, shared with contexts
@@ -307,16 +233,14 @@ class EvaluationContext:
         self._rtol = value.ode_rtol
         self._atol = value.ode_atol
         self._residual_tol = value.residual_tol
-        self._transient_method = value.transient_method
         # Pre-built tail of the transient-matrix cache key: with no
         # per-call tolerance overrides (the overwhelmingly common case)
         # the hot path concatenates this tuple instead of assembling
-        # four fields per query.
+        # three fields per query.
         self._key_tail = (
             value.ode_rtol,
             value.ode_atol,
             value.residual_tol,
-            value.transient_method,
         )
         self._resolved_backend: Optional[str] = None
         # Formula-optimization switches, hoisted to flat booleans so the
@@ -500,7 +424,6 @@ class EvaluationContext:
         duration: float,
         rtol: Optional[float] = None,
         atol: Optional[float] = None,
-        method: Optional[str] = None,
     ) -> np.ndarray:
         """Cached ``Π(t_start, t_start + duration)`` for a transformed chain.
 
@@ -512,14 +435,9 @@ class EvaluationContext:
             or ``("goal", partition)``.  Two calls with equal signatures
             **must** describe the same generator function; the cache key
             is (signature, t_start, duration, solver tolerances,
-            residual tolerance, backend).
+            residual tolerance).
         q_of_t:
             The transformed generator function, used only on a miss.
-        method:
-            ``"ode"`` (fresh Kolmogorov solve) or ``"propagator"``
-            (cell product from the shared
-            :meth:`propagator_engine`); defaults to
-            ``options.transient_method``.
 
         Returns
         -------
@@ -532,10 +450,10 @@ class EvaluationContext:
         # matrix solved under loose settings must never be served after
         # the options were tightened.  Without per-call overrides the
         # tail of the key is the pre-hoisted options tuple
-        # (see the ``options`` setter), skipping four field reads and a
-        # 4-tuple build per query on the hot path.
-        if rtol is None and atol is None and method is None:
-            rtol, atol, method = self._rtol, self._atol, self._transient_method
+        # (see the ``options`` setter), skipping three field reads and a
+        # 3-tuple build per query on the hot path.
+        if rtol is None and atol is None:
+            rtol, atol = self._rtol, self._atol
             key = (
                 signature,
                 round(float(t_start), _KEY_DECIMALS),
@@ -545,7 +463,6 @@ class EvaluationContext:
         else:
             rtol = self._rtol if rtol is None else rtol
             atol = self._atol if atol is None else atol
-            method = self._transient_method if method is None else method
             key = (
                 signature,
                 round(float(t_start), _KEY_DECIMALS),
@@ -553,7 +470,6 @@ class EvaluationContext:
                 rtol,
                 atol,
                 self._residual_tol,
-                method,
             )
         pi = self._transient_cache.get(key)
         if pi is not None:
@@ -565,8 +481,7 @@ class EvaluationContext:
                 f"transient_matrix @ {float(t_start):g}+{float(duration):g}"
             )
         pi = self._transient_ladder(
-            signature, q_of_t, float(t_start), float(duration),
-            rtol, atol, method,
+            signature, q_of_t, float(t_start), float(duration), rtol, atol
         )
         self._transient_cache[key] = pi
         return pi
@@ -583,13 +498,12 @@ class EvaluationContext:
         duration: float,
         rtol: float,
         atol: float,
-        method: str,
     ) -> np.ndarray:
         """Serve ``Π`` from the highest rung that still works.
 
         Rung order is ``sparse action engine (sparse backend only) →
-        propagator → ODE fallback chain → order-2
-        uniformization → Monte-Carlo estimate``; each
+        ODE fallback chain → order-2 uniformization → Monte-Carlo
+        estimate``; each
         :class:`~repro.exceptions.NumericalError` steps one rung down
         and records the descent in the trace (with the
         :class:`~repro.resilience.ResultQuality` the answer now
@@ -604,23 +518,11 @@ class EvaluationContext:
             return self._transient_ode(
                 signature, q_of_t, t_start, duration, rtol, atol
             )
-        rungs = ["ode"]
-        if method == "propagator":
-            if self.budget is not None and self.budget.under_pressure():
-                # Building a fresh cell grid is front-loaded work; under
-                # deadline pressure go straight to the one-shot solve.
-                self.trace.note(
-                    "budget pressure: skipping propagator rung for "
-                    f"window [{t_start:g}, {t_start + duration:g}]"
-                )
-            else:
-                rungs.insert(0, "propagator")
-        rungs += ["uniformization", "mc"]
+        rungs = ["ode", "uniformization", "mc"]
         if self.matrix_backend == "sparse":
-            # Highest rung on the sparse backend.  Not skipped under
-            # budget pressure: for the models that select this backend
-            # the action engine is also the *cheapest* rung (O(nnz)
-            # work, no K² assembly), so descending would cost more.
+            # Highest rung on the sparse backend: for the models that
+            # select it the action engine is also the *cheapest* rung
+            # (O(nnz) work, no K² assembly).
             rungs.insert(0, "sparse")
         failures: "list[str]" = []
         for position, rung in enumerate(rungs):
@@ -636,10 +538,6 @@ class EvaluationContext:
                 if rung == "sparse":
                     return self._transient_sparse(
                         signature, t_start, duration
-                    )
-                if rung == "propagator":
-                    return self._transient_propagator(
-                        signature, q_of_t, t_start, duration
                     )
                 if rung == "ode":
                     return self._transient_ode(
@@ -693,25 +591,6 @@ class EvaluationContext:
         check_transient_residual(
             pi,
             label=f"Pi({t_start:g}, {t_start + duration:g}) [sparse]",
-            tol=self._residual_tol,
-            trace=self.trace,
-        )
-        return pi
-
-    def _transient_propagator(
-        self,
-        signature: Hashable,
-        q_of_t: Callable[[float], np.ndarray],
-        t_start: float,
-        duration: float,
-    ) -> np.ndarray:
-        """Top dense rung: cell product from the shared propagator engine."""
-        pi = self.propagator_engine(signature, q_of_t).propagate(
-            t_start, duration
-        )
-        check_transient_residual(
-            pi,
-            label=f"Pi({t_start:g}, {t_start + duration:g}) [cells]",
             tol=self._residual_tol,
             trace=self.trace,
         )
@@ -904,101 +783,10 @@ class EvaluationContext:
         )
         return pi, uncertainty
 
-    def _batch_for_signature(self, signature: Hashable):
-        """Vectorized ``ts -> (n, K', K')`` for a known transform signature.
-
-        The propagator engine evaluates generators at many Gauss nodes
-        per cell batch; for the two standard transforms the batched
-        compiled-generator path plus a vectorized transform replaces one
-        scalar assembly per node.  Unknown signatures return ``None``
-        (the engine falls back to scalar calls).
-        """
-        from repro.checking.transform import (
-            UntilPartition,
-            absorbing_generator_batch_function,
-            goal_generator_batch_function,
-        )
-
-        if (
-            not isinstance(signature, tuple)
-            or len(signature) != 2
-        ):
-            return None
-        kind, arg = signature
-        if kind == "absorbing" and isinstance(arg, frozenset):
-            return absorbing_generator_batch_function(
-                self.generator_batch_function(), arg
-            )
-        if kind == "goal" and isinstance(arg, UntilPartition):
-            return goal_generator_batch_function(
-                self.generator_batch_function(), arg
-            )
-        return None
-
-    def propagator_engine(
-        self, signature: Hashable, q_of_t, q_many=None
-    ) -> "ContextPropagator":
-        """The shared cell-product engine for the chain ``signature``.
-
-        One :class:`~repro.ctmc.propagators.PropagatorEngine` is kept
-        per transform signature; derived contexts whose trajectory is
-        shared (autonomous :meth:`at_time` children) see the *same*
-        engines through a time-offset view, so cells built while
-        checking one evaluation time are reused at every other.  The
-        engine's generator runs on root-trajectory ("absolute") time;
-        the returned :class:`ContextPropagator` translates this
-        context's relative times.
-
-        ``q_many`` optionally supplies the batched counterpart of
-        ``q_of_t``; for the standard ``("absorbing", frozenset)`` and
-        ``("goal", partition)`` signatures it is derived automatically
-        from the compiled batch-generator path.
-        """
-        engine = self._propagator_engines.get(signature)
-        if engine is None:
-            if q_many is None:
-                q_many = self._batch_for_signature(signature)
-            offset = self._propagator_offset
-            q_many_abs = q_many
-            if offset:
-
-                def q_abs(t: float, _q=q_of_t, _o=offset) -> np.ndarray:
-                    return _q(t - _o)
-
-                if q_many is not None:
-
-                    def q_many_abs(ts, _q=q_many, _o=offset) -> np.ndarray:
-                        return _q(np.asarray(ts, dtype=float) - _o)
-
-            else:
-                q_abs = q_of_t
-            engine_kwargs = {}
-            if self.options.max_refinements is not None:
-                engine_kwargs["max_refinements"] = (
-                    self.options.max_refinements
-                )
-            engine = PropagatorEngine(
-                q_abs,
-                q_many=q_many_abs,
-                tol=self.options.propagator_tol,
-                rtol=self.options.ode_rtol,
-                atol=self.options.ode_atol,
-                fallbacks=self.options.solver_fallbacks,
-                trace=self.trace,
-                stats=self.stats,
-                residual_tol=self.options.residual_tol,
-                budget=self.budget,
-                **engine_kwargs,
-            )
-            self.stats.propagator_engines += 1
-            self._propagator_engines[signature] = engine
-        return ContextPropagator(engine, self._propagator_offset)
-
     def _sparse_for_signature(self, signature: Hashable):
         """Sparse ``t -> CSR`` function for a known transform signature.
 
-        Mirror of :meth:`_batch_for_signature` on the sparse side: the
-        two standard transforms have O(nnz) sparse constructions
+        The two standard transforms have O(nnz) sparse constructions
         (:func:`~repro.checking.transform.absorbing_generator_sparse`,
         :func:`~repro.checking.transform.goal_generator_sparse`).
         ``("goal-literal", ...)`` and unknown signatures return ``None``
@@ -1029,12 +817,13 @@ class EvaluationContext:
         """The shared sparse action engine for the chain ``signature``.
 
         One :class:`~repro.ctmc.propagators.SparseActionPropagator` is
-        kept per transform signature and shared — with a time offset —
-        along :meth:`at_time` chains, exactly like
-        :meth:`propagator_engine` on the dense side.  Returns ``None``
-        when the signature has no sparse transform (goal-literal
-        chains, ad-hoc generator functions); callers then fall back to
-        the dense pipeline.
+        kept per transform signature.  Derived contexts whose trajectory
+        is shared (autonomous :meth:`at_time` children) see the *same*
+        engines through a time-offset view, so cells built while
+        checking one evaluation time are reused at every other.  Returns
+        ``None`` when the signature has no sparse transform
+        (goal-literal chains, ad-hoc generator functions); callers then
+        fall back to the dense pipeline.
         """
         engine = self._action_engines.get(signature)
         if engine is None:
@@ -1076,7 +865,6 @@ class EvaluationContext:
         side: str = "left",
         rtol: Optional[float] = None,
         atol: Optional[float] = None,
-        method: Optional[str] = None,
     ) -> np.ndarray:
         """``vector @ Π`` (``side="left"``) or ``Π @ vector`` (right).
 
@@ -1122,36 +910,9 @@ class EvaluationContext:
                     self.trace.downgrade(
                         "sparse", "ode", LADDER_QUALITY["ode"], str(exc)
                     )
-        resolved_method = (
-            self._transient_method if method is None else method
-        )
-        if block and resolved_method == "propagator":
-            # Dense block fast path: carry the whole block through the
-            # shared cell cache (one (M, K') @ (K', K') matmat per cell)
-            # instead of composing the full window product first.
-            if self.budget is not None:
-                self.budget.checkpoint(
-                    f"transient_apply(block) @ {float(t_start):g}"
-                    f"+{float(duration):g}"
-                )
-            try:
-                handle = self.propagator_engine(signature, q_of_t)
-                if side == "right":
-                    return handle.apply(
-                        vector.T, float(t_start), float(duration),
-                        side="right",
-                    ).T
-                return handle.apply(
-                    vector, float(t_start), float(duration), side="left"
-                )
-            except NumericalError as exc:
-                self.trace.downgrade(
-                    "propagator", "ode", LADDER_QUALITY["ode"], str(exc)
-                )
-                method = "ode"
         pi = self.transient_matrix(
             signature, q_of_t, t_start, duration,
-            rtol=rtol, atol=atol, method=method,
+            rtol=rtol, atol=atol,
         )
         if side == "right":
             if block:
@@ -1198,12 +959,11 @@ class EvaluationContext:
 
     def clear_caches(self) -> None:
         """Drop the generator memo, transient cache, the shared local
-        checker with its memos and every cached propagator/action-engine
-        cell (keeps the trajectory).  Engines are cleared *in place* —
-        each engine's internal cell/sliver/reference caches are emptied
-        rather than merely dropping the lookup dict — so contexts
-        sharing them through :meth:`at_time`,
-        and :class:`ContextPropagator`/:class:`ContextAction` handles
+        checker with its memos and every cached action-engine cell
+        (keeps the trajectory).  Engines are cleared *in place* — each
+        engine's internal cell/sliver caches are emptied rather than
+        merely dropping the lookup dict — so contexts sharing them
+        through :meth:`at_time`, and :class:`ContextAction` handles
         captured before the clear, are invalidated together; they also
         share the trajectory the engines were built from.  The engines
         themselves stay registered, so existing handles keep working and
@@ -1211,8 +971,6 @@ class EvaluationContext:
         self._generator_cache.clear()
         self._sparse_generator_cache.clear()
         self._transient_cache.clear()
-        for engine in self._propagator_engines.values():
-            engine.clear_caches()
         for engine in self._action_engines.values():
             engine.clear_caches()
         self._local_checker = None
@@ -1220,7 +978,7 @@ class EvaluationContext:
     def export_transient_cache(self) -> dict:
         """Plain-dict copy of the transient-matrix cache.
 
-        Keys are the ``(signature, window, tolerances, method)`` tuples
+        Keys are the ``(signature, window, tolerances)`` tuples
         of :meth:`transient_matrix` and values dense arrays — all
         picklable, which is what the serving layer's disk spill relies
         on (:mod:`repro.server.service`).
@@ -1261,8 +1019,6 @@ class EvaluationContext:
             total += int(q.data.nbytes + q.indices.nbytes + q.indptr.nbytes)
         for pi in tuple(self._transient_cache.values()):
             total += int(pi.nbytes)
-        for engine in tuple(self._propagator_engines.values()):
-            total += engine.cache_nbytes()
         for engine in tuple(self._action_engines.values()):
             total += engine.cache_nbytes()
         checker = self._local_checker
@@ -1367,10 +1123,8 @@ class EvaluationContext:
 
             child._generator_fn = shifted_q
             # Same trajectory, same inhomogeneous chain: the child can
-            # serve its windows from the parent's propagator cells —
-            # dense and sparse engines alike — just shifted in global
-            # time.
-            child._propagator_engines = self._propagator_engines
+            # serve its windows from the parent's action-engine cells,
+            # just shifted in global time.
             child._action_engines = self._action_engines
             child._propagator_offset = self._propagator_offset + t
         return child

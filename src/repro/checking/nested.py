@@ -27,13 +27,8 @@ for piecewise-constant satisfaction sets ``Γ1 = Sat(Φ1, m̄, ·)`` and
   the matrix ``Υ(t, t+T)`` evolves by the coupled Kolmogorov ODE (12),
   and whenever ``t`` or ``t+T`` hits a discontinuity point the matrix is
   re-assembled from the piecewise products.  ``"recompute"`` rebuilds the
-  product at every evaluation time (the brute-force cross-check);
-  ``"cells"`` assembles every goal-chain / survival transient from the
-  cached cell propagators of the shared
-  :class:`~repro.ctmc.propagators.PropagatorEngine` instances — the
-  cells of one discontinuity segment are reused across all evaluation
-  times and ζ-interleavings, so each query costs only a handful of tiny
-  matrix products.
+  product at every evaluation time (the brute-force cross-check, and the
+  fallback for ``t_1 > 0``).
 """
 
 from __future__ import annotations
@@ -122,18 +117,8 @@ class TimeVaryingUntil:
     # Equation (9): the goal-chain product
     # ------------------------------------------------------------------
 
-    def upsilon(
-        self, a: float, b: float, method: Optional[str] = None
-    ) -> np.ndarray:
-        """``Υ(a, b)``: goal-chain reachability over the absolute window.
-
-        ``method`` selects the transient backend per sub-interval
-        (``"ode"`` or ``"propagator"``; defaults to the context's
-        ``transient_method`` option).  With the propagator backend the
-        goal-chain engines are keyed by partition, so the cells of one
-        discontinuity segment are reused by every other window — and
-        every other evaluation time — that sees the same partition.
-        """
+    def upsilon(self, a: float, b: float) -> np.ndarray:
+        """``Υ(a, b)``: goal-chain reachability over the absolute window."""
         a, b = float(a), float(b)
         if b < a:
             raise CheckingError(f"empty window [{a}, {b}]")
@@ -159,7 +144,6 @@ class TimeVaryingUntil:
                 v - u,
                 rtol=rtol,
                 atol=atol,
-                method=method,
             )
             result = result @ pi
             prev_partition = partition
@@ -206,16 +190,13 @@ class TimeVaryingUntil:
     # Phase one: staying inside Γ1 over [a, b]
     # ------------------------------------------------------------------
 
-    def survival(
-        self, a: float, b: float, method: Optional[str] = None
-    ) -> np.ndarray:
+    def survival(self, a: float, b: float) -> np.ndarray:
         """Probability matrix of surviving in ``Γ1`` throughout ``[a, b]``.
 
         Entry ``[s, s1]`` is the probability of being in ``s1`` at ``b``
         having stayed in ``Γ1`` states the whole time, starting from ``s``
         at ``a``.  Columns of states outside ``Γ1(b)`` are zeroed (mass
-        there belongs to dead paths).  ``method`` selects the transient
-        backend as in :meth:`upsilon`.
+        there belongs to dead paths).
         """
         a, b = float(a), float(b)
         if b < a:
@@ -247,7 +228,7 @@ class TimeVaryingUntil:
 
             pi = self.ctx.transient_matrix(
                 ("absorbing", all_states - live), q_mod, u, v - u,
-                rtol=rtol, atol=atol, method=method,
+                rtol=rtol, atol=atol,
             )
             result = result @ pi
             prev_live = live
@@ -274,7 +255,6 @@ class TimeVaryingUntil:
         t: float,
         bound,
         slack: float = 0.0,
-        method: Optional[str] = None,
     ) -> "Optional[frozenset]":
         """States whose ``P⋈p`` verdict at ``t``, decided as early as possible.
 
@@ -354,7 +334,6 @@ class TimeVaryingUntil:
                 v - u,
                 rtol=rtol,
                 atol=atol,
-                method=method,
             )
             result = result @ pi
             prev_partition = partition
@@ -400,17 +379,12 @@ class TimeVaryingUntil:
             holds[s] = bound.holds(base[s])
         return frozenset(s for s, h in holds.items() if h)
 
-    def probabilities(
-        self, t: float = 0.0, method: Optional[str] = None
-    ) -> np.ndarray:
-        """``Prob(s, Φ1 U^I Φ2, m̄, t)`` for every state — Equation (13).
-
-        ``method`` selects the transient backend as in :meth:`upsilon`.
-        """
+    def probabilities(self, t: float = 0.0) -> np.ndarray:
+        """``Prob(s, Φ1 U^I Φ2, m̄, t)`` for every state — Equation (13)."""
         t = float(t)
         t1, t2 = self.interval.lower, self.interval.upper
         a, b = t + t1, t + t2
-        base = self._base_from_upsilon(self.upsilon(a, b, method=method), a)
+        base = self._base_from_upsilon(self.upsilon(a, b), a)
         if t1 <= 0.0:
             if self.ctx.options.start_convention == "phi1":
                 mask = np.array(
@@ -421,7 +395,7 @@ class TimeVaryingUntil:
                 )
                 return base * mask
             return base
-        surv = self.survival(t, a, method=method)
+        surv = self.survival(t, a)
         return np.clip(surv @ base, 0.0, 1.0)
 
     # ------------------------------------------------------------------
@@ -444,152 +418,17 @@ class TimeVaryingUntil:
                     out.add(t)
         return sorted(out)
 
-    def _prepare_cells(self) -> None:
-        """Defect-validate every propagator engine the curve will touch.
-
-        One pass over the discontinuity segments of ``[0, theta + t2]``
-        creates the goal-chain engine of each distinct partition (and,
-        for ``t1 > 0``, the absorbing engine of each distinct live set)
-        and validates it over the whole range up front.  Validating once
-        with the widest query window avoids re-probing as sliding
-        windows gradually extend each engine's covered range.
-        """
-        t1, t2 = self.interval.lower, self.interval.upper
-        hi = self.theta + t2
-        if hi <= 0.0:
-            return
-        window = min(max(t2 - t1, EVENT_EPS), hi)
-        points = [0.0] + self._events_in(0.0, hi) + [hi]
-        seen = set()
-        for u, v in zip(points, points[1:]):
-            partition = self._partition_at(0.5 * (u + v))
-            if ("goal", partition) in seen:
-                continue
-            seen.add(("goal", partition))
-            self.ctx.propagator_engine(
-                ("goal", partition),
-                goal_generator_function(self._q_of_t, partition),
-            ).ensure(0.0, hi, window=window)
-        if t1 <= 0.0:
-            return
-        hi1 = self.theta + t1
-        all_states = frozenset(range(self._k))
-        points = [0.0] + [
-            e
-            for e in sorted(set(self.gamma1.boundaries()))
-            if EVENT_EPS < e < hi1 - EVENT_EPS
-        ] + [hi1]
-        for u, v in zip(points, points[1:]):
-            live = frozenset(self.gamma1.at(0.5 * (u + v)))
-            if ("absorbing", all_states - live) in seen:
-                continue
-            seen.add(("absorbing", all_states - live))
-
-            def q_mod(t: float, _live=live) -> np.ndarray:
-                return absorbing_generator(
-                    np.asarray(self._q_of_t(t), dtype=float),
-                    all_states - _live,
-                )
-
-            self.ctx.propagator_engine(
-                ("absorbing", all_states - live), q_mod
-            ).ensure(0.0, hi1, window=min(t1, hi1))
-
-    def _warm_windows(self, ts) -> None:
-        """Batch-build every cell/sliver a set of evaluation times needs.
-
-        Walks the exact piece decomposition that :meth:`upsilon` /
-        :meth:`survival` will use for each ``t``, groups the resulting
-        windows by engine signature, and hands each group to
-        :meth:`~repro.checking.context.ContextPropagator.prepare_windows`
-        — one vectorized generator/``expm`` kernel call per engine
-        instead of one per boundary sliver.
-        """
-        t1, t2 = self.interval.lower, self.interval.upper
-        all_states = frozenset(range(self._k))
-        goal_windows: dict = {}
-        surv_windows: dict = {}
-        for t in np.asarray(ts, dtype=float).reshape(-1):
-            a, b = t + t1, t + t2
-            if b > a + EVENT_EPS:
-                points = [a] + self._events_in(a, b) + [b]
-                for u, v in zip(points, points[1:]):
-                    partition = self._partition_at(0.5 * (u + v))
-                    us, vs = goal_windows.setdefault(partition, ([], []))
-                    us.append(u)
-                    vs.append(v)
-            if t1 > 0.0 and a > t + EVENT_EPS:
-                events = [
-                    e
-                    for e in self.gamma1.boundaries()
-                    if t + EVENT_EPS < e < a - EVENT_EPS
-                ]
-                points = [t] + sorted(events) + [a]
-                for u, v in zip(points, points[1:]):
-                    live = frozenset(self.gamma1.at(0.5 * (u + v)))
-                    us, vs = surv_windows.setdefault(live, ([], []))
-                    us.append(u)
-                    vs.append(v)
-        for partition, (us, vs) in goal_windows.items():
-            self.ctx.propagator_engine(
-                ("goal", partition),
-                goal_generator_function(self._q_of_t, partition),
-            ).prepare_windows(us, vs)
-        for live, (us, vs) in surv_windows.items():
-
-            def q_mod(t: float, _live=live) -> np.ndarray:
-                return absorbing_generator(
-                    np.asarray(self._q_of_t(t), dtype=float),
-                    all_states - _live,
-                )
-
-            self.ctx.propagator_engine(
-                ("absorbing", all_states - live), q_mod
-            ).prepare_windows(us, vs)
-
     def curve(self, method: Optional[str] = None) -> ProbabilityCurve:
         """The probability as a function of ``t`` over ``[0, theta]``.
 
         ``method`` is one of the ``curve_method`` options:
-        ``"propagate"`` (Appendix ODE (12), for ``t1 = 0``),
-        ``"recompute"`` (fresh Kolmogorov solves per evaluation time) or
-        ``"cells"`` (every transient composed from the shared
-        piecewise-homogeneous propagator engines — works for any
-        ``t1`` and amortizes over evaluation times, discontinuity
-        segments and ζ-interleavings).
+        ``"propagate"`` (Appendix ODE (12), for ``t1 = 0``; other
+        windows recompute) or ``"recompute"`` (fresh Kolmogorov solves
+        per evaluation time).
         """
         method = method or self.ctx.options.curve_method
         if method == "propagate" and self.interval.lower <= 0.0:
             return self._curve_propagate()
-        if method == "cells":
-            if not getattr(self.ctx, "_opt_lazy_segments", False):
-                self._prepare_cells()
-            # Under lazy-segments the upfront full-range validation is
-            # skipped: every propagator query defect-validates its own
-            # window on first use, and the batch evaluator below still
-            # warms exactly the windows a batch actually probes.
-
-            def evaluator(t: float) -> np.ndarray:
-                return self.probabilities(t, method="propagator")
-
-            def batch_evaluator(ts: np.ndarray) -> np.ndarray:
-                self._warm_windows(ts)
-                return np.stack(
-                    [
-                        self.probabilities(t, method="propagator")
-                        for t in ts
-                    ]
-                )
-
-            return ProbabilityCurve(
-                evaluator,
-                0.0,
-                self.theta,
-                self._k,
-                discontinuities=self._curve_discontinuities(),
-                batch_evaluator=batch_evaluator,
-                budget=self.ctx.budget,
-            )
         return ProbabilityCurve(
             self.probabilities,
             0.0,

@@ -62,18 +62,15 @@ class CheckOptions:
         How time-dependent until probabilities are evaluated:
         ``"propagate"`` uses the window-shift ODE of Equations (6)/(12)
         (the paper's Appendix algorithm); ``"recompute"`` re-solves the
-        forward equation from scratch at every evaluation time;
-        ``"cells"`` composes every window from the cached cell
-        propagators of the piecewise-homogeneous engine
-        (:class:`repro.ctmc.propagators.PropagatorEngine`), reusing the
-        cells across evaluation times, discontinuity segments and
-        ζ-interleavings.  All methods must agree (bench A3 and the
-        propagator bench measure the speed differences).
+        forward equation from scratch at every evaluation time — the
+        reference the production method is checked against.  Both
+        methods must agree (bench A3 and the propagator bench measure
+        the speed difference).
     transient_method:
-        Backend of :meth:`EvaluationContext.transient_matrix`:
-        ``"ode"`` (default) solves each Kolmogorov problem with
-        ``solve_ivp``; ``"propagator"`` serves windows from the shared
-        defect-controlled cell-product engine.
+        Backend of :meth:`EvaluationContext.transient_matrix`; the only
+        value is ``"ode"``: the dense backend solves each Kolmogorov
+        problem with ``solve_ivp`` and the sparse backend serves it
+        from its action engine.
     matrix_backend:
         Matrix representation of the transient pipeline.  ``"dense"``
         is the classical path (dense ``(K, K)`` generators and
@@ -85,9 +82,9 @@ class CheckOptions:
         is large and its generator structurally sparse — see
         docs/performance.md, "Backend selection".
     propagator_tol:
-        Defect tolerance of the propagator engine: cell products are
-        refined until they agree with a reference ODE solve over the
-        probe window to this bound (see ``docs/performance.md`` §7).
+        Defect tolerance of the sparse action engine: its cell grid is
+        refined until the Richardson defect over the probe windows is
+        below this bound (see ``docs/performance.md`` §8).
     horizon_margin:
         Extra time beyond the strictly-needed horizon when solving the
         occupancy ODE, so root refinement near the boundary never falls
@@ -187,14 +184,14 @@ class CheckOptions:
                 f"until_method must be auto/simple/nested, got "
                 f"{self.until_method!r}"
             )
-        if self.curve_method not in ("propagate", "recompute", "cells"):
+        if self.curve_method not in ("propagate", "recompute"):
             raise ModelError(
-                f"curve_method must be propagate/recompute/cells, got "
+                f"curve_method must be propagate/recompute, got "
                 f"{self.curve_method!r}"
             )
-        if self.transient_method not in ("ode", "propagator"):
+        if self.transient_method != "ode":
             raise ModelError(
-                f"transient_method must be ode/propagator, got "
+                f"transient_method must be ode, got "
                 f"{self.transient_method!r}"
             )
         if self.matrix_backend not in ("auto", "dense", "sparse"):

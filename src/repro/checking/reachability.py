@@ -119,10 +119,11 @@ class ProbabilityCurve:
     def values_many(self, ts) -> np.ndarray:
         """Probabilities for a whole array of times — shape ``(n, K)``.
 
-        When the curve was built with a batched evaluator (the ``cells``
-        method), all not-yet-cached times are computed in one call;
-        otherwise this falls back to per-time evaluation.  Either way the
-        results land in the same cache :meth:`values` uses.
+        When the curve was built with a batched evaluator (the sparse
+        action-engine curve), all not-yet-cached times are computed in
+        one call; otherwise this falls back to per-time evaluation.
+        Either way the results land in the same cache :meth:`values`
+        uses.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
         if ts.size == 0:
@@ -205,9 +206,9 @@ class ProbabilityCurve:
                 )
             # Sample strictly inside the segment to avoid evaluating on a
             # jump point.  values_many batches the whole segment scan
-            # through the curve's batch evaluator (cells / sparse
-            # actions) when one exists — the per-point loop only
-            # survives inside Brent refinement below.
+            # through the curve's batch evaluator (sparse actions) when
+            # one exists — the per-point loop only survives inside Brent
+            # refinement below.
             eps = min(1e-9, (b - a) * 1e-6)
             ts = np.linspace(a + eps, b - eps, max(int(grid_points), 3))
             vals = self.values_many(ts)[:, state] - threshold
@@ -344,15 +345,10 @@ class SimpleUntilCurve(ProbabilityCurve):
 
     With ``method="propagate"`` the two reachability matrices are advanced
     through evaluation time by the window-shift ODE (6) — one dense solve
-    each, O(1) per query afterwards.  With ``method="cells"`` every
-    window is composed from the cached cell propagators of the shared
-    piecewise-homogeneous engine
-    (:meth:`~repro.checking.context.EvaluationContext.propagator_engine`)
-    — one defect probe per chain, then O(cells) tiny matrix products per
-    query, with genuinely batched multi-time evaluation through
-    :meth:`ProbabilityCurve.values_many`.  With ``method="recompute"``
-    each query re-runs :func:`until_probabilities_simple` (slower; used
-    for validation).
+    each, O(1) per query afterwards; on the sparse backend the curve is
+    served by the shared action engines instead.  With
+    ``method="recompute"`` each query re-runs
+    :func:`until_probabilities_simple` (slower; used for validation).
     """
 
     def __init__(
@@ -374,15 +370,12 @@ class SimpleUntilCurve(ProbabilityCurve):
         ctx.trajectory(theta + t2 + ctx.options.horizon_margin)
         gamma2_cols = sorted(gamma2)
 
-        if (
-            ctx.matrix_backend == "sparse"
-            and method in ("propagate", "cells")
-        ):
-            # Sparse backend: both dense curve engines integrate or
-            # cache (K, K) objects; serve the curve through the shared
-            # action engines instead (reach vectors only).  Falls back
-            # to the dense machinery when a chain has no sparse
-            # transform or the action grid cannot reach tolerance.
+        if ctx.matrix_backend == "sparse" and method == "propagate":
+            # Sparse backend: the window-shift ODE integrates (K, K)
+            # objects; serve the curve through the shared action
+            # engines instead (reach vectors only).  Falls back to the
+            # dense machinery when a chain has no sparse transform or
+            # the action grid cannot reach tolerance.
             if self._init_sparse(ctx, gamma1, gamma2, t1, t2, theta):
                 return
 
@@ -470,66 +463,6 @@ class SimpleUntilCurve(ProbabilityCurve):
                 if not gamma1_cols:
                     return np.zeros(k)
                 return pi_a[:, gamma1_cols] @ reach[gamma1_cols]
-
-        elif method == "cells":
-            q_of_t = ctx.generator_function()
-            gamma1_cols = sorted(gamma1)
-            absorbed2 = (all_states - gamma1) | gamma2
-            q_phase2 = absorbing_generator_function(q_of_t, absorbed2)
-            eng_b = ctx.propagator_engine(("absorbing", absorbed2), q_phase2)
-            eng_b.ensure(t1, theta + t2, window=t2 - t1)
-            eng_a = None
-            if t1 > 0.0:
-                absorbed1 = all_states - gamma1
-                q_phase1 = absorbing_generator_function(q_of_t, absorbed1)
-                eng_a = ctx.propagator_engine(
-                    ("absorbing", absorbed1), q_phase1
-                )
-                eng_a.ensure(0.0, theta + t1, window=t1)
-
-            strict_mask = None
-            if t1 <= 0.0 and ctx.options.start_convention == "phi1":
-                strict_mask = np.array(
-                    [1.0 if s in gamma1 else 0.0 for s in range(k)]
-                )
-
-            def _combine(pi_b: np.ndarray, pi_a) -> np.ndarray:
-                reach = (
-                    pi_b[..., gamma2_cols].sum(axis=-1)
-                    if gamma2_cols
-                    else np.zeros(pi_b.shape[:-1])
-                )
-                if pi_a is None:
-                    if strict_mask is not None:
-                        return reach * strict_mask
-                    return reach
-                # Mass must pass through a Γ1 state at t + t1.
-                return np.einsum(
-                    "...ij,...j->...i",
-                    pi_a[..., gamma1_cols],
-                    reach[..., gamma1_cols],
-                )
-
-            def evaluator(t: float) -> np.ndarray:
-                pi_b = eng_b.propagate(t + t1, t2 - t1)
-                pi_a = eng_a.propagate(t, t1) if eng_a is not None else None
-                return _combine(pi_b, pi_a)
-
-            def batch_evaluator(ts: np.ndarray) -> np.ndarray:
-                pis_b = eng_b.propagate_many(ts + t1, t2 - t1)
-                pis_a = (
-                    eng_a.propagate_many(ts, t1)
-                    if eng_a is not None
-                    else None
-                )
-                return _combine(pis_b, pis_a)
-
-            super().__init__(
-                evaluator, 0.0, theta, k,
-                batch_evaluator=batch_evaluator,
-                budget=ctx.budget,
-            )
-            return
 
         elif method == "recompute":
 

@@ -85,28 +85,6 @@ def absorbing_generator_function(
     return modified
 
 
-def absorbing_generator_batch_function(
-    q_many, absorbed: FrozenSet[int]
-):
-    """Batched version of :func:`absorbing_generator_function`.
-
-    ``q_many`` maps a time array to a ``(n, K, K)`` generator stack (the
-    context's vectorized generator path); the returned callable applies
-    the row-zeroing transform to the whole stack at once.  Used by the
-    propagator engine so that building many cells costs one vectorized
-    generator evaluation instead of one scalar call per Gauss node.
-    """
-    rows = sorted(absorbed)
-
-    def modified(ts) -> np.ndarray:
-        out = np.array(q_many(ts), dtype=float, copy=True)
-        if rows:
-            out[:, rows, :] = 0.0
-        return out
-
-    return modified
-
-
 def absorbing_generator_sparse(
     q: scipy.sparse.spmatrix, absorbed: FrozenSet[int]
 ) -> scipy.sparse.csr_matrix:
@@ -166,32 +144,6 @@ def goal_generator_function(
 
     def modified(t: float) -> np.ndarray:
         return goal_generator(np.asarray(q_of_t(t), dtype=float), partition)
-
-    return modified
-
-
-def goal_generator_batch_function(q_many, partition: UntilPartition):
-    """Batched version of :func:`goal_generator_function`.
-
-    Applies the goal-chain construction to a whole ``(n, K, K)`` stack:
-    live rows are copied, their rates into success states summed into
-    the goal column and zeroed in place — all as numpy slice operations.
-    """
-    live = sorted(partition.live)
-    success = sorted(partition.success)
-    k = partition.num_states
-
-    def modified(ts) -> np.ndarray:
-        qs = np.asarray(q_many(ts), dtype=float)
-        n = qs.shape[0]
-        out = np.zeros((n, k + 1, k + 1))
-        if live:
-            out[:, live, :k] = qs[:, live, :]
-            if success:
-                block = out[np.ix_(range(n), live, success)]
-                out[:, live, k] = block.sum(axis=-1)
-                out[np.ix_(range(n), live, success)] = 0.0
-        return out
 
     return modified
 

@@ -126,7 +126,6 @@ def _build_checker(args: argparse.Namespace) -> MFModelChecker:
         start_convention=args.convention,
         workers=getattr(args, "workers", 1),
         curve_method=getattr(args, "curve_method", "propagate"),
-        transient_method=getattr(args, "transient_method", "ode"),
         matrix_backend=getattr(args, "matrix_backend", "auto"),
         propagator_tol=getattr(args, "propagator_tol", 1e-6),
         deadline=budget.deadline,
@@ -362,7 +361,7 @@ def _parse_option_overrides(pairs) -> dict:
     """``--option name=value`` pairs -> CheckOptions field overrides.
 
     Values are parsed as JSON when possible (numbers, booleans, lists)
-    and fall back to plain strings (``--option curve_method=cells``).
+    and fall back to plain strings (``--option curve_method=recompute``).
     """
     import json as _json
 
@@ -595,17 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--curve-method",
             default="propagate",
-            choices=("propagate", "recompute", "cells"),
+            choices=("propagate", "recompute"),
             help="how time-dependent until probabilities are evaluated: "
-            "the window-shift ODE, per-time recomputation, or cached "
-            "cell-propagator products (see CheckOptions.curve_method)",
-        )
-        p.add_argument(
-            "--transient-method",
-            default="ode",
-            choices=("ode", "propagator"),
-            help="transient-matrix backend: per-window Kolmogorov solves "
-            "or the shared piecewise-homogeneous propagator engine",
+            "the window-shift ODE or per-time recomputation "
+            "(see CheckOptions.curve_method)",
         )
         p.add_argument(
             "--matrix-backend",
@@ -620,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--propagator-tol",
             type=float,
             default=1e-6,
-            help="defect tolerance of the propagator engine (cell "
-            "products vs reference ODE solves; docs/performance.md §7)",
+            help="defect tolerance of the sparse action engine "
+            "(docs/performance.md §8)",
         )
         p.add_argument(
             "--no-formula-optimizations",
@@ -767,11 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--isolate",
         default="none",
-        choices=("none", "thread", "process"),
+        choices=("none", "process"),
         help="query-execution isolation: 'process' forks a worker per "
         "computation so a segfault/OOM answers one query with exit "
-        "code 5 instead of killing the server; 'thread' detects "
-        "stalls only; 'none' runs in-process (default)",
+        "code 5 instead of killing the server; 'none' runs in-process "
+        "(default)",
     )
     p_serve.add_argument(
         "--drain-deadline",
@@ -826,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME=VALUE",
         help="CheckOptions override, repeatable "
-        "(e.g. --option curve_method=cells)",
+        "(e.g. --option curve_method=recompute)",
     )
     p_query.add_argument(
         "--timeout",

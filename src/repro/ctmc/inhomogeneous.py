@@ -77,7 +77,6 @@ def solve_forward_kolmogorov(
     trace: Optional[DiagnosticTrace] = None,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     monotone_columns: "Optional[Sequence[int]]" = None,
-    propagator_tol: float = 1e-6,
     budget: Optional[Budget] = None,
 ):
     """Transient matrix ``Pi(t_start, t_start + duration)`` — Equation (5).
@@ -96,11 +95,7 @@ def solve_forward_kolmogorov(
         matrix.  The callable raises :class:`HorizonError` outside that
         range.
     method:
-        Any ``solve_ivp`` method name, or ``"propagator"`` to delegate
-        to the piecewise-homogeneous cell-product engine
-        (:class:`repro.ctmc.propagators.PropagatorEngine`, defect
-        tolerance ``propagator_tol``; dense output is not supported on
-        that path).
+        Any ``solve_ivp`` method name.
     fallbacks:
         Stiff methods retried with tightened ``atol`` when ``method``
         fails (see :func:`repro.diagnostics.robust_solve_ivp`).
@@ -131,33 +126,6 @@ def solve_forward_kolmogorov(
         if dense:
             return lambda T: _check_window(T, 0.0) or np.eye(k)
         return np.eye(k)
-    if method == "propagator":
-        if dense:
-            raise ModelError(
-                "dense output is not supported with method='propagator'; "
-                "use the ODE path or query the engine directly"
-            )
-        from repro.ctmc.propagators import PropagatorEngine
-
-        engine = PropagatorEngine(
-            q_of_t,
-            tol=propagator_tol,
-            rtol=rtol,
-            atol=atol,
-            fallbacks=fallbacks,
-            trace=trace,
-            residual_tol=residual_tol,
-            budget=budget,
-        )
-        pi = engine.propagate(t_start, t_start + duration)
-        check_transient_residual(
-            pi,
-            label=f"Pi({t_start:g}, {t_start + duration:g}) [propagator]",
-            tol=residual_tol,
-            trace=trace,
-        )
-        return pi
-
     def matrix_rhs(rel_t: float, pi: np.ndarray) -> np.ndarray:
         return pi @ np.asarray(q_of_t(t_start + rel_t), dtype=float)
 

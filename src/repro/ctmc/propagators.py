@@ -716,11 +716,8 @@ class PropagatorEngine:
 
         The grid geometry is reset too (``cell_width`` back to ``None``,
         nothing validated), so the next query re-probes from scratch.
-        Because the clearing is in place, every holder of this engine —
-        evaluation contexts sharing it across ``at_time`` chains, and
-        :class:`~repro.checking.context.ContextPropagator` handles
-        captured before the clear — observes the invalidation instead of
-        serving stale cells.
+        Because the clearing is in place, every holder of this engine
+        observes the invalidation instead of serving stale cells.
         """
         self._cells.clear()
         self._slivers.clear()
@@ -1144,10 +1141,17 @@ class SparseActionPropagator:
         self.refinements = 0
 
     def cache_nbytes(self) -> int:
-        """Bytes held by the cached sparse exponent factors."""
+        """Bytes held by the cached sparse exponent factors.
+
+        The serving layer's memory guard calls this while other threads
+        apply windows through the same engine, so each cache is copied
+        with one ``tuple()`` call — atomic under the interpreter lock —
+        before it is walked: a concurrent insert cannot raise
+        "dictionary changed size during iteration".
+        """
         total = 0
         for cache in (self._cells, self._slivers):
-            for factors in cache.values():
+            for factors in tuple(cache.values()):
                 for exponent in factors:
                     total += int(exponent.data.nbytes)
                     total += int(exponent.indices.nbytes)

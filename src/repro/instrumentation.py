@@ -55,8 +55,9 @@ class EvalStats:
         Candidate (thinning) events proposed while sampling those paths —
         accepted or not; the cost driver of the samplers.
     propagator_engines:
-        :class:`~repro.ctmc.propagators.PropagatorEngine` instances
-        built by evaluation contexts (one per transformed chain).
+        :class:`~repro.ctmc.propagators.SparseActionPropagator`
+        instances built by evaluation contexts (one per transformed
+        chain).
     propagator_cells_built:
         Grid-cell / boundary-sliver propagators actually computed by the
         piecewise-homogeneous engine (``expm`` or uniformization calls).
@@ -90,10 +91,10 @@ class EvalStats:
         Residual checks whose violation exceeded the configured
         tolerance — the answer is still returned, but flagged.
     ladder_downgrades:
-        Descents of the graceful degradation ladder (propagator →
-        ODE chain → order-2 uniformization → Monte-Carlo); non-zero
-        means at least one window was not served by its first-choice
-        backend (see :mod:`repro.resilience`).
+        Descents of the graceful degradation ladder (sparse action
+        engine → ODE chain → order-2 uniformization → Monte-Carlo);
+        non-zero means at least one window was not served by its
+        first-choice backend (see :mod:`repro.resilience`).
     worker_retries:
         Batches re-dispatched by :func:`repro.parallel.run_batches`
         after a worker process died or the pool broke; the retried
@@ -144,7 +145,7 @@ class EvalStats:
     service_supervised:
         Queries executed under worker isolation
         (:class:`repro.server.supervisor.QuerySupervisor`,
-        ``ServerConfig(isolate="process"|"thread")``).
+        ``ServerConfig(isolate="process")``).
     service_worker_crashes:
         Supervised query workers that died (killed, segfaulted,
         OOM-killed) or stalled past their wall-clock allowance; each

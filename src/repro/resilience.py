@@ -9,8 +9,8 @@ checks it cooperatively:
 
 - :func:`repro.diagnostics.robust_solve_ivp` checkpoints before each
   solver attempt and periodically inside the right-hand side;
-- :class:`repro.ctmc.propagators.PropagatorEngine` checkpoints every
-  refinement sweep and guards its cell-cache memory estimate;
+- :class:`repro.ctmc.propagators.SparseActionPropagator` checkpoints
+  every refinement sweep and guards its cell-cache memory estimate;
 - the nested-until segment scans and Monte-Carlo batch loops checkpoint
   between units of work;
 - :func:`repro.parallel.run_batches` bounds how long it waits on worker
@@ -37,11 +37,6 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import BudgetExceededError, ModelError
-
-#: Fraction of the deadline below which :meth:`Budget.under_pressure`
-#: reports pressure (callers then skip optional expensive work, e.g. the
-#: propagator rung of the degradation ladder).
-DEFAULT_PRESSURE_FRACTION = 0.15
 
 
 def capped_backoff(attempt: int, base: float, cap: float) -> float:
@@ -120,7 +115,7 @@ class Budget:
         Cap on ``solve_ivp`` attempts charged via :meth:`charge_solve`.
     max_refinements:
         Cap on propagator grid refinements (forwarded to
-        :class:`~repro.ctmc.propagators.PropagatorEngine` by the
+        :class:`~repro.ctmc.propagators.SparseActionPropagator` by the
         evaluation context; kept here for the progress report).
     max_memory_mb:
         Upper bound on any single allocation estimate passed to
@@ -128,9 +123,6 @@ class Budget:
     clock:
         Monotonic time source; injectable so tests can force expiry
         deterministically at a chosen checkpoint.
-    pressure_fraction:
-        Remaining-deadline fraction below which :meth:`under_pressure`
-        turns true.
 
     The budget is *advisory until checked*: nothing preempts a running
     computation, but every expensive loop calls :meth:`checkpoint` (or
@@ -147,7 +139,6 @@ class Budget:
         max_refinements: Optional[int] = None,
         max_memory_mb: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
-        pressure_fraction: float = DEFAULT_PRESSURE_FRACTION,
     ):
         if deadline is not None and deadline <= 0:
             raise ModelError(f"deadline must be positive, got {deadline}")
@@ -161,10 +152,6 @@ class Budget:
             raise ModelError(
                 f"max_memory_mb must be positive, got {max_memory_mb}"
             )
-        if not (0.0 < pressure_fraction < 1.0):
-            raise ModelError(
-                f"pressure_fraction must be in (0, 1), got {pressure_fraction}"
-            )
         self.deadline = None if deadline is None else float(deadline)
         self.max_solves = None if max_solves is None else int(max_solves)
         self.max_refinements = (
@@ -175,7 +162,6 @@ class Budget:
         )
         self._clock = clock
         self._start = clock()
-        self._pressure_fraction = float(pressure_fraction)
         self.solves = 0
         #: Free-form partial-progress counters maintained by the layers
         #: the budget flows through (``advance``), included in every
@@ -284,17 +270,6 @@ class Budget:
         """Whether the wall-clock deadline has passed."""
         remaining = self.remaining()
         return remaining is not None and remaining <= 0.0
-
-    def under_pressure(self) -> bool:
-        """Whether little deadline is left (skip optional work).
-
-        True once less than ``pressure_fraction`` of the deadline
-        remains; always false without a deadline.
-        """
-        if self.deadline is None:
-            return False
-        remaining = self.remaining()
-        return remaining <= self._pressure_fraction * self.deadline
 
     # ------------------------------------------------------------------
     # Enforcement

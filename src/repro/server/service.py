@@ -108,7 +108,10 @@ _VALID_COMMANDS = ("check", "value", "csat")
 _MISSING = object()
 
 _SPILL_FORMAT = "repro-server-spill"
-_SPILL_VERSION = 2
+#: Bumped whenever the payload or the transient-cache key layout
+#: changes, so a file written under another layout is quarantined
+#: instead of loaded as entries no query can hit.
+_SPILL_VERSION = 3
 
 #: Spill file layout: magic, 32-byte sha256 of the pickled payload,
 #: payload.  The checksum is verified *before* unpickling, so a
@@ -163,8 +166,7 @@ class ServerConfig:
         Query-execution isolation mode: ``"none"`` (in-process,
         historical behaviour), ``"process"`` (each computation runs in
         a forked worker so a segfault/OOM kills one query — answered
-        with exit code 5 — instead of the server) or ``"thread"``
-        (stall detection only; portable to platforms without ``fork``).
+        with exit code 5 — instead of the server).
         See :class:`repro.server.supervisor.QuerySupervisor`.
     worker_grace:
         Extra wall-clock seconds a supervised worker gets beyond its

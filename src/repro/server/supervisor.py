@@ -34,12 +34,6 @@ The design reuses the three patterns that made
   ``workers=1`` path), trading isolation for availability the same way
   the parallel executor finishes surviving batches in-process when its
   pool keeps breaking.
-
-``isolate="thread"`` is the portable half-measure for platforms without
-``fork``: the query runs on a worker thread with the same wall-clock
-allowance, so a *stalled* computation is detected and answered with
-exit code 5 (the thread itself cannot be killed and is abandoned), but
-a native crash still takes the process down.
 """
 
 from __future__ import annotations
@@ -63,7 +57,7 @@ from repro.parallel import fork_available
 from repro.resilience import capped_backoff
 
 #: Recognized isolation modes (``ServerConfig.isolate``).
-ISOLATION_MODES = ("none", "thread", "process")
+ISOLATION_MODES = ("none", "process")
 
 #: Seconds between liveness polls of a running worker.
 _POLL_INTERVAL = 0.05
@@ -145,8 +139,7 @@ class QuerySupervisor:
     Parameters
     ----------
     mode:
-        ``"none"`` (run inline), ``"thread"`` (worker thread with a
-        wall-clock allowance) or ``"process"`` (forked worker; falls
+        ``"none"`` (run inline) or ``"process"`` (forked worker; falls
         back to inline where ``fork`` is unavailable).
     worker_grace:
         Extra wall-clock seconds a worker is allowed beyond the query's
@@ -288,8 +281,6 @@ class QuerySupervisor:
             if deadline is None
             else float(deadline) + self.worker_grace
         )
-        if self.mode == "thread":
-            return self._run_in_thread(fn, timeout, trace), False
         if self.mode != "process" or not fork_available():
             return fn(), False
         with self._lock:
@@ -306,46 +297,6 @@ class QuerySupervisor:
             if restarting:
                 self.stats.service_worker_restarts += 1
         return self._run_in_process(fn, timeout, trace), True
-
-    # -- thread mode ---------------------------------------------------
-
-    def _run_in_thread(
-        self, fn: Callable[[], Any], timeout: Optional[float], trace
-    ) -> Any:
-        """Worker-thread execution: stall detection without ``fork``."""
-        if self.stats is not None:
-            self.stats.service_supervised += 1
-        box: dict = {}
-
-        def target() -> None:
-            try:
-                box["value"] = fn()
-            except BaseException as exc:  # delivered to the caller below
-                box["error"] = exc
-
-        start = self._clock()
-        worker = threading.Thread(
-            target=target, name="mfcsl-query-worker", daemon=True
-        )
-        worker.start()
-        worker.join(timeout)
-        if worker.is_alive():
-            # The thread cannot be killed; it is abandoned (it still
-            # holds no service locks — the entry lock belongs to the
-            # caller) and the query answered as a crash.
-            crash = self._record_crash(
-                pid=None,
-                exitcode=None,
-                elapsed=self._clock() - start,
-                reason=f"query thread still running after {timeout:g}s",
-                mode="thread",
-                trace=trace,
-            )
-            raise WorkerCrashError(crash.describe())
-        self._record_success()
-        if "error" in box:
-            raise box["error"]
-        return box.get("value")
 
     # -- process mode --------------------------------------------------
 
@@ -386,7 +337,6 @@ class QuerySupervisor:
                 exitcode=worker.exitcode,
                 elapsed=elapsed,
                 reason=reason,
-                mode="process",
                 trace=trace,
             )
             raise WorkerCrashError(
@@ -451,7 +401,6 @@ class QuerySupervisor:
         exitcode: Optional[int],
         elapsed: float,
         reason: str,
-        mode: str,
         trace,
     ) -> WorkerCrash:
         with self._lock:
@@ -474,7 +423,6 @@ class QuerySupervisor:
                 exitcode=exitcode,
                 elapsed=float(elapsed),
                 reason=reason,
-                mode=mode,
                 consecutive=consecutive,
             )
             self.crashes.append(crash)

@@ -5,6 +5,9 @@ identical to uncached solves, derived contexts only share state that is
 sound to share, and the instrumentation counters actually count.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.instrumentation import EvalStats
 from repro.logic.parser import parse_path
 from repro.meanfield.ode import ShiftedTrajectory
 from repro.models.diurnal import diurnal_virus_model
+from repro.models.load_balancing import deep_load_balancing_model
 
 INFECTED = frozenset({1, 2})
 
@@ -114,7 +118,6 @@ class TestTransientCache:
             1.0,
             rtol=ctx.options.ode_rtol,
             atol=ctx.options.ode_atol,
-            method=ctx.options.transient_method,
         )
         assert explicit is fast  # same cache entry, not a re-solve
         assert ctx.stats.transient_cache_hits == 1
@@ -136,23 +139,6 @@ class TestTransientCache:
         assert ctx.stats.transient_fast_keys == 2
         assert ctx.stats.transient_cache_hits == 0
         assert ctx.stats.transient_cache_misses == 2
-
-    def test_method_is_part_of_the_key(self, virus1, m_example1):
-        """ODE and propagator backends may differ by up to their
-        respective tolerances — one must never answer for the other."""
-        ctx = EvaluationContext(virus1, m_example1)
-        q_abs = absorbing_generator_function(
-            ctx.generator_function(), INFECTED
-        )
-        sig = ("absorbing", INFECTED)
-        via_ode = ctx.transient_matrix(sig, q_abs, 0.0, 1.0, method="ode")
-        via_cells = ctx.transient_matrix(
-            sig, q_abs, 0.0, 1.0, method="propagator"
-        )
-        assert ctx.stats.transient_cache_hits == 0
-        assert ctx.stats.transient_cache_misses == 2
-        # Both backends still agree numerically, of course.
-        np.testing.assert_allclose(via_ode, via_cells, atol=1e-6)
 
     def test_formula_result_unchanged_by_warm_cache(self, virus1, m_example1):
         """Checking the same formula twice on one context gives the exact
@@ -287,30 +273,34 @@ class TestStats:
 
 class TestEngineClearInPlace:
     """Regression: :meth:`EvaluationContext.clear_caches` must clear the
-    shared propagator engines *in place*.  It used to only drop the
+    shared action engines *in place*.  It used to only drop the
     context's lookup dicts — engine handles captured by ``at_time``
     children (which share the engine dict) kept serving stale cells
     after the parent's clear."""
 
-    def test_shared_engine_cells_are_cleared_in_place(self, ctx1):
-        q_abs = absorbing_generator_function(
-            ctx1.generator_function(), INFECTED
+    def test_shared_engine_cells_are_cleared_in_place(
+        self, virus1, m_example1
+    ):
+        ctx = EvaluationContext(
+            virus1, m_example1, CheckOptions(matrix_backend="sparse")
         )
         sig = ("absorbing", INFECTED)
-        handle = ctx1.propagator_engine(sig, q_abs)
+        handle = ctx.action_engine(sig)
         handle.propagate(0.0, 1.0)
-        engine = ctx1._propagator_engines[sig]
+        engine = ctx._action_engines[sig]
         assert engine.num_cached_cells > 0
+        assert ctx.cache_nbytes() > 0
 
         # A derived context captures a handle onto the *same* engine.
-        child = ctx1.at_time(0.5)
-        child_handle = child.propagator_engine(sig, q_abs)
-        assert child._propagator_engines is ctx1._propagator_engines
+        child = ctx.at_time(0.5)
+        child_handle = child.action_engine(sig)
+        assert child._action_engines is ctx._action_engines
         expected = handle.propagate(0.5, 1.0)  # == child's Pi(0, 1)
 
-        ctx1.clear_caches()
+        ctx.clear_caches()
         assert engine.num_cached_cells == 0
-        assert ctx1._propagator_engines[sig] is engine  # still registered
+        assert ctx.cache_nbytes() == 0
+        assert ctx._action_engines[sig] is engine  # still registered
 
         # The captured handle observes the invalidation and rebuilds;
         # the rebuilt answer matches the pre-clear one.
@@ -323,7 +313,6 @@ class TestEngineClearInPlace:
             ctx1.generator_function(), INFECTED
         )
         sig = ("absorbing", INFECTED)
-        ctx1.propagator_engine(sig, q_abs).propagate(0.0, 1.0)
         ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
         assert ctx1.cache_nbytes() > 0
         # A memo-less checker warms the transients of the path, so the
@@ -338,6 +327,56 @@ class TestEngineClearInPlace:
         assert ctx1.cache_nbytes() == solved + memo.nbytes
         ctx1.clear_caches()
         assert ctx1.cache_nbytes() == 0
+
+    def test_action_engine_cache_nbytes_survives_concurrent_applies(self):
+        """The serving layer's memory guard sums an entry's engine bytes
+        while another thread applies windows through that engine:
+        summing must never trip over a cell cache being filled."""
+        model = deep_load_balancing_model(buffer=40)
+        k = model.num_states
+        occupancy = np.zeros(k)
+        occupancy[0] = 1.0
+        ctx = EvaluationContext(
+            model, occupancy, CheckOptions(matrix_backend="sparse")
+        )
+        handle = ctx.action_engine(("absorbing", frozenset({k - 1})))
+        # Validate the grid up front so the threads race on cell fills,
+        # not on the (slow, single-threaded) defect probes.
+        handle.ensure(0.0, 5.0, window=1.0)
+        rng = np.random.default_rng(7)
+        starts = rng.uniform(0.0, 4.0, 150)
+        widths = rng.uniform(0.05, 1.0, 150)
+        vector = np.full(k, 1.0 / k)
+        errors = []
+        applied = threading.Event()
+
+        def apply():
+            try:
+                for a, w in zip(starts, widths):
+                    handle.apply(vector, float(a), float(w))
+            finally:
+                applied.set()
+
+        def read():
+            while not applied.is_set():
+                try:
+                    handle.engine.cache_nbytes()
+                except RuntimeError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=apply), threading.Thread(target=read)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert handle.engine.cache_nbytes() > 0
 
     def test_transient_cache_roundtrips_through_export_import(
         self, virus1, m_example1

@@ -30,6 +30,8 @@ class TestCheckOptions:
             {"ode_rtol": 0.0},
             {"crossing_xtol": -1.0},
             {"horizon_margin": -1.0},
+            {"curve_method": "cells"},
+            {"transient_method": "propagator"},
         ],
     )
     def test_rejects_invalid(self, kwargs):

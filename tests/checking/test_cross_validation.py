@@ -11,10 +11,11 @@ This is the backbone of the reproduction's trust story (DESIGN.md §5):
    benchmarked in A3;
 4. the three transient backends — the window-shift ODE propagator of
    Equation (6) (:class:`TransitionMatrixPropagator`), the cached
-   cell-product engine (``curve_method="cells"``) and brute-force
-   per-time recomputation — must agree on every model and window shape,
-   including windows straddling several satisfaction-set discontinuity
-   points.
+   cell-product engine (:class:`~repro.ctmc.propagators.PropagatorEngine`)
+   and brute-force per-time recomputation — must agree on every model and
+   window shape, and the production nested-until curve must match
+   recomputation on windows straddling several satisfaction-set
+   discontinuity points.
 """
 
 import numpy as np
@@ -192,6 +193,7 @@ class TestTransientBackendsAgree:
         """Π(t, t+window) of the absorbed chain via all three backends."""
         from repro.checking.transform import absorbing_generator_function
         from repro.ctmc.inhomogeneous import TransitionMatrixPropagator
+        from repro.ctmc.propagators import PropagatorEngine
 
         ctx = EvaluationContext(model, occupancy)
         horizon = max(times) + window
@@ -202,19 +204,13 @@ class TestTransientBackendsAgree:
         shift = TransitionMatrixPropagator(
             q_mod, window, 0.0, max(times)
         )
-        eng = ctx.propagator_engine(
-            ("absorbing", frozenset(absorbed)), q_mod
-        )
+        eng = PropagatorEngine(q_mod)
         eng.ensure(0.0, horizon, window=window)
         for t in times:
             via_shift = shift(t)
-            via_cells = eng.propagate(t, window)
+            via_cells = eng.propagate(t, t + window)
             via_ode = ctx.transient_matrix(
-                ("absorbing", frozenset(absorbed)),
-                q_mod,
-                t,
-                window,
-                method="ode",
+                ("absorbing", frozenset(absorbed)), q_mod, t, window
             )
             assert np.max(np.abs(via_cells - via_ode)) < TestTransientBackendsAgree.TOL
             assert np.max(np.abs(via_shift - via_ode)) < TestTransientBackendsAgree.TOL
@@ -236,10 +232,9 @@ class TestTransientBackendsAgree:
             [0.0, 1.1, 3.6],
         )
 
-    @pytest.mark.parametrize("t1", [0.0, 0.7])
-    def test_nested_curves_agree_across_discontinuities(self, ctx2, t1):
+    def test_nested_curves_agree_across_discontinuities(self, ctx2):
         """Windows straddling TWO satisfaction-set discontinuity points:
-        cells vs recompute (and, for t1=0, the Appendix ODE) agree."""
+        the Appendix ODE curve matches recomputation."""
         from repro.checking.nested import TimeVaryingUntil
         from repro.checking.satsets import Piece, PiecewiseSatSet
         from repro.logic.ast import TimeInterval
@@ -257,22 +252,19 @@ class TestTransientBackendsAgree:
             ]
         )
         solver = TimeVaryingUntil(
-            ctx2, g1, g2, TimeInterval(t1, upper), theta=theta
+            ctx2, g1, g2, TimeInterval(0.0, upper), theta=theta
         )
         times = np.linspace(0.0, theta, 9)
         slow = np.stack(
             [solver.curve(method="recompute").values(t) for t in times]
         )
-        cells = solver.curve(method="cells").values_many(times)
-        assert np.max(np.abs(cells - slow)) < self.TOL
-        if t1 == 0.0:
-            fast = np.stack(
-                [solver.curve(method="propagate").values(t) for t in times]
-            )
-            assert np.max(np.abs(fast - slow)) < 1e-5
+        fast = np.stack(
+            [solver.curve(method="propagate").values(t) for t in times]
+        )
+        assert np.max(np.abs(fast - slow)) < 1e-5
 
-    def test_gossip_nested_cells(self):
-        """Time-varying until on the gossip model, cells vs recompute."""
+    def test_gossip_nested_propagate(self):
+        """Time-varying until on the gossip model, propagate vs recompute."""
         from repro.models.gossip import gossip_model
         from repro.checking.nested import TimeVaryingUntil
         from repro.checking.satsets import Piece, PiecewiseSatSet
@@ -297,5 +289,5 @@ class TestTransientBackendsAgree:
         slow = np.stack(
             [solver.curve(method="recompute").values(t) for t in times]
         )
-        cells = solver.curve(method="cells").values_many(times)
-        assert np.max(np.abs(cells - slow)) < self.TOL
+        fast = solver.curve(method="propagate").values_many(times)
+        assert np.max(np.abs(fast - slow)) < 1e-5

@@ -173,30 +173,6 @@ class TestContextBlockApply:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("name", ZOO_NAMES)
-    def test_dense_propagator_block_matches_loop(self, name, side):
-        model = ZOO[name]()
-        k = model.num_states
-        ctx = self._context(
-            model, "dense", transient_method="propagator"
-        )
-        absorbed = frozenset({k - 1})
-        signature = ("absorbing", absorbed)
-        q = absorbing_generator_function(
-            ctx.generator_function(), absorbed
-        )
-        block = _block(5, k)
-        out = ctx.transient_apply(
-            signature, q, 0.1, 0.9, block, side=side
-        )
-        assert out.shape == block.shape
-        for i in range(block.shape[0]):
-            single = ctx.transient_apply(
-                signature, q, 0.1, 0.9, block[i], side=side
-            )
-            assert float(np.max(np.abs(out[i] - single))) <= TOL
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    @pytest.mark.parametrize("name", ZOO_NAMES)
     def test_sparse_block_matches_dense_loop(self, name, side):
         model = ZOO[name]()
         k = model.num_states
@@ -222,8 +198,8 @@ class TestContextBlockApply:
             assert float(np.max(np.abs(out[i] - single))) <= TOL
 
     def test_dense_default_method_block_matches_loop(self):
-        # transient_method="ode" (the default) serves blocks through the
-        # cached matrix: same answers, one solve.
+        # The dense backend serves blocks through the cached matrix:
+        # same answers, one solve.
         model = ZOO["virus1"]()
         k = model.num_states
         ctx = self._context(model, "dense")

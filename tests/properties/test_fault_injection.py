@@ -346,7 +346,7 @@ def _absorbing_q(ctx):
 
 
 class TestDegradationLadder:
-    """Budget pressure / persistent faults walk the rungs, never corrupt."""
+    """Persistent faults walk the rungs, never corrupt."""
 
     def _clean_pi(self, virus1, m_example1):
         ctx = EvaluationContext(virus1, m_example1)
@@ -417,19 +417,6 @@ class TestDegradationLadder:
             assert rung in message
         # Two descents were recorded before the ladder ran out.
         assert len(ctx.trace.downgrades) == 2
-
-    def test_pressure_skips_the_propagator_rung(self, virus1, m_example1):
-        clock = FakeClock()
-        budget = Budget(deadline=10.0, clock=clock)
-        clock.advance(9.5)  # inside the pressure window, not expired
-        ctx = EvaluationContext(virus1, m_example1, budget=budget)
-        pi = ctx.transient_matrix(
-            SIGNATURE, _absorbing_q(ctx), 0.0, 1.0, method="propagator"
-        )
-        assert any("skipping propagator rung" in n for n in ctx.trace.notes)
-        # The one-shot ODE solve served the window instead, exactly.
-        assert ctx.trace.quality is ResultQuality.EXACT
-        assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestDeadlineAtEachRung:

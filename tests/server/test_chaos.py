@@ -8,8 +8,10 @@ work.  The ``server-chaos`` CI job runs exactly this file
 (``pytest -m chaos``).
 """
 
+import hashlib
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -25,7 +27,7 @@ import pytest
 from repro.checking.global_ import MFModelChecker
 from repro.exceptions import EXIT_BUDGET_EXCEEDED, EXIT_SATISFIED
 from repro.parallel import fork_available
-from repro.server.service import CheckingService, ServerConfig
+from repro.server.service import _SPILL_MAGIC, CheckingService, ServerConfig
 
 pytestmark = pytest.mark.chaos
 
@@ -270,6 +272,30 @@ class TestSpillCorruption:
             assert status == 200
             assert body["status"] == "ok"
             assert service.stats.service_spill_quarantined == 1
+        finally:
+            service.close()
+
+    def test_version_2_spill_is_quarantined_and_recomputed(self, tmp_path):
+        """A checksummed spill of the older format carries transient-cache
+        keys no query can hit; it is set aside instead of loaded."""
+        clean_body = self.spill_one_entry(tmp_path)
+        (spill_file,) = list(tmp_path.glob("entry-*.pkl"))
+        header = len(_SPILL_MAGIC) + hashlib.sha256().digest_size
+        payload = pickle.loads(spill_file.read_bytes()[header:])
+        payload["version"] = 2
+        blob = pickle.dumps(payload)
+        spill_file.write_bytes(
+            _SPILL_MAGIC + hashlib.sha256(blob).digest() + blob
+        )
+
+        service = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
+        try:
+            status, body = service.handle(check_request())
+            assert status == 200
+            assert body["cache"]["hit"] is False
+            assert body["verdict"] == clean_body["verdict"]
+            assert service.stats.service_spill_quarantined == 1
+            assert service.stats.service_spill_loads == 0
         finally:
             service.close()
 

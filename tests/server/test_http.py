@@ -357,7 +357,7 @@ class TestQueryCommand:
                 "--url",
                 url,
                 "--option",
-                "curve_method=cells",
+                "curve_method=recompute",
                 "--option",
                 "grid_points=33",
                 "--occupancy",

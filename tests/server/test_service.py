@@ -67,6 +67,8 @@ class TestValidation:
             check_request(deadline=True),
             check_request(max_solves=0),
             check_request(max_solves=2.5),
+            check_request(options={"curve_method": "cells"}),
+            check_request(options={"transient_method": "propagator"}),
         ],
     )
     def test_bad_request_is_400(self, service, payload):
@@ -159,7 +161,7 @@ class TestColdWarm:
 
     def test_answer_shaping_options_split_entries(self, service):
         service.handle(check_request())
-        service.handle(check_request(options={"curve_method": "cells"}))
+        service.handle(check_request(options={"curve_method": "recompute"}))
         assert service.stats.service_cache_misses == 2
 
     def test_occupancy_rounding_noise_shares_the_context(self, service):

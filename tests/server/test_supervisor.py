@@ -39,12 +39,6 @@ class TestModes:
         assert value == 42
         assert isolated is False
 
-    def test_thread_mode_runs_on_worker_thread(self):
-        sup = QuerySupervisor("thread")
-        value, isolated = sup.run(lambda: 42)
-        assert value == 42
-        assert isolated is False  # same process: no state shipping needed
-
     @needs_fork
     def test_process_mode_runs_in_worker(self):
         sup = QuerySupervisor("process")
@@ -115,15 +109,6 @@ class TestExceptionTransfer:
 
         with pytest.raises(Exception, match="numpy went sideways"):
             sup.run(raises)
-
-    def test_thread_mode_exceptions_propagate(self):
-        sup = QuerySupervisor("thread")
-        with pytest.raises(ParseError, match="nope"):
-            sup.run(_raise_parse_error)
-
-
-def _raise_parse_error():
-    raise ParseError("nope")
 
 
 @needs_fork
@@ -207,25 +192,3 @@ class TestCrashHandling:
         assert snap["active_workers"] == 0
         assert snap["recent_crashes"] == []
 
-
-class TestThreadStalls:
-    def test_stalled_thread_raises_worker_crash(self):
-        sup = QuerySupervisor(
-            "thread", default_timeout=0.1, backoff_base=0.05, backoff_cap=0.2
-        )
-        with pytest.raises(WorkerCrashError, match="thread"):
-            sup.run(lambda: time.sleep(30))
-
-    def test_thread_stall_counts_as_crash(self):
-        stats = EvalStats()
-        sup = QuerySupervisor(
-            "thread",
-            default_timeout=0.1,
-            backoff_base=0.05,
-            backoff_cap=0.2,
-            stats=stats,
-        )
-        with pytest.raises(WorkerCrashError):
-            sup.run(lambda: time.sleep(30))
-        assert stats.service_worker_crashes == 1
-        assert stats.service_supervised == 1

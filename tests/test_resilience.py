@@ -7,7 +7,6 @@ from repro.diagnostics import DiagnosticTrace, DowngradeRecord
 from repro.exceptions import BudgetExceededError, ModelError
 from repro.instrumentation import EvalStats
 from repro.resilience import (
-    DEFAULT_PRESSURE_FRACTION,
     RHS_CHECK_INTERVAL,
     Budget,
     ResultQuality,
@@ -59,25 +58,6 @@ class TestBudgetTime:
         budget = Budget(clock=clock)
         clock.advance(1e9)
         assert not budget.expired()
-
-    def test_under_pressure_near_the_deadline(self):
-        clock = FakeClock()
-        budget = Budget(deadline=10.0, clock=clock)
-        assert not budget.under_pressure()
-        # Default pressure fraction: under pressure once < 15% remains.
-        clock.advance(10.0 * (1.0 - DEFAULT_PRESSURE_FRACTION) + 0.01)
-        assert budget.under_pressure()
-
-    def test_pressure_fraction_is_configurable(self):
-        clock = FakeClock()
-        budget = Budget(deadline=10.0, clock=clock, pressure_fraction=0.5)
-        clock.advance(4.0)
-        assert not budget.under_pressure()
-        clock.advance(1.5)
-        assert budget.under_pressure()
-
-    def test_no_pressure_without_deadline(self):
-        assert not Budget(clock=FakeClock()).under_pressure()
 
 
 class TestBudgetEnforcement:
@@ -157,8 +137,6 @@ class TestBudgetValidation:
             {"max_solves": 0},
             {"max_refinements": -1},
             {"max_memory_mb": 0.0},
-            {"pressure_fraction": 0.0},
-            {"pressure_fraction": 1.0},
         ],
     )
     def test_rejects_bad_limits(self, kwargs):
