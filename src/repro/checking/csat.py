@@ -27,6 +27,7 @@ change *how much* of the domain is scanned, never the answer:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.checking.context import EvaluationContext
 from repro.checking.intervals import IntervalSet
 from repro.checking.local import LocalChecker
 from repro.checking.steady import expected_steady_state_value
-from repro.exceptions import FormulaError
+from repro.exceptions import FormulaError, ModelError
 from repro.logic.ast import (
     Bound,
     Expectation,
@@ -325,6 +326,8 @@ def conditional_sat(
     ``[0, θ]``; the default is the whole horizon.
     """
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise ModelError(f"cSat horizon theta must be finite, got {theta!r}")
     evaluator = _CsatEvaluator(ctx, theta)
     if evaluator.lazy:
         domain = IntervalSet.whole(theta) if within is None else within

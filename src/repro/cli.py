@@ -449,16 +449,21 @@ def _run_query_batch(client, args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.server.client import ServerClient
 
-    client = ServerClient(
+    with ServerClient(
         args.url, timeout=args.timeout, retries=max(0, args.retries)
-    )
-    if args.server_stats:
-        import json as _json
+    ) as client:
+        if args.server_stats:
+            import json as _json
 
-        print(_json.dumps(client.stats(), indent=2))
-        return 0
-    if args.batch_file is not None:
-        return _run_query_batch(client, args)
+            print(_json.dumps(client.stats(), indent=2))
+            return 0
+        if args.batch_file is not None:
+            return _run_query_batch(client, args)
+        return _run_query_single(client, args)
+
+
+def _run_query_single(client, args: argparse.Namespace) -> int:
+    """``mfcsl query FORMULA``: one POST /query, the CLI's answer lines."""
     if args.formula is None:
         raise SystemExit("error: a formula is required (or --server-stats)")
     if args.occupancy is None:

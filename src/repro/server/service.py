@@ -48,12 +48,15 @@ map, the in-flight map and the service counters, and is only ever held
 for dict operations — never across a computation.  ``entry.lock``
 (per-entry) serializes computations against one warm state.  No code
 path acquires the service lock while holding an entry lock *and* blocks,
-so warm response-cache hits never queue behind a long compute.
+so warm response-cache hits never queue behind a long compute.  The
+registry-model map takes no lock: a pair is only ever added, with one
+atomic ``dict.setdefault``, and never replaced or removed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 import threading
 import time
@@ -386,7 +389,12 @@ class _CacheEntry:
             self.responses.popitem(last=False)
 
     def cache_nbytes(self) -> int:
-        return sum(ctx.cache_nbytes() for ctx in self.contexts.values())
+        # The memory guard calls this without ``self.lock`` while this
+        # entry may be adding a context: copy the map with one atomic
+        # ``tuple()`` call before walking it.
+        return sum(
+            ctx.cache_nbytes() for ctx in tuple(self.contexts.values())
+        )
 
 
 class _InFlight:
@@ -419,6 +427,10 @@ class CheckingService:
         #: the lifecycle state change atomically with everything else.
         self._cond = threading.Condition(self._lock)
         self._entries: "OrderedDict[tuple, _CacheEntry]" = OrderedDict()
+        #: ``(model, model_hash)`` per registry name, built on the first
+        #: request that names it and shared by every entry after that
+        #: (models are immutable).  Never evicted: one per registry name.
+        self._registry_models: Dict[str, Tuple[Any, str]] = {}
         self._inflight: Dict[tuple, _InFlight] = {}
         self._slots = threading.BoundedSemaphore(self.config.max_concurrent)
         self._closed = False
@@ -786,9 +798,10 @@ class CheckingService:
                 isinstance(theta_doc, bool)
                 or not isinstance(theta_doc, (int, float))
                 or theta_doc <= 0
+                or not math.isfinite(theta_doc)
             ):
                 raise ModelError(
-                    f"field 'theta' must be a positive number, "
+                    f"field 'theta' must be a positive finite number, "
                     f"got {theta_doc!r}"
                 )
             theta = float(theta_doc)
@@ -897,8 +910,16 @@ class CheckingService:
                 f"unknown model {name!r}; choose from "
                 f"{sorted(MODEL_REGISTRY)} or pass 'model_document'"
             )
-        model = MODEL_REGISTRY[name]()
-        return model, model_hash(model, fallback=f"builtin:{name}")
+        built = self._registry_models.get(name)
+        if built is None:
+            # Build outside the service lock, as _entry_for does for
+            # checkers; setdefault makes concurrent first requests
+            # agree on one instance.
+            model = MODEL_REGISTRY[name]()
+            built = self._registry_models.setdefault(
+                name, (model, model_hash(model, fallback=f"builtin:{name}"))
+            )
+        return built
 
     # -- the serve path ------------------------------------------------
 

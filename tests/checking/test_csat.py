@@ -6,6 +6,7 @@ import pytest
 from repro.checking import MFModelChecker
 from repro.checking.csat import threshold_intervals
 from repro.checking.intervals import IntervalSet
+from repro.exceptions import ModelError
 from repro.logic.ast import Bound
 
 
@@ -87,6 +88,11 @@ class TestConditionalSatBoolean:
 
     def test_ff_empty(self, checker, m_example1):
         assert checker.conditional_sat("ff", m_example1, 7.0).is_empty
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, checker, m_example1, theta):
+        with pytest.raises(ModelError, match="theta"):
+            checker.conditional_sat("E[<0.15](infected)", m_example1, theta)
 
     def test_negation_is_complement(self, checker, m_example1):
         psi = "E[>0.15](infected)"

@@ -43,7 +43,8 @@ def server():
 @pytest.fixture
 def client(server):
     host, port = server.server_address[:2]
-    return ServerClient(f"http://{host}:{port}", timeout=60.0)
+    with ServerClient(f"http://{host}:{port}", timeout=60.0) as client:
+        yield client
 
 
 class TestEndpoints:
@@ -83,10 +84,10 @@ class TestEndpoints:
     def test_unreachable_server_raises_checking_error(self):
         from repro.exceptions import CheckingError
 
-        dead = ServerClient("http://127.0.0.1:1", timeout=0.5)
-        assert dead.health() is False
-        with pytest.raises(CheckingError, match="cannot reach"):
-            dead.query(REQUEST)
+        with ServerClient("http://127.0.0.1:1", timeout=0.5) as dead:
+            assert dead.health() is False
+            with pytest.raises(CheckingError, match="cannot reach"):
+                dead.query(REQUEST)
 
     def test_batch_endpoint(self, client):
         status, body = client.query_batch(
@@ -175,36 +176,37 @@ class TestServeSubprocess:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_serve_and_query_end_to_end(self, serve_process):
         url = serve_process
-        client = ServerClient(url, timeout=120.0)
-        deadline = time.monotonic() + 10.0
-        while not client.health():
-            assert time.monotonic() < deadline, "server never came up"
-            time.sleep(0.05)
+        with ServerClient(url, timeout=120.0) as client:
+            deadline = time.monotonic() + 10.0
+            while not client.health():
+                assert time.monotonic() < deadline, "server never came up"
+                time.sleep(0.05)
 
-        s1, cold = client.query(REQUEST)
-        s2, warm = client.query(REQUEST)
-        assert s1 == s2 == 200
-        assert cold["cache"]["hit"] is False
-        assert warm["cache"]["hit"] is True
-        assert warm["verdict"] == cold["verdict"]
+            s1, cold = client.query(REQUEST)
+            s2, warm = client.query(REQUEST)
+            assert s1 == s2 == 200
+            assert cold["cache"]["hit"] is False
+            assert warm["cache"]["hit"] is True
+            assert warm["verdict"] == cold["verdict"]
 
-        # A not-yet-cached formula: a cached answer would (correctly)
-        # be served regardless of the deadline.
-        status, body = client.query(
-            {
-                **REQUEST,
-                "formula": "EP[<0.3](not_infected U[0,2] infected)",
-                "deadline": 1e-9,
-            }
-        )
-        assert status == 503
-        assert body["exit_code"] == 5
+            # A not-yet-cached formula: a cached answer would (correctly)
+            # be served regardless of the deadline.
+            status, body = client.query(
+                {
+                    **REQUEST,
+                    "formula": "EP[<0.3](not_infected U[0,2] infected)",
+                    "deadline": 1e-9,
+                }
+            )
+            assert status == 503
+            assert body["exit_code"] == 5
 
-        stats = client.stats()
-        assert stats["service"]["service_cache_hits"] >= 1
+            stats = client.stats()
+            assert stats["service"]["service_cache_hits"] >= 1
 
 
 class TestQueryCommand:
@@ -335,6 +337,35 @@ class TestQueryCommand:
         assert "[2] exit=2 ERROR" in out
         assert "batch: items=3 errors=1" in out
 
+    def test_query_closes_its_client(
+        self, server, capsys, tmp_path, monkeypatch
+    ):
+        """Each ``mfcsl query`` call closes its keep-alive connection."""
+        from repro.cli import main
+
+        closed = []
+        real_close = ServerClient.close
+
+        def counting_close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(ServerClient, "close", counting_close)
+        host, port = server.server_address[:2]
+        url = f"http://{host}:{port}"
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([REQUEST]))
+        calls = (
+            ["--server-stats"],
+            ["--occupancy", "0.8,0.15,0.05", FORMULA],
+            ["--batch", str(batch)],
+        )
+        for argv in calls:
+            assert main(["query", "--url", url, *argv]) == 0
+        capsys.readouterr()
+        assert len(closed) == len(calls)
+        assert all(client._conn is None for client in closed)
+
     def test_query_batch_bad_file(self, server, capsys, tmp_path):
         from repro.cli import main
 
@@ -441,13 +472,15 @@ class TestTransportRobustness:
         thread.start()
         try:
             host, port = srv.server_address[:2]
-            busy = ServerClient(f"http://{host}:{port}", timeout=60.0)
-            assert busy.query(REQUEST)[0] == 200
-            with socket.create_connection((host, port), timeout=10) as idle:
-                idle.settimeout(10)
-                assert idle.recv(1024) == b""  # idler reaped...
-            assert busy.query(REQUEST)[0] == 200  # ...worker unaffected
-            assert busy.query(REQUEST)[1]["cache"]["hit"] is True
+            with ServerClient(f"http://{host}:{port}", timeout=60.0) as busy:
+                assert busy.query(REQUEST)[0] == 200
+                with socket.create_connection(
+                    (host, port), timeout=10
+                ) as idle:
+                    idle.settimeout(10)
+                    assert idle.recv(1024) == b""  # idler reaped...
+                assert busy.query(REQUEST)[0] == 200  # ...worker unaffected
+                assert busy.query(REQUEST)[1]["cache"]["hit"] is True
         finally:
             srv.shutdown()
             srv.server_close()

@@ -6,6 +6,7 @@ tests exercise the coalescing and admission-control paths for real by
 slowing the underlying computation down with a monkeypatched checker.
 """
 
+import sys
 import threading
 import time
 
@@ -13,6 +14,8 @@ import pytest
 
 from repro.checking.global_ import MFModelChecker
 from repro.exceptions import EXIT_BUDGET_EXCEEDED
+from repro.io import model_hash
+from repro.models import MODEL_REGISTRY, SETTING_1, virus_model
 from repro.server.service import (
     HTTP_STATUS_REJECTED,
     CheckingService,
@@ -58,6 +61,8 @@ class TestValidation:
             check_request(occupancy=[0.8, "x", 0.05]),
             check_request(theta=5.0),  # theta only valid for csat
             {**check_request(), "command": "csat", "theta": -1.0},
+            {**check_request(), "command": "csat", "theta": float("nan")},
+            {**check_request(), "command": "csat", "theta": float("inf")},
             check_request(model="no-such-model"),
             check_request(model_document={"format": "wrong"}),
             check_request(options={"no_such_option": 1}),
@@ -77,6 +82,14 @@ class TestValidation:
         assert body["status"] == "error"
         assert body["exit_code"] in (2, 3)
         assert body["message"]
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    def test_non_finite_theta_is_named(self, service, theta):
+        status, body = service.handle(
+            check_request(command="csat", theta=theta)
+        )
+        assert status == 400
+        assert "theta" in body["message"]
 
     def test_occupancy_must_sum_to_one(self, service):
         status, body = service.handle(
@@ -171,6 +184,135 @@ class TestColdWarm:
         )
         assert s == 200
         assert r["cache"]["hit"] is True
+
+
+class TestRegistryModels:
+    """A service builds each registry model once and shares it."""
+
+    def test_one_build_per_registry_name_per_service(self, monkeypatch):
+        factory = MODEL_REGISTRY["virus1"]
+        builds = []
+
+        def counting_factory():
+            builds.append(1)
+            return factory()
+
+        monkeypatch.setitem(MODEL_REGISTRY, "virus1", counting_factory)
+        expected = model_hash(
+            virus_model(SETTING_1), fallback="builtin:virus1"
+        )
+
+        svc = CheckingService(ServerConfig())
+        try:
+            bodies = [
+                svc.handle(check_request(occupancy=occ))[1]
+                for occ in (
+                    [0.8, 0.15, 0.05],
+                    [0.7, 0.2, 0.1],
+                    [0.9, 0.05, 0.05],
+                )
+            ]
+            status, batch = svc.handle_batch(
+                {
+                    "queries": [
+                        check_request(occupancy=[0.6, 0.3, 0.1]),
+                        check_request(occupancy=[0.65, 0.3, 0.05]),
+                        check_request(command="value"),
+                        check_request(),
+                    ]
+                }
+            )
+            assert status == 200
+            bodies.extend(batch["results"])
+            bodies.append(
+                svc.handle(
+                    check_request(options={"curve_method": "recompute"})
+                )[1]
+            )
+            assert len(bodies) == 8
+            assert all(b["status"] == "ok" for b in bodies)
+            assert svc.stats.service_cache_misses == 2  # two entries
+            assert len(builds) == 1
+            assert {b["model_hash"] for b in bodies} == {expected}
+        finally:
+            svc.close()
+
+        second = CheckingService(ServerConfig())
+        try:
+            second.handle(check_request())
+        finally:
+            second.close()
+        assert len(builds) == 2
+
+    def test_concurrent_entries_share_one_model(self):
+        """Cold requests on two entries race on the shared model's lazily
+        built state; every answer must match a fresh single-threaded
+        service's, and both entries must hold the one model object."""
+        n = 8
+        requests = [
+            {
+                "command": "csat",
+                "model": "virus2",
+                "occupancy": [
+                    round(0.98 - 0.02 * i, 3),
+                    round(0.015 + 0.015 * i, 3),
+                    round(0.005 + 0.005 * i, 3),
+                ],
+                "formula": "E[>0.1](P[>0.8](tt U[0,0.5] infected))",
+                "theta": 10.0,
+                "options": {} if i % 2 else {"curve_method": "recompute"},
+            }
+            for i in range(n)
+        ]
+
+        def answer(body):
+            return {
+                k: v
+                for k, v in body.items()
+                if k not in ("cache", "stats_delta")
+            }
+
+        svc = CheckingService(ServerConfig(max_concurrent=n))
+        barrier = threading.Barrier(n)
+        results = [None] * n
+
+        def worker(i):
+            barrier.wait(10.0)
+            results[i] = svc.handle(requests[i])
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(n)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(20.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert len(svc._entries) == 2
+            shared = svc._registry_models["virus2"][0]
+            assert all(e.model is shared for e in svc._entries.values())
+        finally:
+            svc.close()
+
+        for request, (status, body) in zip(requests, results):
+            assert status == 200, body
+            reference = CheckingService(ServerConfig())
+            try:
+                ref_status, ref_body = reference.handle(request)
+            finally:
+                reference.close()
+            assert ref_status == 200
+            assert answer(body) == answer(ref_body)
+        assert any(
+            body["intervals"] not in ([], [[0.0, 10.0]])
+            for _, body in results
+        )
 
 
 class TestBudgets:
