@@ -1,30 +1,29 @@
-"""Formula-optimization ablation benchmark (docs/performance.md §9).
+"""Formula-optimization benchmark (docs/performance.md §9).
 
-The acceptance workload of the lazy-checking / formula-rewrite pass
-(``CheckOptions.formula_optimizations``):
+The acceptance workload of ``CheckOptions.formula_optimizations``:
 
-- **identity** (always on): every flag configuration — all on, all off,
-  and each optimization ablated individually — returns the same cSat
-  set (within crossing-refinement tolerance) and the same verdict as
-  the eager checker;
-- **speedup** (``REPRO_BENCH_TIMING_GATE=0`` disables): with every
-  optimization enabled the showcase cSat and the nested-until check run
-  at least :data:`MIN_SPEEDUP` times faster than fully eager, at the
-  same tolerances.
+- **identity** (always on): both modes — ``"all"`` and the as-written
+  ``"none"`` — return the same cSat set (within crossing-refinement
+  tolerance) and the same verdict;
+- **speedup** (``REPRO_BENCH_TIMING_GATE=0`` disables): with
+  ``"all"`` the showcase cSat and the nested-until check run at least
+  :data:`MIN_SPEEDUP` times faster than ``"none"``, at the same
+  tolerances.
 
 Both workloads are built so the savings are *per-instance* work that
 the context-level transient caches cannot already share: several ``EP``
-leaves with different bounds over one nested-until path (dedup shares
-the probability curve), a vacuous leaf whose horizon differs from the
-others (vacuity/fold skip its solves entirely), thresholds decidable
-from goal-chain bounds after one segment (early exit), and windows the
-lazy cSat recursion never materializes.
+leaves with different bounds over one nested-until path (the shared
+checker memoizes the probability curve), a vacuous leaf whose horizon
+differs from the others (the vacuity rewrite skips its solves
+entirely), thresholds decidable from goal-chain bounds after one
+segment (early exit), and windows the lazy cSat recursion never
+materializes.
 
-Wall-times of the full flag matrix are appended to
-``BENCH_formula_opt.json`` via :mod:`benchmarks.record`;
-:func:`benchmarks.record.check_regressions` flags any configuration
-that drifts past 1.5x its own median history (printed, not asserted —
-shared runners make wall-clock too noisy to gate on).
+Wall-times of both modes are appended to ``BENCH_formula_opt.json`` via
+:mod:`benchmarks.record`; :func:`benchmarks.record.check_regressions`
+flags any configuration that drifts past 1.5x its own median history
+(printed, not asserted — shared runners make wall-clock too noisy to
+gate on).
 """
 
 import os
@@ -39,7 +38,6 @@ from benchmarks.record import (
     record_wall_times,
 )
 from repro.checking import CheckOptions, MFModelChecker
-from repro.checking.options import OPTIMIZATION_NAMES
 from repro.models.virus import SETTING_1, virus_model
 
 #: Required all-on vs all-off speedup when the timing gate is active.
@@ -52,11 +50,11 @@ REPS = 3
 # change along the trajectory and the piecewise machinery engages).
 NPATH = "P[>=0.02](not_infected U[0,1] infected) U[0,3] active"
 
-# Five EP leaves with *different bounds over the same path* (fold cannot
-# collapse them; dedup shares one curve), one expectation boundary to
-# refine, and one vacuous leaf (EP<=1) whose until the rewrite pass
-# never solves.  All leaves keep non-degenerate answers so nothing
-# short-circuits eagerly.
+# Five EP leaves with *different bounds over the same path* (the shared
+# checker memoizes one curve), one expectation boundary to refine, and
+# one vacuous leaf (EP<=1) whose until the rewrite pass never solves.
+# All leaves keep non-degenerate answers so nothing short-circuits
+# eagerly.
 SHOWCASE_FORMULA = (
     "E[>=0.15](infected) & "
     f"(EP[<0.4]({NPATH}) | EP[>=0.35]({NPATH}) | EP[<0.38]({NPATH})"
@@ -69,8 +67,7 @@ INNER = "P[>=0.02](not_infected U[0,1] infected)"
 
 # Four nested untils sharing one inner curve; the first threshold
 # (0.0003) is decidable from the goal-chain lower bound after a single
-# segment (early exit), the E>=0 / E<=1 / E>1 leaves are vacuous, and
-# the negation pushes through a bound instead of evaluating twice.
+# segment (early exit) and the E>=0 / E<=1 / E>1 leaves are vacuous.
 NESTED_FORMULA = (
     f"E[>0.1](P[>=0.0003]({INNER} U[0,4] active)) & "
     f"E[>=0](P[>=0.5]({INNER} U[0,5] active)) & "
@@ -78,15 +75,9 @@ NESTED_FORMULA = (
     f"!E[>1](P[<0.6]({INNER} U[0,7] active))"
 )
 
-# All-on, all-off, and each single flag ablated — same matrix as
+# All on and all off — same pair as
 # tests/checking/test_formula_opt_equivalence.py.
-CONFIGS = (
-    ("all", OPTIMIZATION_NAMES),
-    ("none", ()),
-) + tuple(
-    (f"no-{name}", tuple(n for n in OPTIMIZATION_NAMES if n != name))
-    for name in OPTIMIZATION_NAMES
-)
+CONFIGS = (("all", "all"), ("none", "none"))
 
 
 def _timing_gate() -> bool:
@@ -134,7 +125,7 @@ def _run_matrix(evaluate, reps: int = REPS):
     return timings, answers, stats
 
 
-def _opt_counters(stats) -> dict:
+def _work_counters(stats) -> dict:
     return {
         "rewrites_applied": int(stats.rewrites_applied),
         "formula_memo_hits": int(stats.formula_memo_hits),
@@ -155,7 +146,7 @@ def test_showcase_csat_ablation(benchmark):
     timings, answers, stats = _run_matrix(evaluate)
 
     # pytest-benchmark record for the headline (all-on) configuration.
-    opt_checker = _checker(OPTIMIZATION_NAMES)
+    opt_checker = _checker("all")
 
     def run_all():
         return opt_checker.conditional_sat(
@@ -194,8 +185,8 @@ def test_showcase_csat_ablation(benchmark):
         extra={
             "speedup_all_vs_none": speedup,
             "csat": [list(iv) for iv in eager.intervals],
-            "counters_all": _opt_counters(stats["all"]),
-            "counters_none": _opt_counters(stats["none"]),
+            "counters_all": _work_counters(stats["all"]),
+            "counters_none": _work_counters(stats["none"]),
         },
         path=FORMULA_OPT_PATH,
     )
@@ -222,7 +213,7 @@ def test_nested_until_check_ablation(benchmark):
 
     timings, answers, stats = _run_matrix(evaluate)
 
-    opt_checker = _checker(OPTIMIZATION_NAMES)
+    opt_checker = _checker("all")
 
     def run_all():
         return opt_checker.check(
@@ -237,8 +228,8 @@ def test_nested_until_check_ablation(benchmark):
     assert isinstance(eager, bool)
     for cid, got in answers.items():
         assert got is eager, (cid, got, eager)
-    # Early exit and segment skipping must have fired with everything
-    # on, and must be structurally impossible with everything off.
+    # Early exit and segment skipping must have fired under "all", and
+    # must be structurally impossible under "none".
     assert stats["all"].early_exits >= 1
     assert stats["all"].segments_skipped >= 1
     assert stats["none"].early_exits == 0
@@ -258,8 +249,8 @@ def test_nested_until_check_ablation(benchmark):
         extra={
             "speedup_all_vs_none": speedup,
             "verdict": eager,
-            "counters_all": _opt_counters(stats["all"]),
-            "counters_none": _opt_counters(stats["none"]),
+            "counters_all": _work_counters(stats["all"]),
+            "counters_none": _work_counters(stats["none"]),
         },
         path=FORMULA_OPT_PATH,
     )

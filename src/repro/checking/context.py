@@ -243,17 +243,8 @@ class EvaluationContext:
             value.residual_tol,
         )
         self._resolved_backend: Optional[str] = None
-        # Formula-optimization switches, hoisted to flat booleans so the
-        # evaluation hot paths test one attribute instead of scanning the
-        # options tuple per query.
-        active = value.formula_optimizations
-        self._opt_dedup = "dedup" in active
-        self._opt_lazy_csat = "lazy-csat" in active
-        self._opt_early_exit = "early-exit" in active
-        self._opt_lazy_segments = "lazy-segments" in active
-        self._rewrite_rules = tuple(
-            n for n in active if n in ("fold", "negation", "vacuity", "dedup")
-        )
+        # Hoisted so the evaluation hot paths test one attribute.
+        self._optimized = value.formula_optimizations == "all"
         # The shared local checker memoizes against the options it was
         # built under; changing options invalidates it.
         self._local_checker = None
@@ -946,10 +937,11 @@ class EvaluationContext:
         vectors are functions of (formula, context, θ or t) only, so one
         checker per context can serve every occurrence of a repeated
         subformula — and every re-thresholded ``EP``/``P`` leaf — from
-        its caches; this is the evaluation-time half of the ``dedup``
-        optimization (the rewrite pass makes the occurrences *equal*;
-        the shared checker makes equality pay).  Lazily imported to keep
-        the context module free of a checking-layer dependency cycle.
+        its caches.  Leaf evaluation uses it under
+        ``formula_optimizations="all"``; its memos are keyed by formula
+        equality, so equal subtrees share entries.  Lazily imported to
+        keep the context module free of a checking-layer dependency
+        cycle.
         """
         if self._local_checker is None:
             from repro.checking.local import LocalChecker

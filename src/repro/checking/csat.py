@@ -11,18 +11,21 @@ combines the leaf interval sets through the exact algebra of
 - ``Ψ1 ∧ Ψ2`` → intersection;
 - ``¬Ψ`` → complement within ``[0, θ]``.
 
-Two formula optimizations (see ``CheckOptions.formula_optimizations``)
-change *how much* of the domain is scanned, never the answer:
+Under ``formula_optimizations="all"`` (see :class:`CheckOptions`) two
+evaluation shortcuts change *how much* of the domain is scanned, never
+the answer:
 
-- ``lazy-csat`` threads a query window through the recursion so leaf
+- the recursion threads a query window through the formula so leaf
   sets materialize only where the verdict can still depend on them —
   the right operand of a conjunction is scanned only inside the left
   operand's satisfaction set, a disjunction's right operand only
   outside the left's, and a window that shrinks to nothing skips the
   leaf's curve construction entirely;
-- ``dedup`` memoizes per (subformula, window) and evaluates leaves
-  through the context's shared local checker, so the DAG produced by
-  the rewrite pass pays for each distinct subtree once.
+- results are memoized per (subformula, window) and leaves are
+  evaluated through the context's shared local checker, so a repeated
+  subformula is paid for once.
+
+Under ``"none"`` the eager recursion reproduces Table I verbatim.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def threshold_intervals(
     ``within`` restricts the scan: only its intervals (clipped to
     ``[t_start, t_end]``) are searched, each with the full grid
     resolution, and the result is their union — the demand-driven face
-    used by the ``lazy-csat`` optimization.  ``None`` scans the whole
+    used by the windowed cSat recursion.  ``None`` scans the whole
     range.
     """
     if within is not None:
@@ -145,9 +148,10 @@ def threshold_intervals(
 class _CsatEvaluator:
     """One cSat computation: recursion, memo, and the lazy window.
 
-    The eager recursion reproduces Table I verbatim (whole-domain leaf
-    scans combined by the exact interval algebra); the lazy recursion is
-    the window-passing equivalence
+    The eager recursion (``formula_optimizations="none"``) reproduces
+    Table I verbatim (whole-domain leaf scans combined by the exact
+    interval algebra); the lazy, memoized recursion (``"all"``) is the
+    window-passing equivalence
 
     ``cSat(¬Ψ) ∩ W  =  W \\ (cSat(Ψ) ∩ W)``
     ``cSat(Ψ1 ∧ Ψ2) ∩ W  =  cSat(Ψ2) ∩ (cSat(Ψ1) ∩ W)``
@@ -161,30 +165,18 @@ class _CsatEvaluator:
     def __init__(self, ctx: EvaluationContext, theta: float) -> None:
         self.ctx = ctx
         self.theta = float(theta)
-        self.lazy = bool(getattr(ctx, "_opt_lazy_csat", False))
-        self.dedup = bool(getattr(ctx, "_opt_dedup", False))
+        self.optimized = ctx._optimized
         self._memo: dict = {}
 
     def _checker(self, ctx: Optional[EvaluationContext] = None):
         ctx = self.ctx if ctx is None else ctx
-        if self.dedup:
+        if self.optimized:
             return ctx.local_checker()
         return LocalChecker(ctx)
 
     # -- eager recursion (Table I, seed semantics) ---------------------
 
     def eager_eval(self, formula: MfCslFormula) -> IntervalSet:
-        if self.dedup:
-            hit = self._memo.get(formula)
-            if hit is not None:
-                self.ctx.stats.formula_memo_hits += 1
-                return hit
-        result = self._eager_node(formula)
-        if self.dedup:
-            self._memo[formula] = result
-        return result
-
-    def _eager_node(self, formula: MfCslFormula) -> IntervalSet:
         theta = self.theta
         if isinstance(formula, MfTrue):
             return IntervalSet.whole(theta)
@@ -206,14 +198,12 @@ class _CsatEvaluator:
         if not within.intervals:
             return IntervalSet.empty()
         key = (formula, within)
-        if self.dedup:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self.ctx.stats.formula_memo_hits += 1
-                return hit
+        hit = self._memo.get(key)
+        if hit is not None:
+            self.ctx.stats.formula_memo_hits += 1
+            return hit
         result = self._lazy_node(formula, within)
-        if self.dedup:
-            self._memo[key] = result
+        self._memo[key] = result
         return result
 
     def _lazy_node(self, formula: MfCslFormula, within: IntervalSet) -> IntervalSet:
@@ -321,15 +311,15 @@ def conditional_sat(
 ) -> IntervalSet:
     """``cSat(Ψ, m̄, θ)`` — Table I plus the boolean combinators.
 
-    ``within`` optionally restricts the result (and, under the
-    ``lazy-csat`` optimization, the *computation*) to a sub-window of
-    ``[0, θ]``; the default is the whole horizon.
+    ``within`` optionally restricts the result (and, when optimized,
+    the *computation*) to a sub-window of ``[0, θ]``; the default is the
+    whole horizon.
     """
     theta = float(theta)
     if not math.isfinite(theta):
         raise ModelError(f"cSat horizon theta must be finite, got {theta!r}")
     evaluator = _CsatEvaluator(ctx, theta)
-    if evaluator.lazy:
+    if evaluator.optimized:
         domain = IntervalSet.whole(theta) if within is None else within
         return evaluator.lazy_eval(formula, domain)
     result = evaluator.eager_eval(formula)

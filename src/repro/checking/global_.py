@@ -136,7 +136,7 @@ class MFModelChecker:
     def _prepared(
         psi: MfCslFormula, ctx: EvaluationContext
     ) -> MfCslFormula:
-        """The formula after the enabled rewrite rules (identity when off).
+        """The formula after the vacuity rewrite (identity under ``"none"``).
 
         Applied at the satisfaction entry points (:meth:`check`,
         :meth:`check_detailed`, :meth:`conditional_sat`) only —
@@ -144,12 +144,11 @@ class MFModelChecker:
         as written, since rewriting could fold the very leaf the caller
         asked about.
         """
-        rules = getattr(ctx, "_rewrite_rules", ())
-        if not rules:
+        if not ctx._optimized:
             return psi
-        rewritten, report = optimize(psi, rules)
-        if report.total:
-            ctx.stats.rewrites_applied += report.total
+        rewritten, report = optimize(psi)
+        if report.vacuities:
+            ctx.stats.rewrites_applied += report.vacuities
             ctx.trace.note(f"formula rewrite: {report.describe()}")
         return rewritten
 
@@ -296,22 +295,23 @@ class MFModelChecker:
         return self._leaf_value(psi, ctx)
 
     def _leaf_value(self, psi: MfCslFormula, ctx: EvaluationContext) -> float:
-        # Under the ``dedup`` optimization every leaf shares the
-        # context's local checker, so repeated subformulas (and the DAG
-        # the rewrite pass produces) reuse each other's satisfaction
-        # sets, curves and path-probability vectors — an ``EP`` leaf
-        # checked again (with any threshold, or by ``check_detailed``'s
-        # second pass) costs one dot product; otherwise each leaf gets a
-        # fresh checker (the seed behavior).
-        dedup = getattr(ctx, "_opt_dedup", False)
-        checker = ctx.local_checker() if dedup else LocalChecker(ctx)
+        # Under ``"all"`` every leaf shares the context's local checker,
+        # so repeated subformulas reuse each other's satisfaction sets,
+        # curves and path-probability vectors — an ``EP`` leaf checked
+        # again (with any threshold, or by ``check_detailed``'s second
+        # pass) costs one dot product; under ``"none"`` each leaf gets
+        # a fresh checker.
+        shared = ctx._optimized
+        checker = ctx.local_checker() if shared else LocalChecker(ctx)
         if isinstance(psi, Expectation):
             sat = checker.sat_at(psi.operand, 0.0)
             return float(sum(ctx.initial[j] for j in sat))
         if isinstance(psi, ExpectedSteadyState):
             steady_ctx = ctx.steady_context()
             steady_checker = (
-                steady_ctx.local_checker() if dedup else LocalChecker(steady_ctx)
+                steady_ctx.local_checker()
+                if shared
+                else LocalChecker(steady_ctx)
             )
             inner_sat = steady_checker.sat_at(psi.operand, 0.0)
             return expected_steady_state_value(ctx, inner_sat)
@@ -337,12 +337,11 @@ class MFModelChecker:
         query of a group, so the trajectory solve, compiled generator,
         propagator cells and transient matrices are paid once per group
         — the marginal cost of an extra query against a warm group is a
-        formula walk plus vector algebra.  Within a group the rewrite
-        pass hash-conses each formula DAG and the context's shared local
-        checker memoizes per DAG node, so queries with overlapping
-        subformulas share satisfaction sets, probability curves and
-        path-probability vectors (a re-thresholded ``EP`` costs a dot
-        product);
+        formula walk plus vector algebra.  Within a group the context's
+        shared local checker memoizes per subformula (keyed by formula
+        equality), so queries with overlapping subformulas share
+        satisfaction sets, probability curves and path-probability
+        vectors (a re-thresholded ``EP`` costs a dot product);
         *identical* queries are planned once and fanned back out (the
         duplicates receive the very same result object).
 

@@ -96,7 +96,7 @@ class LocalChecker:
         if isinstance(formula, Or):
             return self.sat_at(formula.left, t) | self.sat_at(formula.right, t)
         if isinstance(formula, Probability):
-            if getattr(self.ctx, "_opt_early_exit", False):
+            if self.ctx._optimized:
                 bounded = self._until_sat_bounded(formula, t)
                 if bounded is not None:
                     return bounded

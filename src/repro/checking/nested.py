@@ -451,11 +451,8 @@ class TimeVaryingUntil:
         rtol, atol = self.ctx.options.ode_rtol, self.ctx.options.ode_atol
         breakpoints = [0.0] + self._curve_discontinuities() + [self.theta]
         pairs = list(zip(breakpoints, breakpoints[1:]))
-        lazy = bool(getattr(self.ctx, "_opt_lazy_segments", False))
-        built: "List[Optional[tuple]]" = [None] * len(pairs)
 
-        def build_segment(i: int) -> tuple:
-            u, v = pairs[i]
+        def build_segment(u: float, v: float) -> tuple:
             ups_u = self.upsilon(u, u + T)
             if v - u <= EVENT_EPS:
                 return (u, v, None, ups_u)
@@ -492,33 +489,15 @@ class TimeVaryingUntil:
                 ) from exc
             return (u, v, sol.sol, ups_u)
 
-        def ensure_segment(i: int) -> tuple:
-            if built[i] is None:
-                if lazy:
-                    self.ctx.stats.segments_skipped -= 1
-                built[i] = build_segment(i)
-            return built[i]
-
-        if lazy:
-            # Segments materialize on demand: each evaluation time solves
-            # only the ODE-(12) piece it lands in (segments are solved
-            # independently, so a probed segment's values are identical
-            # to the eager pass).  The counter starts at the full count
-            # and each build pays one back — what remains is the number
-            # of segments no evaluation ever demanded.
-            self.ctx.stats.segments_skipped += len(pairs)
-        else:
-            for i in range(len(pairs)):
-                ensure_segment(i)
+        segments = [build_segment(u, v) for u, v in pairs]
 
         strict = self.ctx.options.start_convention == "phi1"
 
         def evaluator(t: float) -> np.ndarray:
             t = float(t)
             ups = None
-            for i, (u, v) in enumerate(pairs):
+            for u, v, dense, ups_u in segments:
                 if u - 1e-9 <= t <= v + 1e-9:
-                    _, _, dense, ups_u = ensure_segment(i)
                     if dense is None or t <= u:
                         ups = ups_u
                     else:

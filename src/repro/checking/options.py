@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from repro.exceptions import ModelError
+from repro.resilience import BUDGET_LIMITS, check_limit
 
 #: Fields excluded from :meth:`CheckOptions.signature`.  They are pure
 #: *execution* limits — they bound how long a run may take but never
@@ -21,20 +22,34 @@ from repro.exceptions import ModelError
 #: degradation-ladder rungs succeed and therefore shape cached state.
 SIGNATURE_EXCLUDED_FIELDS = ("deadline", "max_solves")
 
-#: Every individually-switchable checking optimization, in canonical
-#: order.  The first four are the rewrite-rule families of
-#: :mod:`repro.logic.rewrite` (``dedup`` additionally enables the shared
-#: local checker and cSat memo at evaluation time); the last three are
-#: the demand-driven evaluation strategies of the checking layer.
-OPTIMIZATION_NAMES = (
-    "fold",
-    "negation",
-    "vacuity",
-    "dedup",
-    "lazy-csat",
-    "early-exit",
-    "lazy-segments",
-)
+#: Numeric fields validated by :func:`repro.resilience.check_limit`:
+#: ``name -> (integer, nonnegative)``.  The budget limits
+#: (:data:`repro.resilience.BUDGET_LIMITS`) are validated the same way
+#: and may also be ``None``.
+_NUMERIC_FIELDS = {
+    "ode_rtol": (False, False),
+    "ode_atol": (False, False),
+    "grid_points": (True, False),
+    "crossing_xtol": (False, False),
+    "probability_tol": (False, False),
+    "propagator_tol": (False, False),
+    "horizon_margin": (False, True),
+    "workers": (True, False),
+    "residual_tol": (False, False),
+}
+
+#: The string-valued fields and the values each accepts.
+_CHOICE_FIELDS = {
+    "until_method": ("auto", "simple", "nested"),
+    "curve_method": ("propagate", "recompute"),
+    "transient_method": ("ode",),
+    "matrix_backend": ("auto", "dense", "sparse"),
+    "start_convention": ("standard", "phi1"),
+    "formula_optimizations": ("all", "none"),
+}
+
+#: ``solve_ivp`` methods :attr:`CheckOptions.solver_fallbacks` may name.
+_SOLVER_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
 
 @dataclass(frozen=True)
@@ -136,23 +151,19 @@ class CheckOptions:
         caches) above this raises ``BudgetExceededError`` instead of
         being attempted.
     formula_optimizations:
-        Which checking optimizations are active — ``"all"`` (default),
-        ``"none"``, or an iterable of names from
-        :data:`OPTIMIZATION_NAMES` (normalized to a sorted tuple; the
-        options object stays hashable for cache keys).  ``fold``,
-        ``negation`` and ``vacuity`` are formula rewrite rules applied
-        before checking (:func:`repro.logic.rewrite.optimize`);
-        ``dedup`` rewrites shared subtrees into a DAG *and* routes leaf
-        evaluation through one memoizing local checker per context;
-        ``lazy-csat`` materializes conditional satisfaction sets per
-        query window instead of over the whole ``[0, θ]`` domain;
-        ``early-exit`` stops threshold comparisons as soon as partial
-        probability-mass bounds decide them (certificate recorded in
-        the trace); ``lazy-segments`` defers nested-until segment
-        solves until an evaluation time actually probes them.  Every
-        combination returns identical verdicts — the benchmark ablation
+        ``"all"`` (default) or ``"none"``.  ``"all"`` rewrites
+        vacuously bounded operators (``⩾ 0``, ``⩽ 1``, ``< 0``, ``> 1``)
+        to constants before checking (:func:`repro.logic.rewrite.optimize`),
+        routes leaf evaluation through one memoizing local checker per
+        context, materializes conditional satisfaction sets per query
+        window instead of over the whole ``[0, θ]`` domain, and stops
+        threshold comparisons as soon as partial probability-mass
+        bounds decide them (certificate recorded in the trace).
+        ``"none"`` is the as-written reference: no rewrite, a fresh
+        local checker per leaf, the eager Table I cSat recursion and no
+        early exit.  Both return identical verdicts — the benchmark
         (``benchmarks/test_bench_formula_opt.py``) enforces agreement
-        within 1e-9 — so this is purely a speed/ablation knob.
+        within 1e-9 — so this is purely a speed knob.
     """
 
     ode_rtol: float = 1e-8
@@ -174,95 +185,44 @@ class CheckOptions:
     max_solves: "int | None" = None
     max_refinements: "int | None" = None
     max_memory_mb: "float | None" = None
-    formula_optimizations: "str | tuple[str, ...]" = "all"
+    formula_optimizations: str = "all"
 
     def __post_init__(self) -> None:
+        for name, (integer, nonnegative) in _NUMERIC_FIELDS.items():
+            check_limit(
+                name, getattr(self, name),
+                integer=integer, nonnegative=nonnegative,
+            )
+        for name, (integer, nonnegative) in BUDGET_LIMITS.items():
+            check_limit(
+                name, getattr(self, name),
+                integer=integer, nonnegative=nonnegative, optional=True,
+            )
         if self.grid_points < 3:
             raise ModelError("grid_points must be at least 3")
-        if self.until_method not in ("auto", "simple", "nested"):
+        for name, choices in _CHOICE_FIELDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in choices:
+                raise ModelError(
+                    f"{name} must be {'/'.join(choices)}, got {value!r}"
+                )
+        fallbacks = self.solver_fallbacks
+        if not isinstance(fallbacks, (list, tuple)) or not all(
+            isinstance(fb, str) for fb in fallbacks
+        ):
             raise ModelError(
-                f"until_method must be auto/simple/nested, got "
-                f"{self.until_method!r}"
+                f"solver_fallbacks must be a list of method names, "
+                f"got {fallbacks!r}"
             )
-        if self.curve_method not in ("propagate", "recompute"):
-            raise ModelError(
-                f"curve_method must be propagate/recompute, got "
-                f"{self.curve_method!r}"
-            )
-        if self.transient_method != "ode":
-            raise ModelError(
-                f"transient_method must be ode, got "
-                f"{self.transient_method!r}"
-            )
-        if self.matrix_backend not in ("auto", "dense", "sparse"):
-            raise ModelError(
-                f"matrix_backend must be auto/dense/sparse, got "
-                f"{self.matrix_backend!r}"
-            )
-        if self.propagator_tol <= 0:
-            raise ModelError("propagator_tol must be positive")
-        for name in ("ode_rtol", "ode_atol", "crossing_xtol", "probability_tol"):
-            if getattr(self, name) <= 0:
-                raise ModelError(f"{name} must be positive")
-        if self.horizon_margin < 0:
-            raise ModelError("horizon_margin must be non-negative")
-        if self.start_convention not in ("standard", "phi1"):
-            raise ModelError(
-                f"start_convention must be standard/phi1, got "
-                f"{self.start_convention!r}"
-            )
-        if self.workers < 1:
-            raise ModelError(f"workers must be >= 1, got {self.workers}")
-        if not isinstance(self.solver_fallbacks, tuple):
-            # Accept any iterable of method names but store a hashable
-            # tuple (CheckOptions is frozen and used in cache keys).
-            object.__setattr__(
-                self, "solver_fallbacks", tuple(self.solver_fallbacks)
-            )
-        _known = {"RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA"}
-        for fb in self.solver_fallbacks:
-            if fb not in _known:
+        for fb in fallbacks:
+            if fb not in _SOLVER_METHODS:
                 raise ModelError(
                     f"unknown solver fallback {fb!r}; choose from "
-                    f"{sorted(_known)}"
+                    f"{sorted(_SOLVER_METHODS)}"
                 )
-        if self.residual_tol <= 0:
-            raise ModelError("residual_tol must be positive")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ModelError(
-                f"deadline must be positive, got {self.deadline}"
-            )
-        if self.max_solves is not None and self.max_solves <= 0:
-            raise ModelError(
-                f"max_solves must be positive, got {self.max_solves}"
-            )
-        if self.max_refinements is not None and self.max_refinements < 0:
-            raise ModelError(
-                f"max_refinements must be non-negative, got "
-                f"{self.max_refinements}"
-            )
-        if self.max_memory_mb is not None and self.max_memory_mb <= 0:
-            raise ModelError(
-                f"max_memory_mb must be positive, got {self.max_memory_mb}"
-            )
-        opts = self.formula_optimizations
-        if opts == "all":
-            opts = OPTIMIZATION_NAMES
-        elif opts == "none":
-            opts = ()
-        elif isinstance(opts, str):
-            raise ModelError(
-                f"formula_optimizations must be 'all', 'none' or an "
-                f"iterable of names, got {opts!r}"
-            )
-        normalized = tuple(sorted(set(opts)))
-        unknown = [n for n in normalized if n not in OPTIMIZATION_NAMES]
-        if unknown:
-            raise ModelError(
-                f"unknown formula optimizations {unknown}; choose from "
-                f"{list(OPTIMIZATION_NAMES)}"
-            )
-        object.__setattr__(self, "formula_optimizations", normalized)
+        # Store a hashable tuple: CheckOptions is frozen and used in
+        # cache keys.
+        object.__setattr__(self, "solver_fallbacks", tuple(fallbacks))
 
     def with_(self, **changes) -> "CheckOptions":
         """A copy with some fields replaced (frozen-dataclass helper)."""

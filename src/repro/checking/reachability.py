@@ -291,8 +291,6 @@ def until_probabilities_simple(
     t1, t2 = interval.lower, interval.upper
     rtol, atol = ctx.options.ode_rtol, ctx.options.ode_atol
 
-    early_exit = bool(getattr(ctx, "_opt_early_exit", False))
-
     absorbed2 = (all_states - gamma1) | gamma2
     q_phase2 = absorbing_generator_function(q_of_t, absorbed2)
     # Probability, from each phase-2 start state, of sitting in a Γ2 state
@@ -325,7 +323,7 @@ def until_probabilities_simple(
     if gamma1:
         cols1 = sorted(gamma1)
         masked[cols1] = reach_gamma2[cols1]
-    if early_exit and not masked.any():
+    if ctx._optimized and not masked.any():
         # Π_a maps the zero vector to zero: Equation (7)'s outer
         # application cannot change the answer, so skip the solve.
         ctx.stats.early_exits += 1
@@ -383,59 +381,46 @@ class SimpleUntilCurve(ProbabilityCurve):
             q_of_t = ctx.generator_function()
             absorbed2 = (all_states - gamma1) | gamma2
             q_phase2 = absorbing_generator_function(q_of_t, absorbed2)
-            props: dict = {}
-
-            def _build_props() -> None:
-                # Seed each propagator from the (cached) forward solve,
-                # then count its own window-shift solve.
-                initial_b = ctx.transient_matrix(
-                    ("absorbing", absorbed2), q_phase2, t1, t2 - t1
+            # Seed each propagator from the (cached) forward solve, then
+            # count its own window-shift solve.
+            initial_b = ctx.transient_matrix(
+                ("absorbing", absorbed2), q_phase2, t1, t2 - t1
+            )
+            if theta + t1 > t1:
+                ctx.stats.solve_ivp_calls += 1
+            prop_b = TransitionMatrixPropagator(
+                q_phase2,
+                window=t2 - t1,
+                t0=t1,
+                horizon=theta + t1,
+                initial=initial_b,
+                rtol=ctx.options.ode_rtol,
+                atol=ctx.options.ode_atol,
+                fallbacks=ctx.options.solver_fallbacks,
+                trace=ctx.trace,
+                budget=ctx.budget,
+            )
+            prop_a = None
+            if t1 > 0.0:
+                absorbed1 = all_states - gamma1
+                q_phase1 = absorbing_generator_function(q_of_t, absorbed1)
+                initial_a = ctx.transient_matrix(
+                    ("absorbing", absorbed1), q_phase1, 0.0, t1
                 )
-                if theta + t1 > t1:
+                if theta > 0.0:
                     ctx.stats.solve_ivp_calls += 1
-                props["b"] = TransitionMatrixPropagator(
-                    q_phase2,
-                    window=t2 - t1,
-                    t0=t1,
-                    horizon=theta + t1,
-                    initial=initial_b,
+                prop_a = TransitionMatrixPropagator(
+                    q_phase1,
+                    window=t1,
+                    t0=0.0,
+                    horizon=theta,
+                    initial=initial_a,
                     rtol=ctx.options.ode_rtol,
                     atol=ctx.options.ode_atol,
                     fallbacks=ctx.options.solver_fallbacks,
                     trace=ctx.trace,
                     budget=ctx.budget,
                 )
-                props["a"] = None
-                if t1 > 0.0:
-                    absorbed1 = all_states - gamma1
-                    q_phase1 = absorbing_generator_function(
-                        q_of_t, absorbed1
-                    )
-                    initial_a = ctx.transient_matrix(
-                        ("absorbing", absorbed1), q_phase1, 0.0, t1
-                    )
-                    if theta > 0.0:
-                        ctx.stats.solve_ivp_calls += 1
-                    props["a"] = TransitionMatrixPropagator(
-                        q_phase1,
-                        window=t1,
-                        t0=0.0,
-                        horizon=theta,
-                        initial=initial_a,
-                        rtol=ctx.options.ode_rtol,
-                        atol=ctx.options.ode_atol,
-                        fallbacks=ctx.options.solver_fallbacks,
-                        trace=ctx.trace,
-                        budget=ctx.budget,
-                    )
-
-            if not getattr(ctx, "_opt_lazy_segments", False):
-                # Eager (seed) behavior: both window-shift solves run at
-                # construction time.  Under ``lazy-segments`` they run on
-                # the first query instead — a curve that is built but
-                # never probed (e.g. its window vanished under
-                # ``lazy-csat``) costs nothing.
-                _build_props()
 
             strict_mask = None
             if t1 <= 0.0 and ctx.options.start_convention == "phi1":
@@ -446,15 +431,12 @@ class SimpleUntilCurve(ProbabilityCurve):
             gamma1_cols = sorted(gamma1)
 
             def evaluator(t: float) -> np.ndarray:
-                if not props:
-                    _build_props()
-                pi_b = props["b"](t + t1)
+                pi_b = prop_b(t + t1)
                 reach = (
                     pi_b[:, gamma2_cols].sum(axis=1)
                     if gamma2_cols
                     else np.zeros(k)
                 )
-                prop_a = props["a"]
                 if prop_a is None:
                     if strict_mask is not None:
                         return reach * strict_mask

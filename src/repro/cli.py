@@ -43,7 +43,6 @@ from typing import Callable, Dict
 import numpy as np
 
 from repro.checking import CheckOptions, MFModelChecker
-from repro.checking.options import OPTIMIZATION_NAMES as _OPTIMIZATION_CHOICES
 
 # The exit-code taxonomy and its exception mapping live in
 # repro.exceptions (the checking server shares them for its HTTP-status
@@ -93,16 +92,6 @@ def _resolve_model(args: argparse.Namespace) -> MeanFieldModel:
     return MODELS[args.model]()
 
 
-def _formula_optimizations(args: argparse.Namespace):
-    """The ``formula_optimizations`` value selected by the CLI flags."""
-    if getattr(args, "no_formula_optimizations", False):
-        return "none"
-    disabled = set(getattr(args, "disable_optimization", None) or ())
-    if not disabled:
-        return "all"
-    return tuple(n for n in _OPTIMIZATION_CHOICES if n not in disabled)
-
-
 def _budget_options(args: argparse.Namespace) -> CheckOptions:
     """Only the budget fields of :class:`CheckOptions`, from the CLI flags.
 
@@ -132,7 +121,10 @@ def _build_checker(args: argparse.Namespace) -> MFModelChecker:
         max_solves=budget.max_solves,
         max_refinements=budget.max_refinements,
         max_memory_mb=budget.max_memory_mb,
-        formula_optimizations=_formula_optimizations(args),
+        formula_optimizations=(
+            "none" if getattr(args, "no_formula_optimizations", False)
+            else "all"
+        ),
     )
     return MFModelChecker(_resolve_model(args), options)
 
@@ -623,17 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--no-formula-optimizations",
             action="store_true",
-            help="disable the formula rewrite pass and all demand-driven "
-            "evaluation shortcuts (eager seed semantics; "
-            "see CheckOptions.formula_optimizations)",
-        )
-        p.add_argument(
-            "--disable-optimization",
-            action="append",
-            metavar="NAME",
-            choices=_OPTIMIZATION_CHOICES,
-            help="disable one formula optimization by name (repeatable); "
-            f"choose from {', '.join(_OPTIMIZATION_CHOICES)}",
+            help="check the formula as written: no vacuity rewrite and "
+            "no demand-driven evaluation shortcuts "
+            "(see CheckOptions.formula_optimizations)",
         )
         p.add_argument(
             "--diagnose",

@@ -101,22 +101,20 @@ class EvalStats:
         batches produce bitwise-identical results, so this only
         measures fault-recovery activity.
     rewrites_applied:
-        Formula rewrite-rule applications (constant folds, negation
-        normalizations, vacuous bounds, shared subtrees) performed by
-        :func:`repro.logic.rewrite.optimize` before checking.
+        Vacuous bounds (``⩾ 0``, ``⩽ 1``, ``< 0``, ``> 1``) replaced by
+        constants by :func:`repro.logic.rewrite.optimize` before
+        checking (``formula_optimizations="all"``).
     formula_memo_hits:
         Subformula evaluations answered from a memo instead of being
         recomputed: local-checker satisfaction-set, curve and
-        path-probability cache hits plus cSat-evaluator memo hits (the
-        payoff of the ``dedup`` optimization).
+        path-probability cache hits plus cSat-evaluator memo hits.
     early_exits:
         Threshold comparisons decided from partial probability-mass
-        bounds before the full computation finished (the ``early-exit``
-        optimization); each exit leaves a certificate note in the trace.
+        bounds before the full computation finished
+        (``formula_optimizations="all"``); each exit leaves a
+        certificate note in the trace.
     segments_skipped:
-        Nested-until / curve segments whose propagator solve was never
-        demanded by any evaluation time (the ``lazy-segments``
-        optimization), plus segments an early exit skipped.
+        Nested-until goal-chain segments an early exit skipped.
     service_requests:
         Requests accepted by a :class:`repro.server.service.CheckingService`
         (every command, before any cache probe).

@@ -41,12 +41,7 @@ from repro.logic.ast import (
 )
 from repro.logic.parser import parse_csl, parse_mfcsl, parse_path
 from repro.logic.printer import format_formula
-from repro.logic.rewrite import (
-    REWRITE_RULES,
-    RewriteReport,
-    negate_bound,
-    optimize,
-)
+from repro.logic.rewrite import RewriteReport, optimize
 
 __all__ = [
     "Atomic",
@@ -76,8 +71,6 @@ __all__ = [
     "parse_mfcsl",
     "parse_path",
     "format_formula",
-    "REWRITE_RULES",
     "RewriteReport",
-    "negate_bound",
     "optimize",
 ]

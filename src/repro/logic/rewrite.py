@@ -1,57 +1,27 @@
-"""Formula optimization: rewriting MF-CSL/CSL syntax trees before checking.
+"""Formula optimization: deciding vacuous bounds before checking.
 
-The checker evaluates formulas by structural recursion, so every
-simplification performed *once* here is saved at every time point, every
-refinement level, and every state the checker would otherwise have
-touched.  Four rule families are implemented, each individually
-switchable so the benchmark harness can ablate them (the flag plumbing
-lives in :mod:`repro.checking.options`):
+Probabilities and expectations live in ``[0, 1]``, so a bound ``⩾ 0`` or
+``⩽ 1`` always holds and ``< 0`` / ``> 1`` never does.  One pass over
+the syntax tree replaces every such bounded operator (``P``, ``S``,
+``E``, ``ES``, ``EP``) by the constant it is equal to, so the checker
+never solves for a number the verdict cannot depend on.  The numerical
+layer clips computed probabilities into ``[0, 1]``, so the rewrite can
+never disagree with the eager answer.
 
-``fold``
-    Constant folding and boolean algebra: ``tt``/``ff`` units and
-    absorbers for conjunction and disjunction, idempotence
-    (``Φ ∧ Φ → Φ``), complementary operands (``Φ ∧ ¬Φ → ff``,
-    ``Φ ∨ ¬Φ → tt``), and until/next with an unsatisfiable goal
-    (``P⋈p(Φ U ff)`` has probability exactly 0, so it folds to the
-    constant ``⋈``-comparison against 0).
-
-``negation``
-    Negation normalization: double negation elimination, pushing
-    negation into probability bounds (``¬P⋈p(φ) → P⋈̄p(φ)`` where ``⋈̄``
-    is the complementary comparator — sound pointwise because
-    satisfaction of a bounded operator is exactly the comparison), and
-    De Morgan *only* when it strictly reduces negations — every operand
-    must absorb its negation, either as an explicit ``¬`` to strip
-    (``¬(¬a ∧ ¬b) → a ∨ b``) or as a bounded operator whose comparator
-    flips.
-
-``vacuity``
-    Trivially-decided bounds: probabilities live in ``[0, 1]``, so
-    ``⩾ 0`` and ``⩽ 1`` always hold and ``< 0`` / ``> 1`` never do.
-    Applies to every bounded operator (``P``, ``S``, ``E``, ``ES``,
-    ``EP``).  The numerical layer clips computed probabilities into
-    ``[0, 1]``, so this rewrite can never disagree with the eager
-    answer.
-
-``dedup``
-    Structural sharing: identical subtrees are interned so the rewritten
-    formula is a DAG — the second occurrence of a subformula is the
-    *same object* as the first, and downstream memo tables (local
-    checker satisfaction caches, cSat memos) answer it without
-    recomputing.
+Equal subtrees need no rewrite to be shared: the checker's memos (the
+context's shared :class:`~repro.checking.local.LocalChecker` and the
+cSat evaluator) are keyed by formula equality, so the second occurrence
+of a subformula is answered from the first.
 
 There is no dedicated "false" node in the AST; the canonical false is
 ``!(tt)`` (:class:`~repro.logic.ast.Not` of :class:`~repro.logic.ast.CslTrue`,
-resp. the MF pair).  All rules preserve the two-valued semantics of
-Definitions 3 and 5 exactly; the contradiction/tautology folds refine
-three-valued verdicts (an indeterminate ``Φ ∧ ¬Φ`` becomes a definite
-``ff``), which only ever makes an answer *more* defined.
+resp. the MF pair).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Tuple
 
 from repro.exceptions import FormulaError
 from repro.logic.ast import (
@@ -75,38 +45,23 @@ from repro.logic.ast import (
     Until,
 )
 
-#: The rewrite-rule families, in the canonical order used by reports.
-REWRITE_RULES: Tuple[str, ...] = ("fold", "negation", "vacuity", "dedup")
-
-#: Complementary comparator for bound-pushing negation: ``¬(v ⋈ p)``
-#: is exactly ``v ⋈̄ p``.
-_NEGATED_COMPARATOR = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+_NODES = (
+    CslTrue, Atomic, Not, And, Or, SteadyState, Probability, Next, Until,
+    MfTrue, MfNot, MfAnd, MfOr, Expectation, ExpectedSteadyState,
+    ExpectedProbability,
+)
+_MF_BOUNDED = (Expectation, ExpectedSteadyState, ExpectedProbability)
+_BOUNDED = (SteadyState, Probability) + _MF_BOUNDED
 
 
 @dataclass
 class RewriteReport:
-    """Counts of rewrite-rule applications from one :func:`optimize` call."""
+    """Counts of rewrites performed by one :func:`optimize` call."""
 
-    folds: int = 0
-    negations: int = 0
     vacuities: int = 0
-    shared: int = 0
-
-    @property
-    def total(self) -> int:
-        """All rule applications, including structural-sharing hits."""
-        return self.folds + self.negations + self.vacuities + self.shared
 
     def describe(self) -> str:
-        return (
-            f"{self.folds} folds, {self.negations} negation rewrites, "
-            f"{self.vacuities} vacuous bounds, {self.shared} shared subtrees"
-        )
-
-
-def negate_bound(bound: Bound) -> Bound:
-    """The bound ``⋈̄ p`` with ``v ⋈̄ p ⟺ ¬(v ⋈ p)`` for all ``v``."""
-    return Bound(_NEGATED_COMPARATOR[bound.comparator], bound.threshold)
+        return f"{self.vacuities} vacuous bounds"
 
 
 def _vacuous_verdict(bound: Bound) -> Optional[bool]:
@@ -122,15 +77,6 @@ def _vacuous_verdict(bound: Bound) -> Optional[bool]:
     return None
 
 
-def is_false(formula: AnyFormula) -> bool:
-    """Whether a formula is the canonical false ``!(tt)`` of its family."""
-    if isinstance(formula, Not):
-        return isinstance(formula.operand, CslTrue)
-    if isinstance(formula, MfNot):
-        return isinstance(formula.operand, MfTrue)
-    return False
-
-
 def _const(value: bool, mf: bool) -> AnyFormula:
     """The canonical constant of the CSL or MF-CSL family."""
     if mf:
@@ -138,300 +84,31 @@ def _const(value: bool, mf: bool) -> AnyFormula:
     return CslTrue() if value else Not(CslTrue())
 
 
-class _Rewriter:
-    """One bottom-up rewriting pass with per-input-node memoization.
+def _rewrite(formula: AnyFormula, report: RewriteReport) -> AnyFormula:
+    if not isinstance(formula, _NODES):
+        raise FormulaError(f"unknown formula node {formula!r}")
+    if isinstance(formula, _BOUNDED):
+        verdict = _vacuous_verdict(formula.bound)
+        if verdict is not None:
+            report.vacuities += 1
+            return _const(verdict, mf=isinstance(formula, _MF_BOUNDED))
+    # Rebuild only when a child actually changed (preserve identity).
+    changed = {}
+    for field in fields(formula):
+        child = getattr(formula, field.name)
+        if isinstance(child, _NODES):
+            new = _rewrite(child, report)
+            if new is not child:
+                changed[field.name] = new
+    return replace(formula, **changed) if changed else formula
 
-    The memo makes the pass linear in the number of *distinct* subtrees
-    and doubles as the hash-consing table for the ``dedup`` rule: a
-    repeated subtree maps to the identical output object, so the result
-    is a DAG and every equality-keyed cache downstream sees one key.
+
+def optimize(formula: AnyFormula) -> "Tuple[AnyFormula, RewriteReport]":
+    """Replace every vacuously bounded operator of ``formula`` by its constant.
+
+    Accepts any CSL, path, or MF-CSL formula.  Returns the rewritten
+    formula and a :class:`RewriteReport`; a formula without a vacuous
+    bound is returned unchanged (the same object).
     """
-
-    def __init__(self, enabled: FrozenSet[str], report: RewriteReport) -> None:
-        self.enabled = enabled
-        self.report = report
-        self._memo: Dict[AnyFormula, AnyFormula] = {}
-
-    # -- entry ----------------------------------------------------------
-
-    def rewrite(self, formula: AnyFormula) -> AnyFormula:
-        dedup = "dedup" in self.enabled
-        if dedup:
-            hit = self._memo.get(formula)
-            if hit is not None:
-                self.report.shared += 1
-                return hit
-        children_done = self._rebuild(formula)
-        result = self._simplify(children_done)
-        if dedup:
-            self._memo[formula] = result
-            # Also intern the *output* so post-rewrite duplicates (two
-            # different inputs simplifying to the same formula) share.
-            self._memo.setdefault(result, result)
-        return result
-
-    # -- structural recursion ------------------------------------------
-
-    def _rebuild(self, f: AnyFormula) -> AnyFormula:
-        if isinstance(f, (CslTrue, Atomic, MfTrue)):
-            return f
-        if isinstance(f, Not):
-            return self._node(Not, f, operand=self.rewrite(f.operand))
-        if isinstance(f, MfNot):
-            return self._node(MfNot, f, operand=self.rewrite(f.operand))
-        if isinstance(f, And):
-            return self._node(
-                And, f, left=self.rewrite(f.left), right=self.rewrite(f.right)
-            )
-        if isinstance(f, Or):
-            return self._node(
-                Or, f, left=self.rewrite(f.left), right=self.rewrite(f.right)
-            )
-        if isinstance(f, MfAnd):
-            return self._node(
-                MfAnd, f, left=self.rewrite(f.left), right=self.rewrite(f.right)
-            )
-        if isinstance(f, MfOr):
-            return self._node(
-                MfOr, f, left=self.rewrite(f.left), right=self.rewrite(f.right)
-            )
-        if isinstance(f, SteadyState):
-            return self._node(
-                SteadyState, f, bound=f.bound, operand=self.rewrite(f.operand)
-            )
-        if isinstance(f, Probability):
-            return self._node(Probability, f, bound=f.bound, path=self.rewrite(f.path))
-        if isinstance(f, Expectation):
-            return self._node(
-                Expectation, f, bound=f.bound, operand=self.rewrite(f.operand)
-            )
-        if isinstance(f, ExpectedSteadyState):
-            return self._node(
-                ExpectedSteadyState, f, bound=f.bound, operand=self.rewrite(f.operand)
-            )
-        if isinstance(f, ExpectedProbability):
-            return self._node(
-                ExpectedProbability, f, bound=f.bound, path=self.rewrite(f.path)
-            )
-        if isinstance(f, Next):
-            return self._node(
-                Next, f, interval=f.interval, operand=self.rewrite(f.operand)
-            )
-        if isinstance(f, Until):
-            return self._node(
-                Until,
-                f,
-                interval=f.interval,
-                left=self.rewrite(f.left),
-                right=self.rewrite(f.right),
-            )
-        raise FormulaError(f"unknown formula node {f!r}")
-
-    @staticmethod
-    def _node(cls, original, **fields):
-        """Rebuild only when a child actually changed (preserve identity)."""
-        if all(getattr(original, k) is v for k, v in fields.items()):
-            return original
-        return cls(**fields)
-
-    # -- local rules (children already simplified) ---------------------
-
-    def _simplify(self, f: AnyFormula) -> AnyFormula:
-        while True:
-            g = self._step(f)
-            if g is f:
-                return f
-            f = g
-
-    def _step(self, f: AnyFormula) -> AnyFormula:
-        fold = "fold" in self.enabled
-        neg = "negation" in self.enabled
-        vac = "vacuity" in self.enabled
-
-        if isinstance(f, (Not, MfNot)):
-            if not neg:
-                return f
-            inner = f.operand
-            not_cls = type(f)
-            if isinstance(inner, not_cls):
-                self.report.negations += 1
-                return inner.operand
-            pushed = self._negated_bound_operator(inner)
-            if pushed is not None:
-                self.report.negations += 1
-                return pushed
-            if isinstance(inner, (And, MfAnd, Or, MfOr)):
-                # De Morgan only when it strictly reduces negations:
-                # every operand must absorb its negation, either as an
-                # explicit negation to strip or as a bounded operator
-                # whose comparator flips.
-                nl = self._negation_of(inner.left, not_cls)
-                nr = self._negation_of(inner.right, not_cls)
-                if nl is not None and nr is not None:
-                    conj = isinstance(inner, (And, MfAnd))
-                    if isinstance(inner, (And, Or)):
-                        dual = Or if conj else And
-                    else:
-                        dual = MfOr if conj else MfAnd
-                    self.report.negations += 1
-                    return dual(nl, nr)
-            return f
-
-        if isinstance(f, (And, MfAnd)):
-            if not fold:
-                return f
-            mf = isinstance(f, MfAnd)
-            left, right = f.left, f.right
-            if isinstance(left, (CslTrue, MfTrue)):
-                self.report.folds += 1
-                return right
-            if isinstance(right, (CslTrue, MfTrue)):
-                self.report.folds += 1
-                return left
-            if is_false(left) or is_false(right):
-                self.report.folds += 1
-                return _const(False, mf)
-            if left == right:
-                self.report.folds += 1
-                return left
-            if self._complementary(left, right):
-                self.report.folds += 1
-                return _const(False, mf)
-            return f
-
-        if isinstance(f, (Or, MfOr)):
-            if not fold:
-                return f
-            mf = isinstance(f, MfOr)
-            left, right = f.left, f.right
-            if isinstance(left, (CslTrue, MfTrue)) or isinstance(
-                right, (CslTrue, MfTrue)
-            ):
-                self.report.folds += 1
-                return _const(True, mf)
-            if is_false(left):
-                self.report.folds += 1
-                return right
-            if is_false(right):
-                self.report.folds += 1
-                return left
-            if left == right:
-                self.report.folds += 1
-                return left
-            if self._complementary(left, right):
-                self.report.folds += 1
-                return _const(True, mf)
-            return f
-
-        if isinstance(f, (SteadyState, Probability)):
-            if vac:
-                verdict = _vacuous_verdict(f.bound)
-                if verdict is not None:
-                    self.report.vacuities += 1
-                    return _const(verdict, mf=False)
-            if (
-                fold
-                and isinstance(f, Probability)
-                and self._unsatisfiable_path(f.path)
-            ):
-                # The path has probability exactly 0 from every state.
-                self.report.folds += 1
-                return _const(f.bound.holds(0.0), mf=False)
-            return f
-
-        if isinstance(
-            f, (Expectation, ExpectedSteadyState, ExpectedProbability)
-        ):
-            if vac:
-                verdict = _vacuous_verdict(f.bound)
-                if verdict is not None:
-                    self.report.vacuities += 1
-                    return _const(verdict, mf=True)
-            if (
-                fold
-                and isinstance(f, ExpectedProbability)
-                and self._unsatisfiable_path(f.path)
-            ):
-                self.report.folds += 1
-                return _const(f.bound.holds(0.0), mf=True)
-            return f
-
-        return f
-
-    @staticmethod
-    def _negated_bound_operator(node: AnyFormula) -> Optional[AnyFormula]:
-        """``¬node`` expressed by flipping the comparator, or ``None``.
-
-        Sound pointwise: satisfaction of a bounded operator is exactly
-        the comparison ``value ⋈ p``, so its negation is ``value ⋈̄ p``.
-        """
-        if isinstance(node, SteadyState):
-            return SteadyState(negate_bound(node.bound), node.operand)
-        if isinstance(node, Probability):
-            return Probability(negate_bound(node.bound), node.path)
-        if isinstance(node, ExpectedProbability):
-            return ExpectedProbability(negate_bound(node.bound), node.path)
-        if isinstance(node, (Expectation, ExpectedSteadyState)):
-            return type(node)(negate_bound(node.bound), node.operand)
-        return None
-
-    def _negation_of(self, node: AnyFormula, not_cls) -> Optional[AnyFormula]:
-        """``¬node`` without introducing a negation wrapper, or ``None``."""
-        if isinstance(node, not_cls):
-            return node.operand
-        return self._negated_bound_operator(node)
-
-    @staticmethod
-    def _complementary(left: AnyFormula, right: AnyFormula) -> bool:
-        """Whether one operand is exactly the negation of the other."""
-        if isinstance(right, (Not, MfNot)) and right.operand == left:
-            return True
-        if isinstance(left, (Not, MfNot)) and left.operand == right:
-            return True
-        return False
-
-    @staticmethod
-    def _unsatisfiable_path(path) -> bool:
-        """A path formula no path can satisfy: the goal formula is ff.
-
-        ``Φ U^I ff`` and ``X^I ff`` have probability 0 regardless of the
-        start convention (the success formula never holds), unlike
-        ``ff U Φ``-style cases whose value at the interval's left edge
-        depends on the convention — those are deliberately not folded.
-        """
-        if isinstance(path, Until):
-            return is_false(path.right)
-        if isinstance(path, Next):
-            return is_false(path.operand)
-        return False
-
-
-def optimize(
-    formula: AnyFormula,
-    enabled: Optional[Iterable[str]] = None,
-) -> "Tuple[AnyFormula, RewriteReport]":
-    """Rewrite ``formula`` with the enabled rule families.
-
-    Parameters
-    ----------
-    formula:
-        Any CSL, path, or MF-CSL formula.
-    enabled:
-        Rule names from :data:`REWRITE_RULES`; ``None`` enables all of
-        them.  Unknown names raise :class:`~repro.exceptions.FormulaError`.
-
-    Returns the rewritten formula (a DAG when ``dedup`` is on) and a
-    :class:`RewriteReport` counting rule applications.  With no rules
-    enabled the formula is returned unchanged (same object).
-    """
-    names = frozenset(REWRITE_RULES if enabled is None else enabled)
-    unknown = names - frozenset(REWRITE_RULES)
-    if unknown:
-        raise FormulaError(
-            f"unknown rewrite rules {sorted(unknown)}; "
-            f"known: {REWRITE_RULES}"
-        )
     report = RewriteReport()
-    if not names:
-        return formula, report
-    return _Rewriter(names, report).rewrite(formula), report
+    return _rewrite(formula, report), report

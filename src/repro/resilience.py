@@ -32,11 +32,59 @@ reported as indeterminate instead of silently flipped.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 import random
 import time
 from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import BudgetExceededError, ModelError
+
+
+#: The limits a :class:`Budget` enforces, ``name -> (integer,
+#: nonnegative)`` as passed to :func:`check_limit`; each may also be
+#: ``None`` (no limit).
+BUDGET_LIMITS = {
+    "deadline": (False, False),
+    "max_solves": (True, False),
+    "max_refinements": (True, True),
+    "max_memory_mb": (False, False),
+}
+
+
+def check_limit(
+    name: str,
+    value: Any,
+    *,
+    integer: bool = False,
+    nonnegative: bool = False,
+    optional: bool = False,
+) -> Any:
+    """Validate one execution limit or numerical tolerance; return it.
+
+    ``value`` must be a real number (an integer when ``integer``), not a
+    ``bool``, finite, and positive (``>= 0`` when ``nonnegative``);
+    ``None`` passes when ``optional`` (a disabled limit).  Anything else
+    raises :class:`~repro.exceptions.ModelError` naming ``name``, so a
+    mistyped request field is a client error instead of a ``TypeError``,
+    and a NaN cannot slip past the sign test (``NaN <= 0`` is false).
+    """
+    if value is None and optional:
+        return None
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise ModelError(f"{name} must be {what}, got {value!r}")
+    try:
+        finite = integer or math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ModelError(f"{name} must be finite, got {value!r}")
+    if value < 0 or (value == 0 and not nonnegative):
+        sign = "non-negative" if nonnegative else "positive"
+        raise ModelError(f"{name} must be {sign}, got {value!r}")
+    return value
 
 
 def capped_backoff(attempt: int, base: float, cap: float) -> float:
@@ -140,26 +188,10 @@ class Budget:
         max_memory_mb: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if deadline is not None and deadline <= 0:
-            raise ModelError(f"deadline must be positive, got {deadline}")
-        if max_solves is not None and max_solves <= 0:
-            raise ModelError(f"max_solves must be positive, got {max_solves}")
-        if max_refinements is not None and max_refinements < 0:
-            raise ModelError(
-                f"max_refinements must be non-negative, got {max_refinements}"
-            )
-        if max_memory_mb is not None and max_memory_mb <= 0:
-            raise ModelError(
-                f"max_memory_mb must be positive, got {max_memory_mb}"
-            )
-        self.deadline = None if deadline is None else float(deadline)
-        self.max_solves = None if max_solves is None else int(max_solves)
-        self.max_refinements = (
-            None if max_refinements is None else int(max_refinements)
-        )
-        self.max_memory_mb = (
-            None if max_memory_mb is None else float(max_memory_mb)
-        )
+        self._set_limit("deadline", deadline)
+        self._set_limit("max_solves", max_solves)
+        self._set_limit("max_refinements", max_refinements)
+        self._set_limit("max_memory_mb", max_memory_mb)
         self._clock = clock
         self._start = clock()
         self.solves = 0
@@ -195,41 +227,27 @@ class Budget:
         (``None`` disables it); omitted limits are kept.  Replacement
         values are validated exactly like the constructor's.
         """
-        keep = Budget._KEEP
-        if deadline is not keep:
-            if deadline is not None and deadline <= 0:
-                raise ModelError(
-                    f"deadline must be positive, got {deadline}"
-                )
-            self.deadline = None if deadline is None else float(deadline)
-        if max_solves is not keep:
-            if max_solves is not None and max_solves <= 0:
-                raise ModelError(
-                    f"max_solves must be positive, got {max_solves}"
-                )
-            self.max_solves = (
-                None if max_solves is None else int(max_solves)
-            )
-        if max_refinements is not keep:
-            if max_refinements is not None and max_refinements < 0:
-                raise ModelError(
-                    f"max_refinements must be non-negative, got "
-                    f"{max_refinements}"
-                )
-            self.max_refinements = (
-                None if max_refinements is None else int(max_refinements)
-            )
-        if max_memory_mb is not keep:
-            if max_memory_mb is not None and max_memory_mb <= 0:
-                raise ModelError(
-                    f"max_memory_mb must be positive, got {max_memory_mb}"
-                )
-            self.max_memory_mb = (
-                None if max_memory_mb is None else float(max_memory_mb)
-            )
+        for name, value in (
+            ("deadline", deadline),
+            ("max_solves", max_solves),
+            ("max_refinements", max_refinements),
+            ("max_memory_mb", max_memory_mb),
+        ):
+            if value is not Budget._KEEP:
+                self._set_limit(name, value)
         self._start = self._clock()
         self.solves = 0
         self.progress = {}
+
+    def _set_limit(self, name: str, value: Any) -> None:
+        integer, nonnegative = BUDGET_LIMITS[name]
+        value = check_limit(
+            name, value, integer=integer, nonnegative=nonnegative,
+            optional=True,
+        )
+        if value is not None:
+            value = int(value) if integer else float(value)
+        setattr(self, name, value)
 
     @classmethod
     def from_options(cls, options) -> "Optional[Budget]":

@@ -56,7 +56,6 @@ atomic ``dict.setdefault``, and never replaced or removed.
 from __future__ import annotations
 
 import hashlib
-import math
 import pickle
 import threading
 import time
@@ -82,7 +81,7 @@ from repro.exceptions import (
 from repro.instrumentation import EvalStats
 from repro.io import model_from_dict, model_hash
 from repro.models import MODEL_REGISTRY
-from repro.resilience import Budget
+from repro.resilience import Budget, check_limit
 from repro.server.supervisor import ISOLATION_MODES, QuerySupervisor
 
 #: HTTP status per CLI exit code (documented in docs/serving.md).  The
@@ -206,70 +205,27 @@ class ServerConfig:
     connection_timeout: Optional[float] = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            raise ModelError(
-                f"max_entries must be >= 1, got {self.max_entries}"
-            )
-        if self.max_cache_mb <= 0:
-            raise ModelError(
-                f"max_cache_mb must be positive, got {self.max_cache_mb}"
-            )
-        if self.max_contexts_per_entry < 1:
-            raise ModelError(
-                f"max_contexts_per_entry must be >= 1, got "
-                f"{self.max_contexts_per_entry}"
-            )
-        if self.max_responses_per_entry < 1:
-            raise ModelError(
-                f"max_responses_per_entry must be >= 1, got "
-                f"{self.max_responses_per_entry}"
-            )
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ModelError(
-                f"default_deadline must be positive, got "
-                f"{self.default_deadline}"
-            )
-        if self.max_concurrent < 1:
-            raise ModelError(
-                f"max_concurrent must be >= 1, got {self.max_concurrent}"
-            )
-        if self.queue_timeout < 0:
-            raise ModelError(
-                f"queue_timeout must be non-negative, got "
-                f"{self.queue_timeout}"
-            )
-        if self.coalesce_timeout <= 0:
-            raise ModelError(
-                f"coalesce_timeout must be positive, got "
-                f"{self.coalesce_timeout}"
-            )
-        if self.max_batch_items < 1:
-            raise ModelError(
-                f"max_batch_items must be >= 1, got {self.max_batch_items}"
-            )
+        for name in (
+            "max_entries",
+            "max_contexts_per_entry",
+            "max_responses_per_entry",
+            "max_concurrent",
+            "max_batch_items",
+            "crash_loop_threshold",
+        ):
+            check_limit(name, getattr(self, name), integer=True)
+        for name in (
+            "max_cache_mb", "coalesce_timeout", "worker_grace",
+            "drain_deadline",
+        ):
+            check_limit(name, getattr(self, name))
+        check_limit("queue_timeout", self.queue_timeout, nonnegative=True)
+        for name in ("default_deadline", "connection_timeout"):
+            check_limit(name, getattr(self, name), optional=True)
         if self.isolate not in ISOLATION_MODES:
             raise ModelError(
                 f"isolate must be one of {list(ISOLATION_MODES)}, "
                 f"got {self.isolate!r}"
-            )
-        if self.worker_grace <= 0:
-            raise ModelError(
-                f"worker_grace must be positive, got {self.worker_grace}"
-            )
-        if self.crash_loop_threshold < 1:
-            raise ModelError(
-                f"crash_loop_threshold must be >= 1, got "
-                f"{self.crash_loop_threshold}"
-            )
-        if self.drain_deadline <= 0:
-            raise ModelError(
-                f"drain_deadline must be positive, got "
-                f"{self.drain_deadline}"
-            )
-        if self.connection_timeout is not None and self.connection_timeout <= 0:
-            raise ModelError(
-                f"connection_timeout must be positive or None, got "
-                f"{self.connection_timeout}"
             )
 
 
@@ -734,33 +690,13 @@ class CheckingService:
         deadline = payload.get("deadline", _MISSING)
         if deadline is _MISSING:
             deadline = self.config.default_deadline
+        deadline = check_limit("batch deadline", deadline, optional=True)
         if deadline is not None:
-            if isinstance(deadline, bool) or not isinstance(
-                deadline, (int, float)
-            ):
-                raise ModelError(
-                    f"batch field 'deadline' must be a number or null, "
-                    f"got {deadline!r}"
-                )
             deadline = float(deadline)
-            if deadline <= 0:
-                raise ModelError(
-                    f"batch deadline must be positive, got {deadline}"
-                )
-        max_solves = payload.get("max_solves")
-        if max_solves is not None:
-            if isinstance(max_solves, bool) or not isinstance(
-                max_solves, int
-            ):
-                raise ModelError(
-                    f"batch field 'max_solves' must be an integer or "
-                    f"null, got {max_solves!r}"
-                )
-            if max_solves <= 0:
-                raise ModelError(
-                    f"batch max_solves must be positive, "
-                    f"got {max_solves}"
-                )
+        max_solves = check_limit(
+            "batch max_solves", payload.get("max_solves"),
+            integer=True, optional=True,
+        )
         return queries, deadline, max_solves
 
     def _validate(self, payload: Any) -> _RequestSpec:
@@ -793,18 +729,7 @@ class CheckingService:
 
         theta: Optional[float] = None
         if command == "csat":
-            theta_doc = payload.get("theta", 10.0)
-            if (
-                isinstance(theta_doc, bool)
-                or not isinstance(theta_doc, (int, float))
-                or theta_doc <= 0
-                or not math.isfinite(theta_doc)
-            ):
-                raise ModelError(
-                    f"field 'theta' must be a positive finite number, "
-                    f"got {theta_doc!r}"
-                )
-            theta = float(theta_doc)
+            theta = float(check_limit("theta", payload.get("theta", 10.0)))
         elif "theta" in payload:
             raise ModelError(
                 f"field 'theta' is only valid for the 'csat' command "
@@ -849,12 +774,15 @@ class CheckingService:
                 f"unknown option fields {unknown}; valid fields: "
                 f"{sorted(known)}"
             )
-        opt_deadline = opts_doc.pop("deadline", None)
-        opt_max_solves = opts_doc.pop("max_solves", None)
-        # Lists arrive from JSON where CheckOptions wants tuples.
-        for name in ("solver_fallbacks", "formula_optimizations"):
-            if isinstance(opts_doc.get(name), list):
-                opts_doc[name] = tuple(opts_doc[name])
+        # Validated even when a top-level field overrides them, so a
+        # malformed limit is never silently accepted.
+        opt_deadline = check_limit(
+            "deadline", opts_doc.pop("deadline", None), optional=True
+        )
+        opt_max_solves = check_limit(
+            "max_solves", opts_doc.pop("max_solves", None),
+            integer=True, optional=True,
+        )
         options = CheckOptions(**opts_doc)
 
         deadline = payload.get("deadline", _MISSING)
@@ -864,35 +792,16 @@ class CheckingService:
                 if opt_deadline is not None
                 else self.config.default_deadline
             )
+        deadline = check_limit("deadline", deadline, optional=True)
         if deadline is not None:
-            if isinstance(deadline, bool) or not isinstance(
-                deadline, (int, float)
-            ):
-                raise ModelError(
-                    f"field 'deadline' must be a number or null, "
-                    f"got {deadline!r}"
-                )
             deadline = float(deadline)
-            if deadline <= 0:
-                raise ModelError(
-                    f"deadline must be positive, got {deadline}"
-                )
 
         max_solves = payload.get("max_solves", _MISSING)
         if max_solves is _MISSING:
             max_solves = opt_max_solves
-        if max_solves is not None:
-            if isinstance(max_solves, bool) or not isinstance(
-                max_solves, int
-            ):
-                raise ModelError(
-                    f"field 'max_solves' must be an integer or null, "
-                    f"got {max_solves!r}"
-                )
-            if max_solves <= 0:
-                raise ModelError(
-                    f"max_solves must be positive, got {max_solves}"
-                )
+        max_solves = check_limit(
+            "max_solves", max_solves, integer=True, optional=True
+        )
         return options, deadline, max_solves
 
     def _parse_model(self, payload: dict):

@@ -32,11 +32,41 @@ class TestCheckOptions:
             {"horizon_margin": -1.0},
             {"curve_method": "cells"},
             {"transient_method": "propagator"},
+            # Mistyped fields (as a JSON request may carry them).
+            {"workers": "2"},
+            {"ode_rtol": "1e-8"},
+            {"grid_points": "129"},
+            {"max_memory_mb": "5"},
+            {"solver_fallbacks": None},
+            {"solver_fallbacks": "Radau"},
+            {"workers": True},
+            {"grid_points": 129.0},
+            {"max_solves": 2.5},
+            {"until_method": ["auto"]},
+            {"formula_optimizations": ["vacuity", "dedup"]},
+            # Non-finite limits and tolerances.
+            {"ode_rtol": float("nan")},
+            {"residual_tol": float("nan")},
+            {"horizon_margin": float("nan")},
+            {"deadline": float("nan")},
+            {"max_memory_mb": float("nan")},
+            {"ode_atol": float("inf")},
+            {"deadline": float("inf")},
+            {"max_memory_mb": float("inf")},
         ],
     )
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=next(iter(kwargs))):
             CheckOptions(**kwargs)
+
+    def test_nan_tolerance_rejected_before_any_work(self):
+        with pytest.raises(ModelError, match="ode_rtol must be finite"):
+            CheckOptions(ode_rtol=float("nan"))
+
+    def test_list_solver_fallbacks_stored_as_tuple(self):
+        options = CheckOptions(solver_fallbacks=["BDF"])
+        assert options.solver_fallbacks == ("BDF",)
+        hash(options)
 
     def test_frozen(self):
         with pytest.raises(Exception):

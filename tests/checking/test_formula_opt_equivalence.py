@@ -1,34 +1,27 @@
-"""Every formula-optimization flag combination returns identical answers.
+"""Both formula-optimization modes return identical answers.
 
 The contract of ``CheckOptions.formula_optimizations`` is that the
 optimizations change *what work is performed*, never the verdict: check
 results must be equal, leaf expectation values within 1e-9, and
 conditional satisfaction sets equal up to crossing-refinement tolerance,
-against the eager (``"none"``) configuration.
+between ``"all"`` and the as-written ``"none"`` configuration.
 """
 
 import numpy as np
 import pytest
 
 from repro.checking import CheckOptions, MFModelChecker
-from repro.checking.options import OPTIMIZATION_NAMES
+from repro.exceptions import ModelError
 from repro.models.virus import SETTING_1, SETTING_2, virus_model
 
 OCC = np.array([0.8, 0.15, 0.05])
 
-# All-on, all-off, and each single flag ablated — the matrix the CI job
-# runs on every push.
-CONFIGS = (
-    ("all", OPTIMIZATION_NAMES),
-    ("none", ()),
-) + tuple(
-    (f"no-{name}", tuple(n for n in OPTIMIZATION_NAMES if n != name))
-    for name in OPTIMIZATION_NAMES
-)
+# All on and all off — the matrix the CI job runs on every push.
+CONFIGS = (("all", "all"), ("none", "none"))
 CONFIG_IDS = [cid for cid, _ in CONFIGS]
 
 # Formulas chosen to force every optimization onto its code path:
-# rewrite folds/vacuity, shared duplicate subtrees, lazy cSat windows,
+# vacuous bounds, shared duplicate subtrees, lazy cSat windows,
 # early-exit-decidable thresholds, nested (time-varying) untils.
 CHECK_FORMULAS = [
     "EP[<0.3](not_infected U[0,1] infected)",
@@ -68,8 +61,8 @@ def _checker(enabled):
 
 @pytest.fixture(scope="module")
 def eager_results():
-    """Reference answers computed with every optimization disabled."""
-    checker = _checker(())
+    """Reference answers computed as written (``"none"``)."""
+    checker = _checker("none")
     checks = {f: checker.check(f, OCC) for f in CHECK_FORMULAS}
     values = {f: checker.value(f, OCC) for f in VALUE_FORMULAS}
     csats = {
@@ -108,18 +101,19 @@ class TestFlagMatrix:
 
 
 class TestOptimizationsObservable:
-    """The flags actually change the work performed, not just the label."""
+    """The modes actually change the work performed, not just the label."""
 
     def test_rewrites_counted_and_traced(self):
-        checker = _checker(OPTIMIZATION_NAMES)
+        checker = _checker("all")
         ctx = checker.context(OCC)
-        checker.check("!!(E[>0.1](infected) & tt)", OCC, ctx=ctx)
-        assert ctx.stats.rewrites_applied > 0
+        checker.check("E[>=0](active) & E[>0.1](infected)", OCC, ctx=ctx)
+        assert ctx.stats.rewrites_applied == 1
+        assert any("1 vacuous bounds" in n for n in ctx.trace.notes)
 
     def test_no_rewrites_when_disabled(self):
-        checker = _checker(())
+        checker = _checker("none")
         ctx = checker.context(OCC)
-        checker.check("!!(E[>0.1](infected) & tt)", OCC, ctx=ctx)
+        checker.check("E[>=0](active) & E[>0.1](infected)", OCC, ctx=ctx)
         assert ctx.stats.rewrites_applied == 0
 
     def test_early_exit_skips_segments(self):
@@ -127,26 +121,26 @@ class TestOptimizationsObservable:
             "E[>0.1](P[>=0.0003](P[>=0.02](not_infected U[0,1] infected)"
             " U[0,4] active))"
         )
-        on = _checker(OPTIMIZATION_NAMES)
+        on = _checker("all")
         ctx_on = on.context(OCC)
         on.value(f, OCC, ctx=ctx_on)
         assert ctx_on.stats.early_exits >= 1
         assert ctx_on.stats.segments_skipped >= 1
-        off = _checker(())
+        off = _checker("none")
         ctx_off = off.context(OCC)
         off.value(f, OCC, ctx=ctx_off)
         assert ctx_off.stats.early_exits == 0
         assert ctx_off.stats.segments_skipped == 0
 
     def test_dedup_shares_leaf_work(self):
-        # Different bounds over the same path: fold cannot collapse the
-        # conjunction, so the second leaf must find the first leaf's
-        # probability curve in the shared checker's memo.
+        # Different bounds over the same path: the second leaf must find
+        # the first leaf's probability curve in the shared checker's
+        # memo.
         f = (
             "EP[<0.3](not_infected U[0,1] infected) & "
             "EP[>=0.001](not_infected U[0,1] infected)"
         )
-        on = _checker(OPTIMIZATION_NAMES)
+        on = _checker("all")
         ctx_on = on.context(OCC)
         on.conditional_sat(f, OCC, 6.0, ctx=ctx_on)
         assert ctx_on.stats.formula_memo_hits > 0
@@ -155,20 +149,19 @@ class TestOptimizationsObservable:
         # P>=0 inside an Or that the eager piecewise checker cannot
         # short-circuit: with the rewrite the until is never solved.
         f = "E[>0.5](not_infected | P[>=0](infected U[0,5] not_infected))"
-        on = _checker(OPTIMIZATION_NAMES)
+        on = _checker("all")
         ctx_on = on.context(OCC)
         on.check(f, OCC, ctx=ctx_on)
-        off = _checker(())
+        off = _checker("none")
         ctx_off = off.context(OCC)
         off.check(f, OCC, ctx=ctx_off)
         assert ctx_on.stats.solve_ivp_calls < ctx_off.stats.solve_ivp_calls
 
 
 class TestSecondSetting:
-    """Spot-check the flag matrix on the paper's second parameter set."""
+    """Spot-check both modes on the paper's second parameter set."""
 
-    @pytest.mark.parametrize("enabled", [OPTIMIZATION_NAMES, ()],
-                             ids=["all", "none"])
+    @pytest.mark.parametrize("enabled", ["all", "none"])
     def test_example_formula(self, enabled):
         checker = MFModelChecker(
             virus_model(SETTING_2),
@@ -176,32 +169,29 @@ class TestSecondSetting:
         )
         v = checker.value("EP[<0.3](not_infected U[0,1] infected)", OCC)
         reference = MFModelChecker(
-            virus_model(SETTING_2), CheckOptions(formula_optimizations=())
+            virus_model(SETTING_2), CheckOptions(formula_optimizations="none")
         ).value("EP[<0.3](not_infected U[0,1] infected)", OCC)
         assert v == pytest.approx(reference, abs=1e-9)
 
 
 class TestOptionsValidation:
-    def test_unknown_name_rejected(self):
-        from repro.exceptions import ModelError
+    """Only ``"all"`` and ``"none"`` are accepted."""
 
-        with pytest.raises(ModelError):
-            CheckOptions(formula_optimizations=("warp-drive",))
+    def test_unknown_name_rejected(self):
+        for value in (("warp-drive",), ("vacuity", "dedup"), [], ()):
+            with pytest.raises(ModelError, match="formula_optimizations"):
+                CheckOptions(formula_optimizations=value)
 
     def test_bare_string_rejected(self):
-        from repro.exceptions import ModelError
-
-        with pytest.raises(ModelError):
-            CheckOptions(formula_optimizations="fold")
+        for value in ("vacuity", "lazy", "ALL", None):
+            with pytest.raises(ModelError, match="formula_optimizations"):
+                CheckOptions(formula_optimizations=value)
 
     def test_normalization(self):
-        opts = CheckOptions(
-            formula_optimizations=("vacuity", "fold", "vacuity")
-        )
-        assert opts.formula_optimizations == ("fold", "vacuity")
-        assert CheckOptions(
-            formula_optimizations="all"
-        ).formula_optimizations == tuple(sorted(OPTIMIZATION_NAMES))
+        # The value is stored as given and rendered into the options
+        # signature, so default-option cache entries are keyed "all".
+        assert CheckOptions().formula_optimizations == "all"
         assert CheckOptions(
             formula_optimizations="none"
-        ).formula_optimizations == ()
+        ).formula_optimizations == "none"
+        assert "formula_optimizations=all" in CheckOptions().signature()

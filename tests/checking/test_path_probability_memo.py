@@ -2,11 +2,11 @@
 
 ``Prob(·, φ, m̄, t)`` does not depend on the threshold ``p`` of the
 ``EP``/``P`` operator that reads it, so the checker memoizes the vector
-per ``(path, t)``.  Under ``dedup`` every leaf of a context shares one
-checker: re-thresholded leaves, the second evaluation inside
-``check_detailed`` and nested ``P`` operands read the stored vector
-instead of re-running the transient actions — without changing a single
-bit of the answer.
+per ``(path, t)``.  Under ``formula_optimizations="all"`` every leaf
+of a context shares one checker: re-thresholded leaves, the second
+evaluation inside ``check_detailed`` and nested ``P`` operands read the
+stored vector instead of re-running the transient actions — without
+changing a single bit of the answer.
 """
 
 import operator
@@ -21,7 +21,6 @@ import pytest
 import repro.checking.local as local_module
 from repro.checking import CheckOptions, MFModelChecker
 from repro.checking.local import LocalChecker
-from repro.checking.options import OPTIMIZATION_NAMES
 from repro.logic.parser import parse_csl, parse_path
 from repro.meanfield import MeanFieldModel
 from repro.models import MODEL_REGISTRY
@@ -36,9 +35,7 @@ OPERATORS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
-NO_DEDUP = CheckOptions(
-    formula_optimizations=tuple(n for n in OPTIMIZATION_NAMES if n != "dedup")
-)
+NO_DEDUP = CheckOptions(formula_optimizations="none")
 
 
 @dataclass(frozen=True)
@@ -224,8 +221,9 @@ class TestNestedOperands:
 
 
 class TestDedupAblation:
-    """The memo rides on the shared checker; without ``dedup`` each leaf
-    gets a fresh checker — the answers must not notice either way."""
+    """The memo rides on the shared checker; under
+    ``formula_optimizations="none"`` each leaf gets a fresh checker —
+    the answers must not notice either way."""
 
     FORMULAS = (
         (SETTING_1, VIRUS_OCC, "EP[<0.3](not_infected U[0,1] infected)"),

@@ -9,155 +9,23 @@ from repro.logic.ast import (
     Bound,
     CslTrue,
     Expectation,
-    ExpectedProbability,
-    ExpectedSteadyState,
     MfAnd,
     MfNot,
     MfOr,
     MfTrue,
-    Next,
     Not,
-    Or,
     Probability,
-    SteadyState,
     TimeInterval,
     Until,
 )
-from repro.logic.parser import parse_csl, parse_mfcsl
-from repro.logic.rewrite import (
-    REWRITE_RULES,
-    RewriteReport,
-    is_false,
-    negate_bound,
-    optimize,
-)
+from repro.logic.parser import parse_mfcsl
+from repro.logic.rewrite import RewriteReport, optimize
 
 A = Atomic("a")
 B = Atomic("b")
 I01 = TimeInterval(0.0, 1.0)
-FF = Not(CslTrue())
-MF_FF = MfNot(MfTrue())
 E_A = Expectation(Bound(">", 0.5), A)
 E_B = Expectation(Bound("<", 0.2), B)
-
-
-class TestNegateBound:
-    def test_all_comparators(self):
-        assert negate_bound(Bound("<", 0.3)) == Bound(">=", 0.3)
-        assert negate_bound(Bound("<=", 0.3)) == Bound(">", 0.3)
-        assert negate_bound(Bound(">", 0.3)) == Bound("<=", 0.3)
-        assert negate_bound(Bound(">=", 0.3)) == Bound("<", 0.3)
-
-    def test_is_involution(self):
-        for cmp_ in ("<", "<=", ">", ">="):
-            b = Bound(cmp_, 0.7)
-            assert negate_bound(negate_bound(b)) == b
-
-    def test_pointwise_complement(self):
-        for cmp_ in ("<", "<=", ">", ">="):
-            b = Bound(cmp_, 0.5)
-            nb = negate_bound(b)
-            for v in (0.0, 0.25, 0.5, 0.75, 1.0):
-                assert nb.holds(v) == (not b.holds(v))
-
-
-class TestFold:
-    def test_true_unit_of_and(self):
-        f, rep = optimize(And(CslTrue(), A), ("fold",))
-        assert f == A
-        assert rep.folds == 1
-
-    def test_false_absorbs_and(self):
-        f, _ = optimize(MfAnd(MF_FF, E_A), ("fold",))
-        assert f == MF_FF
-
-    def test_true_absorbs_or(self):
-        f, _ = optimize(MfOr(E_A, MfTrue()), ("fold",))
-        assert f == MfTrue()
-
-    def test_false_unit_of_or(self):
-        f, _ = optimize(Or(FF, A), ("fold",))
-        assert f == A
-
-    def test_idempotence(self):
-        f, _ = optimize(And(A, A), ("fold",))
-        assert f == A
-        f, _ = optimize(MfOr(E_A, E_A), ("fold",))
-        assert f == E_A
-
-    def test_complementary_operands(self):
-        f, _ = optimize(And(A, Not(A)), ("fold",))
-        assert is_false(f)
-        f, _ = optimize(Or(Not(A), A), ("fold",))
-        assert f == CslTrue()
-        f, _ = optimize(MfAnd(E_A, MfNot(E_A)), ("fold",))
-        assert is_false(f)
-
-    def test_unsatisfiable_until_goal(self):
-        # P>=0.1(a U ff) has probability exactly 0 -> constant false.
-        f, _ = optimize(
-            Probability(Bound(">=", 0.1), Until(I01, A, FF)), ("fold",)
-        )
-        assert is_false(f)
-        # ...while P<0.1 of the same path is constant true.
-        f, _ = optimize(
-            Probability(Bound("<", 0.1), Until(I01, A, FF)), ("fold",)
-        )
-        assert f == CslTrue()
-
-    def test_unsatisfiable_next(self):
-        f, _ = optimize(
-            ExpectedProbability(Bound("<=", 0.3), Next(I01, FF)), ("fold",)
-        )
-        assert f == MfTrue()
-
-    def test_false_left_operand_of_until_not_folded(self):
-        # ff U[0,1] a is convention-dependent at the window's left edge,
-        # so it must survive the pass untouched.
-        path = Until(I01, FF, A)
-        f, rep = optimize(Probability(Bound(">", 0.5), path), ("fold",))
-        assert f == Probability(Bound(">", 0.5), path)
-        assert rep.folds == 0
-
-
-class TestNegation:
-    def test_double_negation(self):
-        f, rep = optimize(Not(Not(A)), ("negation",))
-        assert f == A
-        assert rep.negations == 1
-        f, _ = optimize(MfNot(MfNot(E_A)), ("negation",))
-        assert f == E_A
-
-    def test_de_morgan_only_when_it_reduces(self):
-        # Both operands negated: rewrite fires.
-        f, _ = optimize(Not(And(Not(A), Not(B))), ("negation",))
-        assert f == Or(A, B)
-        f, _ = optimize(MfNot(MfOr(MfNot(E_A), MfNot(E_B))), ("negation",))
-        assert f == MfAnd(E_A, E_B)
-        # Mixed operands: leave the formula alone (De Morgan would add
-        # negations, not remove them).
-        g = Not(And(Not(A), B))
-        f, rep = optimize(g, ("negation",))
-        assert f == g
-        assert rep.negations == 0
-
-    def test_bound_pushing(self):
-        f, _ = optimize(Not(Probability(Bound("<", 0.3), Until(I01, A, B))),
-                        ("negation",))
-        assert f == Probability(Bound(">=", 0.3), Until(I01, A, B))
-        f, _ = optimize(Not(SteadyState(Bound(">=", 0.6), A)), ("negation",))
-        assert f == SteadyState(Bound("<", 0.6), A)
-        f, _ = optimize(MfNot(E_A), ("negation",))
-        assert f == Expectation(Bound("<=", 0.5), A)
-        f, _ = optimize(
-            MfNot(ExpectedSteadyState(Bound("<=", 0.4), A)), ("negation",)
-        )
-        assert f == ExpectedSteadyState(Bound(">", 0.4), A)
-        f, _ = optimize(
-            MfNot(ExpectedProbability(Bound(">", 0.1), Next(I01, A))),
-            ("negation",),
-        )
-        assert f == ExpectedProbability(Bound("<=", 0.1), Next(I01, A))
 
 
 class TestVacuity:
@@ -171,79 +39,52 @@ class TestVacuity:
         ],
     )
     def test_trivially_decided_bounds(self, bound, verdict):
-        f, rep = optimize(Expectation(bound, A), ("vacuity",))
-        assert (f == MfTrue()) is verdict
-        assert is_false(f) is (not verdict)
+        f, rep = optimize(Expectation(bound, A))
+        assert f == (MfTrue() if verdict else MfNot(MfTrue()))
         assert rep.vacuities == 1
-        f, _ = optimize(Probability(bound, Until(I01, A, B)), ("vacuity",))
-        assert (f == CslTrue()) is verdict
+        f, _ = optimize(Probability(bound, Until(I01, A, B)))
+        assert f == (CslTrue() if verdict else Not(CslTrue()))
 
     def test_informative_bounds_survive(self):
         for bound in (Bound(">=", 0.1), Bound("<", 1.0), Bound(">", 0.0)):
-            f, rep = optimize(Expectation(bound, A), ("vacuity",))
+            f, rep = optimize(Expectation(bound, A))
             assert f == Expectation(bound, A)
             assert rep.vacuities == 0
 
     def test_vacuity_applies_inside_nested_operators(self):
         g = parse_mfcsl("E[>0.5](P[>=0](a U[0,1] b))")
-        f, _ = optimize(g, ("vacuity", "fold"))
-        # inner P>=0 -> tt, then E[>0.5](tt) is E of a tautology: stays
-        # as an Expectation over tt (its value is 1, not folded here).
+        f, _ = optimize(g)
+        # inner P>=0 -> tt; E[>0.5](tt) is E of a tautology and stays
+        # an Expectation over tt (its value is 1, not folded here).
         assert f == Expectation(Bound(">", 0.5), CslTrue())
 
 
-class TestDedup:
-    def test_repeated_subtrees_are_shared(self):
-        g = MfAnd(MfOr(E_A, E_B), MfOr(E_A, E_B))
-        f, rep = optimize(g, ("dedup",))
-        # Idempotence is a fold rule; with only dedup the tree shape
-        # stays, but both children are the identical object.
-        assert isinstance(f, MfAnd)
-        assert f.left is f.right
-        assert rep.shared >= 1
-
-    def test_no_sharing_without_dedup(self):
-        g = MfAnd(MfOr(E_A, E_B), MfOr(E_A, E_B))
-        f, rep = optimize(g, ("fold",))
-        assert f == MfOr(E_A, E_B)  # idempotence fold collapses it
-        g2 = MfAnd(MfOr(E_A, E_B), MfOr(E_B, E_A))
-        f2, rep2 = optimize(g2, ())
-        assert f2 is g2
-        assert rep2.shared == 0
-
-    def test_post_rewrite_duplicates_share(self):
-        # The two operands differ as trees but simplify to the same
-        # formula; the output interning makes them one object.
-        g = MfAnd(MfNot(MfNot(E_A)), MfAnd(E_A, MfTrue()))
-        f, _ = optimize(g, ("negation", "fold", "dedup"))
-        assert f == E_A or (isinstance(f, MfAnd) and f.left is f.right)
-
-
 class TestOptimizeApi:
-    def test_unknown_rule_raises(self):
-        with pytest.raises(FormulaError):
-            optimize(E_A, ("fold", "bogus"))
-
-    def test_no_rules_is_identity(self):
-        g = MfNot(MfNot(E_A))
-        f, rep = optimize(g, ())
+    def test_no_vacuous_bound_is_identity(self):
+        g = MfAnd(MfNot(MfNot(E_A)), MfOr(E_B, MfTrue()))
+        f, rep = optimize(g)
         assert f is g
-        assert rep.total == 0
+        assert rep.vacuities == 0
 
-    def test_default_enables_all_rules(self):
-        f, _ = optimize(MfNot(MfNot(MfAnd(MfTrue(), E_A))))
-        assert f == E_A
+    def test_unchanged_children_keep_their_identity(self):
+        g = MfAnd(E_A, Expectation(Bound("<=", 1.0), B))
+        f, _ = optimize(g)
+        assert f == MfAnd(E_A, MfTrue())
+        assert f.left is E_A
 
-    def test_report_describe_and_total(self):
-        rep = RewriteReport(folds=2, negations=1, vacuities=3, shared=4)
-        assert rep.total == 10
-        text = rep.describe()
-        assert "2 folds" in text and "4 shared" in text
+    def test_report_describe(self):
+        assert RewriteReport(vacuities=3).describe() == "3 vacuous bounds"
 
-    def test_rule_names_constant(self):
-        assert REWRITE_RULES == ("fold", "negation", "vacuity", "dedup")
+    def test_unknown_node_raises(self):
+        with pytest.raises(FormulaError):
+            optimize("E[>0.5](a)")
 
     def test_parsed_and_constructed_agree(self):
-        f1, _ = optimize(parse_csl("!!(a & tt)"))
-        f2, _ = optimize(Not(Not(And(A, CslTrue()))))
-        assert f1 == f2 == A
+        f1, _ = optimize(parse_mfcsl("E[>0.5](a & P[>=0](a U[0,1] b))"))
+        f2, _ = optimize(
+            Expectation(
+                Bound(">", 0.5),
+                And(A, Probability(Bound(">=", 0.0), Until(I01, A, B))),
+            )
+        )
+        assert f1 == f2 == Expectation(Bound(">", 0.5), And(A, CslTrue()))

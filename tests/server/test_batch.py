@@ -74,6 +74,10 @@ class TestEnvelopeValidation:
         )
         assert status == 400
         status, body = service.handle_batch(
+            {"queries": [_request()], "deadline": float("nan")}
+        )
+        assert status == 400
+        status, body = service.handle_batch(
             {"queries": [_request()], "deadline": -1.0}
         )
         assert status == 400
@@ -133,6 +137,17 @@ class TestBatchAnswers:
             assert body["exit_codes"][i] == 0
             assert body["results"][i]["status"] == "ok"
         assert service.stats.service_batch_item_errors == 1
+
+    def test_mistyped_item_option_fails_only_that_item(self, service):
+        queries = [
+            _request(),
+            _request(options={"workers": "2"}),
+            _request(formula=FORMULA2),
+        ]
+        status, body = service.handle_batch({"queries": queries})
+        assert status == 200
+        assert body["exit_codes"] == [0, EXIT_MODEL_ERROR, 0]
+        assert "workers" in body["results"][1]["message"]
 
     def test_duplicate_items_hit_the_response_cache(self, service):
         status, body = service.handle_batch(

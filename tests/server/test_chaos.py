@@ -411,6 +411,7 @@ class TestGracefulDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()
 
         # Generation two: the drain-time spill must serve warm answers.
         proc2, url2 = self.start_server(tmp_path)
@@ -420,7 +421,9 @@ class TestGracefulDrain:
             assert body["cache"]["hit"] is True
         finally:
             proc2.send_signal(signal.SIGTERM)
-            assert proc2.wait(timeout=60) == 0
+            code = proc2.wait(timeout=60)
+            proc2.stdout.close()
+        assert code == 0
 
     def test_requests_during_drain_get_503_with_retry_after(self):
         """A draining service answers new work 503 + Retry-After while

@@ -32,9 +32,15 @@ REQUEST = {
 @pytest.fixture
 def server():
     srv = make_server(port=0, config=ServerConfig())
+    # Clients make_client opens against this server, closed on teardown:
+    # a keep-alive connection left open is a ResourceWarning under
+    # ``python -X dev``.
+    srv.test_clients = []
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
+    for client in srv.test_clients:
+        client.close()
     srv.shutdown()
     srv.server_close()
 
@@ -46,6 +52,7 @@ def make_client(server, **kwargs):
     sleeps = []
     kwargs.setdefault("sleep", sleeps.append)
     client = ServerClient(f"http://{host}:{port}", **kwargs)
+    server.test_clients.append(client)
     return client, sleeps
 
 
@@ -213,10 +220,8 @@ class TestCircuitBreaker:
         assert client.breaker_open() is False  # next request probes
 
     def test_success_closes_breaker(self, server):
-        host, port = server.server_address[:2]
-        client = ServerClient(
-            f"http://{host}:{port}",
-            timeout=60.0,
+        client, _ = make_client(
+            server,
             breaker_threshold=1,
             breaker_cooldown=0.01,
             retries=0,

@@ -74,6 +74,27 @@ class TestValidation:
             check_request(max_solves=2.5),
             check_request(options={"curve_method": "cells"}),
             check_request(options={"transient_method": "propagator"}),
+            # Mistyped option fields.
+            check_request(options={"workers": "2"}),
+            check_request(options={"ode_rtol": "1e-8"}),
+            check_request(options={"grid_points": "129"}),
+            check_request(options={"max_memory_mb": "5"}),
+            check_request(options={"solver_fallbacks": None}),
+            check_request(
+                options={"formula_optimizations": ["vacuity", "dedup"]}
+            ),
+            check_request(options={"formula_optimizations": []}),
+            # Non-finite limits and tolerances.
+            check_request(deadline=float("nan")),
+            check_request(deadline=float("inf")),
+            check_request(options={"deadline": float("nan")}),
+            check_request(options={"max_memory_mb": float("nan")}),
+            check_request(options={"max_memory_mb": float("inf")}),
+            check_request(options={"residual_tol": float("nan")}),
+            check_request(options={"ode_rtol": float("nan")}),
+            {**check_request(), "command": "csat", "theta": 10**400},
+            check_request(deadline=5.0, options={"deadline": "soon"}),
+            check_request(max_solves=5, options={"max_solves": float("nan")}),
         ],
     )
     def test_bad_request_is_400(self, service, payload):
@@ -82,6 +103,13 @@ class TestValidation:
         assert body["status"] == "error"
         assert body["exit_code"] in (2, 3)
         assert body["message"]
+
+    def test_nan_tolerance_is_named(self, service):
+        status, body = service.handle(
+            check_request(options={"ode_rtol": float("nan")})
+        )
+        assert status == 400
+        assert "ode_rtol must be finite" in body["message"]
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
     def test_non_finite_theta_is_named(self, service, theta):
@@ -627,6 +655,12 @@ class TestConfigValidation:
             {"max_concurrent": 0},
             {"queue_timeout": -1.0},
             {"coalesce_timeout": 0.0},
+            {"max_cache_mb": float("nan")},
+            {"queue_timeout": float("nan")},
+            {"drain_deadline": float("nan")},
+            {"worker_grace": float("inf")},
+            {"connection_timeout": float("nan")},
+            {"max_concurrent": "4"},
         ],
     )
     def test_bad_config_raises(self, kwargs):

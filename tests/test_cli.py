@@ -393,6 +393,26 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "diagnostics:" in out
 
+    def test_no_formula_optimizations_checks_as_written(self, capsys):
+        args = [
+            "check",
+            "--model",
+            "virus1",
+            "--occupancy",
+            "0.8,0.15,0.05",
+            "--diagnose",
+            "E[>=0](infected) & EP[<0.3](not_infected U[0,1] infected)",
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "formula rewrite: 1 vacuous bounds" in out
+        assert "formula opt: 1 rewrites" in out
+        assert main(args[:-1] + ["--no-formula-optimizations", args[-1]]) == 0
+        out = capsys.readouterr().out
+        assert "SATISFIED" in out
+        assert "formula rewrite" not in out
+        assert "formula opt" not in out
+
     def test_without_flag_no_trace(self, capsys):
         main(
             [

@@ -337,6 +337,21 @@ class TestBudgetRestart:
         assert budget.max_refinements == 3
         assert budget.max_memory_mb == 64.0
 
+    def test_non_finite_limits_rejected(self):
+        for kwargs in (
+            {"deadline": float("nan")},
+            {"deadline": float("inf")},
+            {"max_memory_mb": float("nan")},
+            {"max_solves": "3"},
+            {"max_refinements": True},
+        ):
+            name = next(iter(kwargs))
+            with pytest.raises(ModelError, match=name):
+                Budget(**kwargs)
+        budget = Budget(clock=FakeClock())
+        with pytest.raises(ModelError, match="deadline must be finite"):
+            budget.restart(deadline=float("nan"))
+
     def test_restart_validates_like_the_constructor(self):
         budget = Budget(clock=FakeClock())
         with pytest.raises(ModelError, match="deadline must be positive"):
