@@ -16,7 +16,9 @@ Caching layers (see ``docs/performance.md``):
 - :meth:`transient_matrix` caches Kolmogorov solutions ``Π(t', t'+T)``
   keyed by (generator-transform signature, window, solver and residual
   tolerances), so nested untils and repeated global-operator checks stop
-  re-solving identical problems;
+  re-solving identical problems; a miss is served by the sparse action
+  engine on the sparse backend and otherwise by the forward Kolmogorov
+  ODE chain;
 - :meth:`at_time` and :meth:`steady_context` derive child contexts that
   share whatever parent state remains sound (the steady-state result
   always; the trajectory and generator memo whenever the model has no
@@ -63,15 +65,6 @@ GENERATOR_CACHE_LIMIT = 200_000
 #: solver tolerance in use while still merging bit-wobbled duplicates.
 _KEY_DECIMALS = 12
 
-#: Degradation-ladder rung order for :meth:`EvaluationContext.transient_matrix`
-#: and the :class:`~repro.resilience.ResultQuality` each rung delivers.
-LADDER_QUALITY = {
-    "sparse": ResultQuality.EXACT,
-    "ode": ResultQuality.EXACT,
-    "uniformization": ResultQuality.DEGRADED,
-    "mc": ResultQuality.STATISTICAL,
-}
-
 #: ``matrix_backend="auto"`` resolves to sparse only for local models at
 #: least this large — below it dense BLAS wins and the dense pipeline
 #: stays bitwise-stable for the paper's small examples.
@@ -81,17 +74,6 @@ SPARSE_AUTO_MIN_K = 256
 #: ``nnz / K²`` is at most this (birth–death-like transition tables sit
 #: near 3/K; anything denser gains little from CSR actions).
 SPARSE_AUTO_MAX_DENSITY = 0.05
-
-#: Midpoint steps of the order-2 uniformization rung (a coarse pass with
-#: half as many steps supplies the Richardson error estimate).
-_UNIFORMIZATION_STEPS = 64
-
-#: Paths per starting state sampled by the Monte-Carlo ladder rung.
-_MC_PATHS_PER_STATE = 200
-
-#: Seed of the Monte-Carlo ladder rung.  Fixed so that a degraded run is
-#: reproducible; independent of the statistical checker's seeds.
-_MC_LADDER_SEED = 20130613
 
 
 class ContextAction:
@@ -157,17 +139,17 @@ class EvaluationContext:
         Derived contexts pass the parent's so counts aggregate.
     trace:
         Structured numerical diagnostics (solver fallback chains,
-        simplex residual checks); a fresh
+        simplex residual checks, ``sparse -> ode`` downgrades); a fresh
         :class:`~repro.diagnostics.DiagnosticTrace` feeding ``stats`` is
         created when omitted.  Shared with derived contexts, like
         ``stats``.
     budget:
         Execution budget enforced cooperatively by every expensive path
         reachable from this context (solver attempts, propagator
-        refinements, Monte-Carlo batches).  Built from the budget fields
-        of ``options`` when omitted (``None`` when none of them are
-        set).  Shared with derived contexts so one deadline covers the
-        whole logical checking run.
+        refinements, statistical-checker batches).  Built from the
+        budget fields of ``options`` when omitted (``None`` when none of
+        them are set).  Shared with derived contexts so one deadline
+        covers the whole logical checking run.
     """
 
     def __init__(
@@ -404,7 +386,7 @@ class EvaluationContext:
         return self._sparse_generator_fn
 
     # ------------------------------------------------------------------
-    # Transient-matrix cache (Equations (4)/(5) solves)
+    # Transient-matrix cache and backends (Equations (4)/(5) solves)
     # ------------------------------------------------------------------
 
     def transient_matrix(
@@ -436,6 +418,23 @@ class EvaluationContext:
             The ``(K', K')`` transient matrix.  Treat as read-only — the
             same array is returned to every caller with the same key.
         """
+        return self._cached_transient(
+            self._transient_ladder,
+            signature, q_of_t, t_start, duration, rtol, atol,
+        )
+
+    def _cached_transient(
+        self,
+        solve: Callable[..., np.ndarray],
+        signature: Hashable,
+        q_of_t: Callable[[float], np.ndarray],
+        t_start: float,
+        duration: float,
+        rtol: Optional[float],
+        atol: Optional[float],
+    ) -> np.ndarray:
+        """:meth:`transient_matrix`'s cache probe; ``solve`` runs on a miss
+        (:meth:`_transient_ode` once the sparse engine failed the window)."""
         # Every tolerance that shapes the answer — including the
         # residual self-verification bound — is part of the key: a
         # matrix solved under loose settings must never be served after
@@ -471,15 +470,11 @@ class EvaluationContext:
             self.budget.checkpoint(
                 f"transient_matrix @ {float(t_start):g}+{float(duration):g}"
             )
-        pi = self._transient_ladder(
+        pi = solve(
             signature, q_of_t, float(t_start), float(duration), rtol, atol
         )
         self._transient_cache[key] = pi
         return pi
-
-    # ------------------------------------------------------------------
-    # Graceful degradation ladder (see docs/robustness.md)
-    # ------------------------------------------------------------------
 
     def _transient_ladder(
         self,
@@ -490,67 +485,25 @@ class EvaluationContext:
         rtol: float,
         atol: float,
     ) -> np.ndarray:
-        """Serve ``Π`` from the highest rung that still works.
+        """Serve ``Π`` from the sparse action engine, else the ODE chain.
 
-        Rung order is ``sparse action engine (sparse backend only) →
-        ODE fallback chain → order-2 uniformization → Monte-Carlo
-        estimate``; each
-        :class:`~repro.exceptions.NumericalError` steps one rung down
-        and records the descent in the trace (with the
-        :class:`~repro.resilience.ResultQuality` the answer now
-        carries), so a near-threshold verdict downstream can be reported
-        as indeterminate instead of silently flipped.
-        :class:`~repro.exceptions.BudgetExceededError` always
-        propagates — the ladder trades accuracy for progress, never for
-        time already spent.
+        On the sparse backend a non-empty window tries the shared action
+        engine first; its :class:`~repro.exceptions.NumericalError`
+        (refinement cap, no sparse transform) is recorded as one
+        ``sparse -> ode`` downgrade (see docs/robustness.md).  Both
+        backends are tolerance-controlled, so the answer stays exact.
+        An ODE-chain failure propagates as the ``NumericalError`` naming
+        every method it tried; budget errors always propagate.
         """
-        if duration <= 0.0:
-            # Zero window: the identity, no ladder needed.
-            return self._transient_ode(
-                signature, q_of_t, t_start, duration, rtol, atol
-            )
-        rungs = ["ode", "uniformization", "mc"]
-        if self.matrix_backend == "sparse":
-            # Highest rung on the sparse backend: for the models that
-            # select it the action engine is also the *cheapest* rung
-            # (O(nnz) work, no K² assembly).
-            rungs.insert(0, "sparse")
-        failures: "list[str]" = []
-        for position, rung in enumerate(rungs):
-            if position > 0 and failures:
-                # Descending: the previous rung failed.
-                self.trace.downgrade(
-                    rungs[position - 1],
-                    rung,
-                    LADDER_QUALITY[rung],
-                    failures[-1],
-                )
+        if duration > 0.0 and self.matrix_backend == "sparse":
             try:
-                if rung == "sparse":
-                    return self._transient_sparse(
-                        signature, t_start, duration
-                    )
-                if rung == "ode":
-                    return self._transient_ode(
-                        signature, q_of_t, t_start, duration, rtol, atol
-                    )
-                if rung == "uniformization":
-                    pi, uncertainty = self._transient_uniformization(
-                        q_of_t, t_start, duration
-                    )
-                else:
-                    pi, uncertainty = self._transient_monte_carlo(
-                        q_of_t, t_start, duration
-                    )
-                if self.trace.downgrades:
-                    self.trace.downgrades[-1].uncertainty = uncertainty
-                return pi
+                return self._transient_sparse(signature, t_start, duration)
             except NumericalError as exc:
-                failures.append(f"{rung}: {exc}")
-        raise NumericalError(
-            "every degradation-ladder rung failed for "
-            f"Pi({t_start:g}, {t_start + duration:g}): "
-            + "; ".join(failures)
+                self.trace.downgrade(
+                    "sparse", "ode", ResultQuality.EXACT, str(exc)
+                )
+        return self._transient_ode(
+            signature, q_of_t, t_start, duration, rtol, atol
         )
 
     def _transient_sparse(
@@ -559,18 +512,18 @@ class EvaluationContext:
         t_start: float,
         duration: float,
     ) -> np.ndarray:
-        """Sparse rung: densified action product from the shared engine.
+        """Sparse backend: densified action product from the shared engine.
 
         :meth:`transient_matrix` returns a dense array by contract, so
-        this rung only makes sense where a ``(K', K')`` result is
+        this backend only makes sense where a ``(K', K')`` result is
         affordable — the densification is screened by the budget's
         memory guard inside
         :meth:`~repro.ctmc.propagators.SparseActionPropagator.propagate`.
         Pipelines that merely *apply* ``Π`` should call
         :meth:`transient_apply` instead, which never densifies.
         Signatures without a sparse transform raise
-        :class:`~repro.exceptions.NumericalError` so the ladder
-        descends to the dense rungs.
+        :class:`~repro.exceptions.NumericalError` so the window falls
+        back to the ODE chain.
         """
         handle = self.action_engine(signature)
         if handle is None:
@@ -596,7 +549,7 @@ class EvaluationContext:
         rtol: float,
         atol: float,
     ) -> np.ndarray:
-        """Exact rung: forward Kolmogorov solve with stiff fallbacks."""
+        """Forward Kolmogorov solve through the stiff fallback chain."""
         if duration > 0.0:
             if self.budget is not None:
                 # A dense Kolmogorov solve integrates the flattened
@@ -628,151 +581,6 @@ class EvaluationContext:
             monotone_columns=self._monotone_columns(signature),
             budget=self.budget,
         )
-
-    def _uniformization_product(
-        self,
-        q_of_t: Callable[[float], np.ndarray],
-        t_start: float,
-        duration: float,
-        steps: int,
-    ) -> np.ndarray:
-        """Midpoint product of per-step uniformization kernels."""
-        from repro.ctmc.transient import transient_matrix_uniformization
-
-        h = duration / steps
-        q0 = np.asarray(q_of_t(t_start + 0.5 * h), dtype=float)
-        if not np.all(np.isfinite(q0)):
-            raise NumericalError(
-                "uniformization rung: non-finite generator at "
-                f"t={t_start + 0.5 * h:g}"
-            )
-        if self.budget is not None:
-            # Running product + per-step kernel + series term.
-            k = int(q0.shape[0])
-            self.budget.check_memory(
-                k * k * 8 * 3, "uniformization rung product"
-            )
-        pi = transient_matrix_uniformization(q0, h)
-        for i in range(1, steps):
-            if self.budget is not None and i % 16 == 0:
-                self.budget.checkpoint(
-                    f"uniformization step {i}/{steps}"
-                )
-            q = np.asarray(q_of_t(t_start + (i + 0.5) * h), dtype=float)
-            if not np.all(np.isfinite(q)):
-                raise NumericalError(
-                    "uniformization rung: non-finite generator at "
-                    f"t={t_start + (i + 0.5) * h:g}"
-                )
-            pi = pi @ transient_matrix_uniformization(q, h)
-        return pi
-
-    def _transient_uniformization(
-        self,
-        q_of_t: Callable[[float], np.ndarray],
-        t_start: float,
-        duration: float,
-    ) -> "tuple[np.ndarray, float]":
-        """Degraded rung: order-2 midpoint/uniformization product.
-
-        Freezes the generator at each step midpoint and composes exact
-        homogeneous kernels (Jensen's series), which is second-order
-        accurate in the step and immune to solver step-size control —
-        exactly the property that matters when the ODE chain just blew
-        up.  The returned uncertainty is a Richardson estimate from a
-        half-resolution pass.
-        """
-        try:
-            coarse = self._uniformization_product(
-                q_of_t, t_start, duration, _UNIFORMIZATION_STEPS // 2
-            )
-            fine = self._uniformization_product(
-                q_of_t, t_start, duration, _UNIFORMIZATION_STEPS
-            )
-        except (ArithmeticError, ValueError) as exc:
-            raise NumericalError(
-                f"uniformization rung failed: {exc}"
-            ) from exc
-        uncertainty = float(np.max(np.abs(fine - coarse)))
-        check_transient_residual(
-            fine,
-            label=(
-                f"Pi({t_start:g}, {t_start + duration:g}) [uniformization]"
-            ),
-            tol=max(self.options.residual_tol, 10.0 * uncertainty),
-            trace=self.trace,
-        )
-        return fine, uncertainty
-
-    def _transient_monte_carlo(
-        self,
-        q_of_t: Callable[[float], np.ndarray],
-        t_start: float,
-        duration: float,
-    ) -> "tuple[np.ndarray, float]":
-        """Last rung: statistical ``Π`` estimate by thinning simulation.
-
-        Samples paths of the transformed chain from every starting
-        state and tallies end states.  Deterministically seeded, so a
-        degraded run is still reproducible.  The returned uncertainty is
-        the worst per-entry standard error.
-        """
-        from repro.ctmc.paths import (
-            estimate_rate_bound,
-            sample_inhomogeneous_path,
-        )
-
-        def shifted_q(s: float) -> np.ndarray:
-            return np.asarray(q_of_t(t_start + s), dtype=float)
-
-        try:
-            rate_bound = estimate_rate_bound(shifted_q, duration)
-        except (ArithmeticError, ValueError) as exc:
-            raise NumericalError(
-                f"Monte-Carlo rung: rate-bound probe failed: {exc}"
-            ) from exc
-        if not np.isfinite(rate_bound) or rate_bound < 0.0:
-            raise NumericalError(
-                f"Monte-Carlo rung: unusable rate bound {rate_bound!r}"
-            )
-        k = np.asarray(q_of_t(t_start), dtype=float).shape[0]
-        rng = np.random.default_rng(
-            np.random.SeedSequence(_MC_LADDER_SEED)
-        )
-        counts = np.zeros((k, k), dtype=float)
-        n = _MC_PATHS_PER_STATE
-        try:
-            for start in range(k):
-                for j in range(n):
-                    if self.budget is not None and j % 32 == 0:
-                        self.budget.checkpoint(
-                            f"Monte-Carlo rung: state {start}, "
-                            f"path {j}/{n}"
-                        )
-                    path = sample_inhomogeneous_path(
-                        shifted_q,
-                        start,
-                        duration,
-                        rng,
-                        rate_bound=rate_bound,
-                        stats=self.stats,
-                    )
-                    counts[start, int(path.states[-1])] += 1.0
-        except (ArithmeticError, ValueError) as exc:
-            raise NumericalError(
-                f"Monte-Carlo rung: sampling failed: {exc}"
-            ) from exc
-        pi = counts / n
-        stderr = np.sqrt(pi * (1.0 - pi) / n)
-        # A zero cell can simply be unsampled; floor its error at the
-        # binomial rule-of-three scale so zero counts are not read as
-        # zero uncertainty.
-        uncertainty = float(max(np.max(stderr), 3.0 / n))
-        self.trace.note(
-            f"Monte-Carlo Pi({t_start:g}, {t_start + duration:g}): "
-            f"{n} paths/state, max stderr {uncertainty:.2e}"
-        )
-        return pi, uncertainty
 
     def _sparse_for_signature(self, signature: Hashable):
         """Sparse ``t -> CSR`` function for a known transform signature.
@@ -866,8 +674,9 @@ class EvaluationContext:
         through Krylov actions and **no dense ``(K', K')`` array is
         ever formed**.  A sparse-engine
         :class:`~repro.exceptions.NumericalError` (grid refinement cap)
-        falls back to the dense path and is recorded as a ladder
-        downgrade; budget errors always propagate.
+        is recorded as one ``sparse -> ode`` downgrade and the window is
+        served by the ODE chain through the transient cache, without a
+        second engine attempt; budget errors always propagate.
 
         ``vector`` may be a single ``(K',)`` vector or an ``(M, K')``
         row-stacked block — on *both* sides: row ``i`` of the result is
@@ -878,6 +687,7 @@ class EvaluationContext:
         """
         vector = np.asarray(vector, dtype=float)
         block = vector.ndim == 2
+        solve = self._transient_ladder
         if self.matrix_backend == "sparse":
             handle = self.action_engine(signature)
             if handle is not None:
@@ -899,11 +709,11 @@ class EvaluationContext:
                     )
                 except NumericalError as exc:
                     self.trace.downgrade(
-                        "sparse", "ode", LADDER_QUALITY["ode"], str(exc)
+                        "sparse", "ode", ResultQuality.EXACT, str(exc)
                     )
-        pi = self.transient_matrix(
-            signature, q_of_t, t_start, duration,
-            rtol=rtol, atol=atol,
+                    solve = self._transient_ode
+        pi = self._cached_transient(
+            solve, signature, q_of_t, t_start, duration, rtol, atol
         )
         if side == "right":
             if block:

@@ -13,6 +13,7 @@ of :mod:`repro.logic`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -45,6 +46,27 @@ from repro.meanfield.overall_model import MeanFieldModel
 FormulaLike = Union[str, MfCslFormula]
 
 
+def _depth_guarded(method):
+    """Report a formula too deep to check as a :class:`FormulaError`.
+
+    Rewriting, satisfaction and ``explain`` walk the formula
+    recursively, one frame per level, so a formula nested past the
+    interpreter's recursion limit (a chain of about a thousand ``&``)
+    would otherwise escape as a ``RecursionError``.
+    """
+
+    @functools.wraps(method)
+    def guarded(*args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except RecursionError:
+            raise FormulaError(
+                "formula is nested too deeply to check"
+            ) from None
+
+    return guarded
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Quality-aware outcome of one satisfaction check.
@@ -54,13 +76,15 @@ class Verdict:
     holds:
         ``True`` / ``False`` when the verdict is trustworthy, ``None``
         when the run degraded (see ``quality``) *and* some leaf value
-        landed within the degraded rung's uncertainty of its threshold
-        — the comparison ``value ⋈ p`` could then flip under the error
-        bar, so it is reported as indeterminate rather than silently
+        landed within the recorded uncertainty of its threshold — the
+        comparison ``value ⋈ p`` could then flip under the error bar,
+        so it is reported as indeterminate rather than silently
         resolved.
     quality:
         Worst :class:`~repro.resilience.ResultQuality` any number
-        feeding the verdict was computed at.
+        feeding the verdict was computed at.  Both transient backends
+        are exact, so only a downgrade a caller records on
+        ``ctx.trace`` makes this anything but ``EXACT``.
     value:
         The leaf expectation value, for single-leaf formulas (``None``
         for boolean combinations).
@@ -168,6 +192,7 @@ class MFModelChecker:
     # Satisfaction relation (Section V-A)
     # ------------------------------------------------------------------
 
+    @_depth_guarded
     def check(
         self,
         formula: FormulaLike,
@@ -180,6 +205,7 @@ class MFModelChecker:
             ctx = self.context(occupancy)
         return self._check(self._prepared(psi, ctx), ctx)
 
+    @_depth_guarded
     def check_detailed(
         self,
         formula: FormulaLike,
@@ -188,11 +214,13 @@ class MFModelChecker:
     ) -> Verdict:
         """Like :meth:`check`, but quality-aware (three-valued).
 
-        When the degradation ladder served any number behind the
-        formula at reduced quality, a leaf whose value lies within the
-        recorded uncertainty (or ``options.probability_tol``, whichever
-        is larger) of its threshold ``p`` is *indeterminate*: the
-        comparison could flip under the error bar.  Indeterminacy
+        When the context's trace records a downgrade at reduced
+        quality (no built-in backend does; see
+        :class:`~repro.resilience.ResultQuality`), a leaf whose value
+        lies within the recorded uncertainty (or
+        ``options.probability_tol``, whichever is larger) of its
+        threshold ``p`` is *indeterminate*: the comparison could flip
+        under the error bar.  Indeterminacy
         propagates through ``not``/``and``/``or`` by Kleene's
         three-valued logic, so ``false and unknown`` is still ``false``
         but ``true and unknown`` stays unknown.
@@ -270,6 +298,7 @@ class MFModelChecker:
             return psi.bound.holds(self._leaf_value(psi, ctx))
         raise FormulaError(f"not an MF-CSL formula: {psi!r}")
 
+    @_depth_guarded
     def value(
         self,
         formula: FormulaLike,
@@ -417,6 +446,7 @@ class MFModelChecker:
     # Conditional satisfaction sets (Section V-B)
     # ------------------------------------------------------------------
 
+    @_depth_guarded
     def conditional_sat(
         self,
         formula: FormulaLike,
@@ -484,6 +514,7 @@ class MFModelChecker:
 
     # ------------------------------------------------------------------
 
+    @_depth_guarded
     def explain(
         self,
         formula: FormulaLike,

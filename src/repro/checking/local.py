@@ -17,7 +17,7 @@ tree exactly as Section IV-E prescribes:
 - until path formulas use the simple two-phase algorithm when both
   operand sets are time-independent and the time-varying-set machinery
   of :mod:`repro.checking.nested` otherwise (``CheckOptions.until_method``
-  can force either);
+  can force the latter);
 - next path formulas use :mod:`repro.checking.next_op`.
 
 Satisfaction sets are memoized per (formula, window end), probability
@@ -300,10 +300,7 @@ class LocalChecker:
     def _use_simple(
         self, gamma1: PiecewiseSatSet, gamma2: PiecewiseSatSet
     ) -> bool:
-        method = self.ctx.options.until_method
-        if method == "simple":
-            return True
-        if method == "nested":
+        if self.ctx.options.until_method == "nested":
             return False
         return gamma1.is_constant and gamma2.is_constant
 

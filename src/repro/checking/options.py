@@ -40,7 +40,7 @@ _NUMERIC_FIELDS = {
 
 #: The string-valued fields and the values each accepts.
 _CHOICE_FIELDS = {
-    "until_method": ("auto", "simple", "nested"),
+    "until_method": ("auto", "nested"),
     "curve_method": ("propagate", "recompute"),
     "transient_method": ("ode",),
     "matrix_backend": ("auto", "dense", "sparse"),
@@ -71,8 +71,12 @@ class CheckOptions:
         thresholds; values within this distance of the threshold are
         resolved by the exact comparison but flagged in curve metadata.
     until_method:
-        ``"auto"`` (simple algorithm when operand sets are constant,
-        nested otherwise), ``"simple"`` or ``"nested"`` to force one.
+        ``"auto"`` (simple algorithm when both operand sets are
+        constant, nested otherwise) or ``"nested"`` to force the
+        time-varying-set algorithm everywhere (its reference check).
+        There is no way to force the simple algorithm: on a time-varying
+        operand set it would freeze the set at ``t = 0`` and answer
+        wrongly.
     curve_method:
         How time-dependent until probabilities are evaluated:
         ``"propagate"`` uses the window-shift ODE of Equations (6)/(12)

@@ -135,8 +135,9 @@ class DowngradeRecord:
 
     Records which backend failed (``from_rung``), what the computation
     fell back to (``to_rung``), why, the quality tag of the replacement
-    and — for statistical replacements — the estimated uncertainty of
-    the substituted answer.
+    and — for non-exact replacements — the estimated uncertainty of the
+    substituted answer.  The checker itself records only ``sparse ->
+    ode`` descents, which stay ``EXACT``.
     """
 
     from_rung: str
@@ -225,11 +226,11 @@ class DiagnosticTrace:
     def quality(self) -> ResultQuality:
         """The weakest guarantee any recorded result carries.
 
-        ``EXACT`` until a downgrade lands a window on the order-2
-        uniformization rung (``DEGRADED``) or the Monte-Carlo rung
-        (``STATISTICAL``).  Verdict logic treats non-exact runs whose
-        leaf value sits within :attr:`uncertainty` of the threshold as
-        indeterminate.
+        ``EXACT`` unless a downgrade was recorded with a non-exact
+        quality (only callers of :meth:`downgrade` outside the checker
+        do so: both transient backends are exact).  Verdict logic treats
+        non-exact runs whose leaf value sits within :attr:`uncertainty`
+        of the threshold as indeterminate.
         """
         return max(
             (d.quality for d in self.downgrades), default=ResultQuality.EXACT

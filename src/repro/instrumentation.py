@@ -92,9 +92,9 @@ class EvalStats:
         tolerance — the answer is still returned, but flagged.
     ladder_downgrades:
         Descents of the graceful degradation ladder (sparse action
-        engine → ODE chain → order-2 uniformization → Monte-Carlo);
-        non-zero means at least one window was not served by its
-        first-choice backend (see :mod:`repro.resilience`).
+        engine → ODE chain), one per failed window; non-zero means at
+        least one window was not served by its first-choice backend
+        (see docs/robustness.md §2).
     worker_retries:
         Batches re-dispatched by :func:`repro.parallel.run_batches`
         after a worker process died or the pool broke; the retried

@@ -305,25 +305,29 @@ class _Parser:
         )
 
 
-def parse_csl(source: str) -> CslFormula:
-    """Parse a CSL *state* formula from text."""
+def _parse(source: str, rule):
     parser = _Parser(source)
-    formula = parser.parse_csl()
+    try:
+        formula = rule(parser)
+    except RecursionError:
+        # Each '(' or '!' costs a few descent frames: input nested past
+        # the interpreter's recursion limit is a formula error, not a
+        # crash.
+        raise ParseError("formula is nested too deeply to parse") from None
     parser.expect_end()
     return formula
+
+
+def parse_csl(source: str) -> CslFormula:
+    """Parse a CSL *state* formula from text."""
+    return _parse(source, _Parser.parse_csl)
 
 
 def parse_path(source: str) -> PathFormula:
     """Parse a CSL *path* formula (``X``/``U``) from text."""
-    parser = _Parser(source)
-    formula = parser.parse_path()
-    parser.expect_end()
-    return formula
+    return _parse(source, _Parser.parse_path)
 
 
 def parse_mfcsl(source: str) -> MfCslFormula:
     """Parse an MF-CSL formula from text."""
-    parser = _Parser(source)
-    formula = parser.parse_mfcsl()
-    parser.expect_end()
-    return formula
+    return _parse(source, _Parser.parse_mfcsl)

@@ -11,8 +11,8 @@ checks it cooperatively:
   solver attempt and periodically inside the right-hand side;
 - :class:`repro.ctmc.propagators.SparseActionPropagator` checkpoints
   every refinement sweep and guards its cell-cache memory estimate;
-- the nested-until segment scans and Monte-Carlo batch loops checkpoint
-  between units of work;
+- the nested-until segment scans and the statistical checker's batch
+  loops checkpoint between units of work;
 - :func:`repro.parallel.run_batches` bounds how long it waits on worker
   processes.
 
@@ -21,12 +21,14 @@ A violated budget raises
 partial-progress snapshot (what was completed before the limit hit), so
 callers never see a hang or a half-written answer.
 
-The second half of the contract is *provenance*: when the graceful
-degradation ladder (see
-:meth:`repro.checking.context.EvaluationContext.transient_matrix`)
-trades exactness for availability, the result is stamped with a
-:class:`ResultQuality` tag so verdicts near a threshold ``⋈ p`` can be
-reported as indeterminate instead of silently flipped.
+The second half of the contract is *provenance*: every downgrade
+recorded on a :class:`~repro.diagnostics.DiagnosticTrace` carries a
+:class:`ResultQuality` tag, so a verdict computed from a non-exact
+number near a threshold ``⋈ p`` is reported as indeterminate instead of
+silently flipped.  Both transient backends of
+:meth:`repro.checking.context.EvaluationContext.transient_matrix` — the
+sparse action engine and the ODE chain — are exact, so no built-in path
+records a non-exact quality today.
 """
 
 from __future__ import annotations
@@ -132,11 +134,17 @@ class ResultQuality(enum.IntEnum):
     any contributing solve carried.
 
     - ``EXACT`` — every quantity came from a tolerance-controlled solve
-      (ODE chain or defect-controlled propagator).
-    - ``DEGRADED`` — at least one window fell back to the fixed-step
-      order-2 uniformization product (error estimated, not controlled).
-    - ``STATISTICAL`` — at least one window was estimated by Monte-Carlo
+      (ODE chain or defect-controlled propagator).  Every built-in path
+      delivers this.
+    - ``DEGRADED`` — at least one recorded window carries an estimated,
+      not controlled, error.
+    - ``STATISTICAL`` — at least one recorded window was estimated by
       sampling and carries a confidence interval, not an error bound.
+
+    The two non-exact tags have no producer in the checker; they are
+    recorded through :meth:`repro.diagnostics.DiagnosticTrace.downgrade`
+    by callers that substitute their own numbers, and drive the
+    three-valued :class:`repro.checking.global_.Verdict`.
     """
 
     EXACT = 0

@@ -59,6 +59,7 @@ import hashlib
 import pickle
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -74,6 +75,7 @@ from repro.exceptions import (
     EXIT_INDETERMINATE,
     EXIT_NOT_SATISFIED,
     EXIT_SATISFIED,
+    CheckingError,
     ModelError,
     ReproError,
     exit_code_for,
@@ -510,16 +512,6 @@ class CheckingService:
                 return self._serve(spec)
             except ReproError as exc:
                 return self._error_response(exc)
-            except Exception as exc:  # pragma: no cover - defensive
-                return (
-                    500,
-                    {
-                        "status": "error",
-                        "error_class": type(exc).__name__,
-                        "message": str(exc),
-                        "exit_code": EXIT_CHECKING_ERROR,
-                    },
-                )
         finally:
             with self._lock:
                 self._active -= 1
@@ -725,7 +717,16 @@ class CheckingService:
                 raise ModelError(
                     f"field 'occupancy' entry {i} is not a number: {x!r}"
                 )
-        occupancy = np.array([float(x) for x in occupancy_doc])
+        try:
+            occupancy = np.array([float(x) for x in occupancy_doc])
+        except OverflowError:  # a JSON integer beyond float range
+            occupancy = None
+        if occupancy is None or not np.isfinite(occupancy).all():
+            # Slow path, errors only: name the offending entry.
+            for i, x in enumerate(occupancy_doc):
+                check_limit(
+                    f"field 'occupancy' entry {i}", x, nonnegative=True
+                )
 
         theta: Optional[float] = None
         if command == "csat":
@@ -872,17 +873,30 @@ class CheckingService:
             status, response = self._await_peer(waiting_on)
             return status, response, False
 
-        status, response, core = compute(spec)
-        with self._lock:
-            if core is not None:
-                entry = self._entries.get(spec.entry_key)
-                if entry is not None:
-                    entry.responses[spec.response_key] = core
-                    entry.trim_responses(self.config.max_responses_per_entry)
-            inflight.status = status
-            inflight.response = response
-            self._inflight.pop(spec.inflight_key, None)
-        inflight.event.set()
+        status, response, core = 500, None, None
+        try:
+            status, response, core = compute(spec)
+        except Exception as exc:
+            # Any failure, not only a library error, answers this
+            # request, its coalesced peers and its /batch slot alike.
+            if not isinstance(exc, ReproError):
+                traceback.print_exc()  # a defect: keep its traceback
+            status, response = self._error_response(exc)
+        finally:
+            # Never leave the key in flight: later identical requests
+            # would wait on it until coalesce_timeout.
+            with self._lock:
+                if core is not None:
+                    entry = self._entries.get(spec.entry_key)
+                    if entry is not None:
+                        entry.responses[spec.response_key] = core
+                        entry.trim_responses(
+                            self.config.max_responses_per_entry
+                        )
+                inflight.status = status
+                inflight.response = response
+                self._inflight.pop(spec.inflight_key, None)
+            inflight.event.set()
         return status, response, True
 
     def _await_peer(self, peer: _InFlight) -> Tuple[int, dict]:
@@ -901,6 +915,11 @@ class CheckingService:
                     ),
                     "exit_code": EXIT_BUDGET_EXCEEDED,
                 },
+            )
+        if peer.response is None:
+            # The computation died of a BaseException (an interrupt).
+            return self._error_response(
+                CheckingError("identical computation was interrupted")
             )
         response = dict(peer.response)
         cache = dict(response.get("cache", {}))
@@ -1100,8 +1119,13 @@ class CheckingService:
         return HTTP_STATUS_BY_EXIT_CODE[core["exit_code"]], response
 
     @staticmethod
-    def _error_response(exc: ReproError) -> Tuple[int, dict]:
-        code = exit_code_for(exc)
+    def _error_response(exc: Exception) -> Tuple[int, dict]:
+        """The error body of ``exc``; a non-library error is a 500."""
+        code = (
+            exit_code_for(exc)
+            if isinstance(exc, ReproError)
+            else EXIT_CHECKING_ERROR
+        )
         response = {
             "status": "error",
             "error_class": type(exc).__name__,

@@ -53,6 +53,8 @@ class TestCheckOptions:
             {"ode_atol": float("inf")},
             {"deadline": float("inf")},
             {"max_memory_mb": float("inf")},
+            # Would freeze time-varying operand sets at t = 0.
+            {"until_method": "simple"},
         ],
     )
     def test_rejects_invalid(self, kwargs):

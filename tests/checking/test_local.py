@@ -139,13 +139,30 @@ class TestNestedFormulas:
         assert sat == frozenset({1, 2})
 
     def test_until_method_forcing(self, virus1, m_example1):
-        simple_ctx = EvaluationContext(
-            virus1, m_example1, CheckOptions(until_method="simple")
+        auto_ctx = EvaluationContext(
+            virus1, m_example1, CheckOptions(until_method="auto")
         )
         nested_ctx = EvaluationContext(
             virus1, m_example1, CheckOptions(until_method="nested")
         )
         path = parse_path("not_infected U[0,1] infected")
-        p_simple = LocalChecker(simple_ctx).path_probabilities(path)
+        p_auto = LocalChecker(auto_ctx).path_probabilities(path)
         p_nested = LocalChecker(nested_ctx).path_probabilities(path)
-        assert np.allclose(p_simple, p_nested, atol=1e-7)
+        assert np.allclose(p_auto, p_nested, atol=1e-7)
+
+    def test_auto_matches_nested_on_time_varying_operand(
+        self, virus1, m_example1
+    ):
+        """The left operand set loses s1 between t = 1 and t = 2, so
+        ``auto`` must take the nested algorithm; freezing both operand
+        sets at t = 0 would read 0.264336."""
+        path = parse_path("P[>0.01](tt U[0,0.5] infected) U[0,3] infected")
+        values = {}
+        for method in ("auto", "nested"):
+            ctx = EvaluationContext(
+                virus1, m_example1, CheckOptions(until_method=method)
+            )
+            probs = LocalChecker(ctx).path_probabilities(path)
+            values[method] = float(ctx.initial @ probs)
+        assert values["auto"] == pytest.approx(0.247905, abs=1e-6)
+        assert values["nested"] == pytest.approx(values["auto"], abs=1e-7)

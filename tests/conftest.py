@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -85,3 +86,19 @@ def homogeneous_model() -> MeanFieldModel:
 def fast_options() -> CheckOptions:
     """Loosened numerical options to keep slow tests quick."""
     return CheckOptions(ode_rtol=1e-6, ode_atol=1e-9, grid_points=33)
+
+
+@pytest.fixture
+def on_fresh_thread():
+    """Run ``fn(*args)`` on a new thread and return its result.
+
+    The new thread's stack is as shallow as a fresh ``mfcsl`` process
+    or a server request thread, not as deep as the test runner's —
+    which matters for inputs probing the interpreter's recursion limit.
+    """
+
+    def run(fn, *args):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(fn, *args).result()
+
+    return run

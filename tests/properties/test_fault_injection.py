@@ -328,15 +328,6 @@ def _fail_ode_rung(monkeypatch, reason="injected: ode rung down"):
     monkeypatch.setattr(EvaluationContext, "_transient_ode", failing)
 
 
-def _fail_uniformization_rung(monkeypatch):
-    def failing(self, q_of_t, t_start, duration):
-        raise NumericalError("injected: uniformization rung down")
-
-    monkeypatch.setattr(
-        EvaluationContext, "_transient_uniformization", failing
-    )
-
-
 ABSORBING = frozenset({2})
 SIGNATURE = ("absorbing", ABSORBING)
 
@@ -346,81 +337,44 @@ def _absorbing_q(ctx):
 
 
 class TestDegradationLadder:
-    """Persistent faults walk the rungs, never corrupt."""
+    """Below the ODE chain there is no rung: failures are loud, not cached."""
 
-    def _clean_pi(self, virus1, m_example1):
-        ctx = EvaluationContext(virus1, m_example1)
-        return ctx.transient_matrix(SIGNATURE, _absorbing_q(ctx), 0.0, 1.0)
-
-    def test_ode_failure_lands_on_uniformization(
+    def test_ode_failure_raises_numerical_error(
         self, virus1, m_example1, monkeypatch
     ):
-        pi_clean = self._clean_pi(virus1, m_example1)
         _fail_ode_rung(monkeypatch)
         ctx = EvaluationContext(virus1, m_example1)
+        with pytest.raises(NumericalError, match="injected: ode rung down"):
+            ctx.transient_matrix(SIGNATURE, _absorbing_q(ctx), 0.0, 1.0)
+
+        assert ctx.trace.downgrades == []
+        assert ctx.stats.ladder_downgrades == 0
+        assert ctx.trace.quality is ResultQuality.EXACT
+        # Nothing was cached for the failed window: once the fault is
+        # gone the same key is solved afresh.
+        assert ctx.export_transient_cache() == {}
+        monkeypatch.undo()
         pi = ctx.transient_matrix(SIGNATURE, _absorbing_q(ctx), 0.0, 1.0)
-
-        assert ctx.trace.quality is ResultQuality.DEGRADED
-        assert ctx.stats.ladder_downgrades == 1
-        record = ctx.trace.downgrades[0]
-        assert (record.from_rung, record.to_rung) == ("ode", "uniformization")
-        assert "injected" in record.reason
-        assert record.uncertainty > 0.0
-        # The substituted answer is still accurate (order-2 product).
-        assert np.allclose(pi, pi_clean, atol=1e-3)
-        assert np.max(np.abs(pi - pi_clean)) < 10 * record.uncertainty + 1e-6
-
-    def test_two_failures_land_on_monte_carlo(
-        self, virus1, m_example1, monkeypatch
-    ):
-        pi_clean = self._clean_pi(virus1, m_example1)
-        _fail_ode_rung(monkeypatch)
-        _fail_uniformization_rung(monkeypatch)
-        ctx = EvaluationContext(virus1, m_example1)
-        pi = ctx.transient_matrix(SIGNATURE, _absorbing_q(ctx), 0.0, 1.0)
-
-        assert ctx.trace.quality is ResultQuality.STATISTICAL
-        assert len(ctx.trace.downgrades) == 2
-        last = ctx.trace.downgrades[-1]
-        assert (last.from_rung, last.to_rung) == ("uniformization", "mc")
-        assert last.uncertainty > 0.0
-        assert any("Monte-Carlo" in note for note in ctx.trace.notes)
-        # Rows are still distributions and close to the exact answer at
-        # sampling accuracy (200 paths/state).
-        assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-12)
-        assert np.allclose(pi, pi_clean, atol=0.12)
-
-    def test_monte_carlo_rung_is_reproducible(
-        self, virus1, m_example1, monkeypatch
-    ):
-        _fail_ode_rung(monkeypatch)
-        _fail_uniformization_rung(monkeypatch)
-        runs = []
-        for _ in range(2):
-            ctx = EvaluationContext(virus1, m_example1)
-            runs.append(
-                ctx.transient_matrix(SIGNATURE, _absorbing_q(ctx), 0.0, 1.0)
-            )
-        assert np.array_equal(runs[0], runs[1])
+        assert ctx.stats.transient_cache_misses == 2
+        assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-9)
 
     def test_every_rung_failing_raises_with_history(
-        self, virus1, m_example1, monkeypatch
+        self, virus1, m_example1
     ):
-        """A generator gone NaN-for-good defeats all rungs -> loud error."""
+        """A generator gone NaN-for-good exhausts the ODE chain."""
         ctx = EvaluationContext(virus1, m_example1)
         q_nan = FaultInjector(_absorbing_q(ctx), mode="nan", window=None)
         with pytest.raises(NumericalError) as err:
             ctx.transient_matrix(SIGNATURE, q_nan, 0.0, 1.0)
         message = str(err.value)
-        assert "every degradation-ladder rung failed" in message
-        for rung in ("ode:", "uniformization:", "mc:"):
-            assert rung in message
-        # Two descents were recorded before the ladder ran out.
-        assert len(ctx.trace.downgrades) == 2
+        for method in ("RK45", "Radau", "LSODA"):
+            assert method in message
+        assert ctx.trace.downgrades == []
+        assert ctx.stats.ladder_downgrades == 0
 
 
 class TestDeadlineAtEachRung:
-    """A deadline hit inside any rung surfaces promptly with progress."""
+    """A deadline hit inside the ODE chain surfaces promptly with progress."""
 
     def _expect_budget_error(self, ctx, q):
         with pytest.raises(BudgetExceededError) as err:
@@ -435,34 +389,11 @@ class TestDeadlineAtEachRung:
         ctx = EvaluationContext(virus1, m_example1, budget=budget)
         # The RK45 attempt both expires the clock and fails; the next
         # attempt's charge_solve surfaces BudgetExceededError instead of
-        # the ladder descending further on stale time.
+        # the fallback chain retrying on stale time.
         q = ClockAdvancer(
             _absorbing_q(ctx), clock, after_calls=2, then_raise=True
         )
         self._expect_budget_error(ctx, q)
-
-    def test_deadline_during_uniformization_rung(
-        self, virus1, m_example1, monkeypatch
-    ):
-        _fail_ode_rung(monkeypatch)
-        clock = FakeClock()
-        budget = Budget(deadline=5.0, clock=clock)
-        ctx = EvaluationContext(virus1, m_example1, budget=budget)
-        q = ClockAdvancer(_absorbing_q(ctx), clock, after_calls=5)
-        error = self._expect_budget_error(ctx, q)
-        assert "uniformization" in str(error)
-
-    def test_deadline_during_monte_carlo_rung(
-        self, virus1, m_example1, monkeypatch
-    ):
-        _fail_ode_rung(monkeypatch)
-        _fail_uniformization_rung(monkeypatch)
-        clock = FakeClock()
-        budget = Budget(deadline=5.0, clock=clock)
-        ctx = EvaluationContext(virus1, m_example1, budget=budget)
-        q = ClockAdvancer(_absorbing_q(ctx), clock, after_calls=8)
-        error = self._expect_budget_error(ctx, q)
-        assert "Monte-Carlo" in str(error)
 
     def test_solver_cap_enforced(self, virus1, m_example1):
         budget = Budget(max_solves=1, clock=FakeClock())
@@ -480,18 +411,21 @@ class TestThreeValuedVerdicts:
     FORMULA = "EP[<0.3](not_infected U[0,1] infected)"
 
     def test_degraded_far_from_threshold_stays_definite(
-        self, virus1, m_example1, monkeypatch
+        self, virus1, m_example1
     ):
-        _fail_ode_rung(monkeypatch)
-        _fail_uniformization_rung(monkeypatch)
         checker = MFModelChecker(virus1)
-        verdict = checker.check_detailed(self.FORMULA, m_example1)
-        # The exact value (~0.22) sits well below 0.3: the statistical
-        # error bar cannot bridge the margin, so the verdict stays
-        # definite even though every window came from the MC rung.
+        ctx = checker.context(m_example1)
+        # Simulate a degraded window whose error bar (0.01) is far
+        # smaller than the distance between the exact value (~0.23) and
+        # the threshold 0.3: the verdict stays definite.
+        ctx.trace.downgrade(
+            "ode", "uniformization", ResultQuality.DEGRADED,
+            "injected", uncertainty=0.01,
+        )
+        verdict = checker.check_detailed(self.FORMULA, m_example1, ctx=ctx)
         assert verdict.holds is True
         assert not verdict.indeterminate
-        assert verdict.quality is ResultQuality.STATISTICAL
+        assert verdict.quality is ResultQuality.DEGRADED
         assert verdict.margin > 0.05
         assert bool(verdict) is True
 

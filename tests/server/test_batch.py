@@ -11,7 +11,13 @@ import threading
 
 import pytest
 
-from repro.exceptions import EXIT_BUDGET_EXCEEDED, EXIT_MODEL_ERROR
+from repro.checking.global_ import MFModelChecker
+from repro.exceptions import (
+    EXIT_BUDGET_EXCEEDED,
+    EXIT_CHECKING_ERROR,
+    EXIT_FORMULA_ERROR,
+    EXIT_MODEL_ERROR,
+)
 from repro.server.service import (
     HTTP_STATUS_REJECTED,
     CheckingService,
@@ -148,6 +154,60 @@ class TestBatchAnswers:
         assert status == 200
         assert body["exit_codes"] == [0, EXIT_MODEL_ERROR, 0]
         assert "workers" in body["results"][1]["message"]
+
+    def test_unexpected_item_error_fails_only_that_item(
+        self, service, monkeypatch
+    ):
+        original = MFModelChecker.check_detailed
+
+        def raising(self, formula, occupancy, ctx=None):
+            if formula == FORMULA2:
+                raise RuntimeError("injected: not a library error")
+            return original(self, formula, occupancy, ctx=ctx)
+
+        monkeypatch.setattr(MFModelChecker, "check_detailed", raising)
+        queries = [
+            _request(),
+            _request(formula=FORMULA2),
+            _request(formula="E[>0.1](infected)"),
+        ]
+        status, body = service.handle_batch({"queries": queries})
+        assert status == 200
+        assert body["exit_codes"] == [0, EXIT_CHECKING_ERROR, 0]
+        assert body["results"][1]["error_class"] == "RuntimeError"
+        assert service._inflight == {}
+
+    def test_huge_occupancy_entry_fails_only_that_item(self, service):
+        queries = [
+            _request(),
+            _request(occupancy=[0.8, 10**400, 0.05]),
+            _request(formula=FORMULA2),
+        ]
+        status, body = service.handle_batch({"queries": queries})
+        assert status == 200
+        assert body["exit_codes"] == [0, EXIT_MODEL_ERROR, 0]
+        assert (
+            "'occupancy' entry 1 must be finite"
+            in body["results"][1]["message"]
+        )
+
+    def test_too_deep_formula_fails_only_that_item(
+        self, service, on_fresh_thread
+    ):
+        leaf = "E[>0.1](infected)"
+        queries = [
+            _request(),
+            _request(formula=" & ".join([leaf] * 1000)),
+            _request(formula="(" * 200 + leaf + ")" * 200),
+            _request(formula=FORMULA2),
+        ]
+        status, body = on_fresh_thread(
+            service.handle_batch, {"queries": queries}
+        )
+        assert status == 200
+        assert body["exit_codes"] == [
+            0, EXIT_FORMULA_ERROR, EXIT_FORMULA_ERROR, 0
+        ]
 
     def test_duplicate_items_hit_the_response_cache(self, service):
         status, body = service.handle_batch(

@@ -12,8 +12,14 @@ import time
 
 import pytest
 
+from repro.checking.context import EvaluationContext
 from repro.checking.global_ import MFModelChecker
-from repro.exceptions import EXIT_BUDGET_EXCEEDED
+from repro.exceptions import (
+    EXIT_BUDGET_EXCEEDED,
+    EXIT_CHECKING_ERROR,
+    EXIT_FORMULA_ERROR,
+    NumericalError,
+)
 from repro.io import model_hash
 from repro.models import MODEL_REGISTRY, SETTING_1, virus_model
 from repro.server.service import (
@@ -23,6 +29,8 @@ from repro.server.service import (
 )
 
 FORMULA = "EP[<0.3](not_infected U[0,1] infected)"
+
+LEAF = "E[>0.1](infected)"
 
 
 def check_request(**overrides):
@@ -95,6 +103,8 @@ class TestValidation:
             {**check_request(), "command": "csat", "theta": 10**400},
             check_request(deadline=5.0, options={"deadline": "soon"}),
             check_request(max_solves=5, options={"max_solves": float("nan")}),
+            check_request(options={"until_method": "simple"}),
+            check_request(occupancy=[0.8, 10**400, 0.05]),
         ],
     )
     def test_bad_request_is_400(self, service, payload):
@@ -474,6 +484,113 @@ class TestCoalescing:
         assert results["tight"][0] == 503
         assert results["free"][0] == 200
         assert results["free"][1]["verdict"]["holds"] is True
+
+
+class TestFailureContainment:
+    """Every failure answers its request and releases the in-flight key."""
+
+    @pytest.fixture
+    def svc(self):
+        # A key left in flight makes the identical retry wait out
+        # coalesce_timeout and answer 503: keep that wait short.
+        svc = CheckingService(ServerConfig(coalesce_timeout=2.0))
+        yield svc
+        svc.close()
+
+    def test_unexpected_error_is_500_then_the_key_recovers(
+        self, svc, monkeypatch
+    ):
+        original = MFModelChecker.check_detailed
+        calls = []
+
+        def flaky(self, formula, occupancy, ctx=None):
+            calls.append(formula)
+            if len(calls) == 1:
+                raise RuntimeError("injected: not a library error")
+            return original(self, formula, occupancy, ctx=ctx)
+
+        monkeypatch.setattr(MFModelChecker, "check_detailed", flaky)
+        status, body = svc.handle(check_request())
+        assert status == 500
+        assert body["error_class"] == "RuntimeError"
+        assert body["exit_code"] == EXIT_CHECKING_ERROR
+        assert svc._inflight == {}
+        status, body = svc.handle(check_request())
+        assert status == 200
+        assert body["cache"]["hit"] is False
+        assert len(calls) == 2
+
+    def test_coalesced_peer_shares_the_error(self, svc, monkeypatch):
+        started = threading.Event()
+
+        def failing(self, formula, occupancy, ctx=None):
+            started.set()
+            time.sleep(0.3)
+            raise RuntimeError("injected: not a library error")
+
+        monkeypatch.setattr(MFModelChecker, "check_detailed", failing)
+        results = {}
+        first = threading.Thread(
+            target=lambda: results.update(first=svc.handle(check_request()))
+        )
+        first.start()
+        assert started.wait(timeout=30)
+        results["peer"] = svc.handle(check_request())
+        first.join(timeout=30)
+        assert results["first"][0] == 500
+        status, body = results["peer"]
+        assert status == 500
+        assert body["error_class"] == "RuntimeError"
+        assert body["cache"]["coalesced"] is True
+        assert svc._inflight == {}
+
+    def test_ode_chain_failure_is_500_and_caches_nothing(
+        self, svc, monkeypatch
+    ):
+        def failing(self, signature, q_of_t, t_start, duration, rtol, atol):
+            raise NumericalError("injected: ode chain down")
+
+        monkeypatch.setattr(EvaluationContext, "_transient_ode", failing)
+        status, body = svc.handle(check_request())
+        assert status == 500
+        assert body["error_class"] == "NumericalError"
+        assert body["exit_code"] == EXIT_CHECKING_ERROR
+        for entry in svc._entries.values():
+            assert not entry.responses
+            for ctx in entry.contexts.values():
+                assert ctx.export_transient_cache() == {}
+        monkeypatch.undo()
+        status, body = svc.handle(check_request())
+        assert status == 200
+        assert body["cache"]["hit"] is False
+        assert body["verdict"]["quality"] == "exact"
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["(" * 200 + LEAF + ")" * 200, " & ".join([LEAF] * 1000)],
+        ids=["200-parentheses", "1000-term-chain"],
+    )
+    def test_too_deep_formula_is_400(self, svc, on_fresh_thread, formula):
+        status, body = on_fresh_thread(
+            svc.handle, check_request(formula=formula)
+        )
+        assert status == 400
+        assert body["exit_code"] == EXIT_FORMULA_ERROR
+        assert "nested too deeply" in body["message"]
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["(" * 100 + LEAF + ")" * 100, " & ".join([LEAF] * 900)],
+        ids=["100-parentheses", "900-term-chain"],
+    )
+    def test_deep_formula_within_reach_still_checks(
+        self, svc, on_fresh_thread, formula
+    ):
+        status, body = on_fresh_thread(
+            svc.handle, check_request(formula=formula)
+        )
+        assert status == 200
+        assert body["verdict"]["holds"] is True
 
 
 class TestAdmission:

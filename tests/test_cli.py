@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.checking.context import EvaluationContext
 from repro.cli import (
     EXIT_BUDGET_EXCEEDED,
     EXIT_CHECKING_ERROR,
@@ -24,6 +25,16 @@ from repro.exceptions import (
     UnsupportedFormulaError,
     WorkerError,
 )
+
+
+LEAF = "E[>0.1](infected)"
+
+
+def _check_args(formula):
+    return [
+        "check", "--model", "virus1", "--occupancy", "0.8,0.15,0.05",
+        formula,
+    ]
 
 
 class TestParser:
@@ -306,6 +317,38 @@ class TestExitCodes:
         )
         assert code == EXIT_FORMULA_ERROR
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["(" * 200 + LEAF + ")" * 200, " & ".join([LEAF] * 1000)],
+        ids=["200-parentheses", "1000-term-chain"],
+    )
+    def test_too_deep_formula_exits_3(
+        self, capsys, on_fresh_thread, formula
+    ):
+        code = on_fresh_thread(main, _check_args(formula))
+        assert code == EXIT_FORMULA_ERROR
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["(" * 100 + LEAF + ")" * 100, " & ".join([LEAF] * 900)],
+        ids=["100-parentheses", "900-term-chain"],
+    )
+    def test_deep_formula_within_reach_still_checks(
+        self, capsys, on_fresh_thread, formula
+    ):
+        assert on_fresh_thread(main, _check_args(formula)) == 0
+        assert "SATISFIED" in capsys.readouterr().out
+
+    def test_ode_chain_failure_exits_4(self, capsys, monkeypatch):
+        def failing(self, signature, q_of_t, t_start, duration, rtol, atol):
+            raise NumericalError("injected: ode chain down")
+
+        monkeypatch.setattr(EvaluationContext, "_transient_ode", failing)
+        code = main(_check_args("EP[<0.3](not_infected U[0,1] infected)"))
+        assert code == EXIT_CHECKING_ERROR
+        assert "injected: ode chain down" in capsys.readouterr().err
 
     def test_expired_deadline_exits_5_with_progress(self, capsys):
         code = main(
