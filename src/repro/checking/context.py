@@ -54,7 +54,7 @@ from repro.exceptions import NumericalError, SteadyStateError
 from repro.instrumentation import EvalStats
 from repro.meanfield.overall_model import MeanFieldModel, validate_occupancy
 from repro.meanfield.stationary import find_fixed_point, stationary_from_long_run
-from repro.resilience import Budget, ResultQuality
+from repro.resilience import Budget
 
 #: The generator memo is cleared wholesale beyond this many entries; with
 #: K local states an entry is one (K, K) float array, so the bound keeps
@@ -212,13 +212,10 @@ class EvaluationContext:
     @options.setter
     def options(self, value: CheckOptions) -> None:
         self._options = value
-        self._rtol = value.ode_rtol
-        self._atol = value.ode_atol
         self._residual_tol = value.residual_tol
-        # Pre-built tail of the transient-matrix cache key: with no
-        # per-call tolerance overrides (the overwhelmingly common case)
-        # the hot path concatenates this tuple instead of assembling
-        # three fields per query.
+        # Pre-built tail of the transient-matrix cache key: every
+        # tolerance that shapes the answer, so the hot path concatenates
+        # this tuple instead of assembling three fields per query.
         self._key_tail = (
             value.ode_rtol,
             value.ode_atol,
@@ -395,8 +392,6 @@ class EvaluationContext:
         q_of_t: Callable[[float], np.ndarray],
         t_start: float,
         duration: float,
-        rtol: Optional[float] = None,
-        atol: Optional[float] = None,
     ) -> np.ndarray:
         """Cached ``Π(t_start, t_start + duration)`` for a transformed chain.
 
@@ -407,8 +402,8 @@ class EvaluationContext:
             context's base generator — e.g. ``("absorbing", frozenset)``
             or ``("goal", partition)``.  Two calls with equal signatures
             **must** describe the same generator function; the cache key
-            is (signature, t_start, duration, solver tolerances,
-            residual tolerance).
+            is (signature, t_start, duration, ``ode_rtol``, ``ode_atol``,
+            ``residual_tol``) — see :meth:`_transient_key`.
         q_of_t:
             The transformed generator function, used only on a miss.
 
@@ -419,9 +414,25 @@ class EvaluationContext:
             same array is returned to every caller with the same key.
         """
         return self._cached_transient(
-            self._transient_ladder,
-            signature, q_of_t, t_start, duration, rtol, atol,
+            self._transient_ladder, signature, q_of_t, t_start, duration
         )
+
+    def _transient_key(
+        self, signature: Hashable, t_start: float, duration: float
+    ) -> tuple:
+        """The transient-cache key of one window.
+
+        Every tolerance that shapes the answer — including the residual
+        self-verification bound — is part of the key (the hoisted
+        ``_key_tail``, see the ``options`` setter): a matrix solved
+        under loose settings must never be served after the options
+        were tightened.
+        """
+        return (
+            signature,
+            round(float(t_start), _KEY_DECIMALS),
+            round(float(duration), _KEY_DECIMALS),
+        ) + self._key_tail
 
     def _cached_transient(
         self,
@@ -430,37 +441,10 @@ class EvaluationContext:
         q_of_t: Callable[[float], np.ndarray],
         t_start: float,
         duration: float,
-        rtol: Optional[float],
-        atol: Optional[float],
     ) -> np.ndarray:
         """:meth:`transient_matrix`'s cache probe; ``solve`` runs on a miss
         (:meth:`_transient_ode` once the sparse engine failed the window)."""
-        # Every tolerance that shapes the answer — including the
-        # residual self-verification bound — is part of the key: a
-        # matrix solved under loose settings must never be served after
-        # the options were tightened.  Without per-call overrides the
-        # tail of the key is the pre-hoisted options tuple
-        # (see the ``options`` setter), skipping three field reads and a
-        # 3-tuple build per query on the hot path.
-        if rtol is None and atol is None:
-            rtol, atol = self._rtol, self._atol
-            key = (
-                signature,
-                round(float(t_start), _KEY_DECIMALS),
-                round(float(duration), _KEY_DECIMALS),
-            ) + self._key_tail
-            self.stats.transient_fast_keys += 1
-        else:
-            rtol = self._rtol if rtol is None else rtol
-            atol = self._atol if atol is None else atol
-            key = (
-                signature,
-                round(float(t_start), _KEY_DECIMALS),
-                round(float(duration), _KEY_DECIMALS),
-                rtol,
-                atol,
-                self._residual_tol,
-            )
+        key = self._transient_key(signature, t_start, duration)
         pi = self._transient_cache.get(key)
         if pi is not None:
             self.stats.transient_cache_hits += 1
@@ -470,9 +454,7 @@ class EvaluationContext:
             self.budget.checkpoint(
                 f"transient_matrix @ {float(t_start):g}+{float(duration):g}"
             )
-        pi = solve(
-            signature, q_of_t, float(t_start), float(duration), rtol, atol
-        )
+        pi = solve(signature, q_of_t, float(t_start), float(duration))
         self._transient_cache[key] = pi
         return pi
 
@@ -482,8 +464,6 @@ class EvaluationContext:
         q_of_t: Callable[[float], np.ndarray],
         t_start: float,
         duration: float,
-        rtol: float,
-        atol: float,
     ) -> np.ndarray:
         """Serve ``Π`` from the sparse action engine, else the ODE chain.
 
@@ -491,7 +471,8 @@ class EvaluationContext:
         engine first; its :class:`~repro.exceptions.NumericalError`
         (refinement cap, no sparse transform) is recorded as one
         ``sparse -> ode`` downgrade (see docs/robustness.md).  Both
-        backends are tolerance-controlled, so the answer stays exact.
+        backends are tolerance-controlled, so the answer is the same to
+        tolerance either way.
         An ODE-chain failure propagates as the ``NumericalError`` naming
         every method it tried; budget errors always propagate.
         """
@@ -499,12 +480,8 @@ class EvaluationContext:
             try:
                 return self._transient_sparse(signature, t_start, duration)
             except NumericalError as exc:
-                self.trace.downgrade(
-                    "sparse", "ode", ResultQuality.EXACT, str(exc)
-                )
-        return self._transient_ode(
-            signature, q_of_t, t_start, duration, rtol, atol
-        )
+                self.trace.downgrade("sparse", "ode", str(exc))
+        return self._transient_ode(signature, q_of_t, t_start, duration)
 
     def _transient_sparse(
         self,
@@ -546,8 +523,6 @@ class EvaluationContext:
         q_of_t: Callable[[float], np.ndarray],
         t_start: float,
         duration: float,
-        rtol: float,
-        atol: float,
     ) -> np.ndarray:
         """Forward Kolmogorov solve through the stiff fallback chain."""
         if duration > 0.0:
@@ -573,8 +548,8 @@ class EvaluationContext:
             q_of_t,
             t_start,
             duration,
-            rtol=rtol,
-            atol=atol,
+            rtol=self.options.ode_rtol,
+            atol=self.options.ode_atol,
             fallbacks=self.options.solver_fallbacks,
             trace=self.trace,
             residual_tol=self.options.residual_tol,
@@ -662,8 +637,6 @@ class EvaluationContext:
         duration: float,
         vector: np.ndarray,
         side: str = "left",
-        rtol: Optional[float] = None,
-        atol: Optional[float] = None,
     ) -> np.ndarray:
         """``vector @ Π`` (``side="left"``) or ``Π @ vector`` (right).
 
@@ -675,8 +648,10 @@ class EvaluationContext:
         ever formed**.  A sparse-engine
         :class:`~repro.exceptions.NumericalError` (grid refinement cap)
         is recorded as one ``sparse -> ode`` downgrade and the window is
-        served by the ODE chain through the transient cache, without a
-        second engine attempt; budget errors always propagate.
+        served by the ODE chain through the transient cache; the cache
+        is probed before the engine, so a failed window costs one engine
+        attempt and one downgrade however often it is asked for.  Budget
+        errors always propagate.
 
         ``vector`` may be a single ``(K',)`` vector or an ``(M, K')``
         row-stacked block — on *both* sides: row ``i`` of the result is
@@ -690,7 +665,10 @@ class EvaluationContext:
         solve = self._transient_ladder
         if self.matrix_backend == "sparse":
             handle = self.action_engine(signature)
-            if handle is not None:
+            if handle is not None and (
+                self._transient_key(signature, t_start, duration)
+                not in self._transient_cache
+            ):
                 if self.budget is not None:
                     self.budget.checkpoint(
                         f"transient_apply @ {float(t_start):g}"
@@ -708,12 +686,10 @@ class EvaluationContext:
                         vector, float(t_start), float(duration), side=side
                     )
                 except NumericalError as exc:
-                    self.trace.downgrade(
-                        "sparse", "ode", ResultQuality.EXACT, str(exc)
-                    )
+                    self.trace.downgrade("sparse", "ode", str(exc))
                     solve = self._transient_ode
         pi = self._cached_transient(
-            solve, signature, q_of_t, t_start, duration, rtol, atol
+            solve, signature, q_of_t, t_start, duration
         )
         if side == "right":
             if block:

@@ -26,7 +26,6 @@ from repro.checking.local import LocalChecker
 from repro.checking.options import CheckOptions
 from repro.checking.steady import expected_steady_state_value
 from repro.exceptions import FormulaError
-from repro.resilience import ResultQuality
 from repro.logic.ast import (
     CslFormula,
     Expectation,
@@ -67,52 +66,33 @@ def _depth_guarded(method):
     return guarded
 
 
+#: The MF-CSL operators that compare an expectation value with a bound.
+_LEAVES = (Expectation, ExpectedSteadyState, ExpectedProbability)
+
+
 @dataclass(frozen=True)
 class Verdict:
-    """Quality-aware outcome of one satisfaction check.
+    """Outcome of one satisfaction check, ``m̄ ⊨ Ψ`` (Definition 6).
 
     Attributes
     ----------
     holds:
-        ``True`` / ``False`` when the verdict is trustworthy, ``None``
-        when the run degraded (see ``quality``) *and* some leaf value
-        landed within the recorded uncertainty of its threshold — the
-        comparison ``value ⋈ p`` could then flip under the error bar,
-        so it is reported as indeterminate rather than silently
-        resolved.
-    quality:
-        Worst :class:`~repro.resilience.ResultQuality` any number
-        feeding the verdict was computed at.  Both transient backends
-        are exact, so only a downgrade a caller records on
-        ``ctx.trace`` makes this anything but ``EXACT``.
+        Whether the formula holds; a verdict is truthy exactly when it
+        does.
     value:
         The leaf expectation value, for single-leaf formulas (``None``
         for boolean combinations).
     margin:
-        ``|value − threshold|`` for single-leaf formulas, the distance
-        an uncertainty would have to bridge to flip the verdict.
+        ``|value − threshold|`` for single-leaf formulas: how far the
+        value would have to move to flip the verdict.
     """
 
-    holds: "bool | None"
-    quality: ResultQuality
+    holds: bool
     value: "float | None" = None
     margin: "float | None" = None
 
-    @property
-    def indeterminate(self) -> bool:
-        """Whether the check could not be trusted either way."""
-        return self.holds is None
-
     def __bool__(self) -> bool:
-        # An indeterminate verdict must never silently pass a truth
-        # test; callers that can handle three-valued logic check
-        # ``.indeterminate`` first.
-        if self.holds is None:
-            raise FormulaError(
-                "verdict is indeterminate (degraded result within its "
-                "uncertainty of the threshold); inspect .quality and "
-                ".margin instead of coercing to bool"
-            )
+        # A frozen dataclass is always truthy without this.
         return self.holds
 
 
@@ -212,78 +192,31 @@ class MFModelChecker:
         occupancy: np.ndarray,
         ctx: Optional[EvaluationContext] = None,
     ) -> Verdict:
-        """Like :meth:`check`, but quality-aware (three-valued).
+        """Like :meth:`check`, but also report a single leaf's value.
 
-        When the context's trace records a downgrade at reduced
-        quality (no built-in backend does; see
-        :class:`~repro.resilience.ResultQuality`), a leaf whose value
-        lies within the recorded uncertainty (or
-        ``options.probability_tol``, whichever is larger) of its
-        threshold ``p`` is *indeterminate*: the comparison could flip
-        under the error bar.  Indeterminacy
-        propagates through ``not``/``and``/``or`` by Kleene's
-        three-valued logic, so ``false and unknown`` is still ``false``
-        but ``true and unknown`` stays unknown.
+        A single-leaf formula is evaluated once: ``holds`` compares that
+        value with the bound, unless the vacuity rewrite decided the
+        bound for every value (then ``holds`` is the rewrite's constant
+        and the value is still reported as written).  Any other formula
+        goes through :meth:`check`'s evaluator and carries no value.
         """
         psi = self._as_mfcsl(formula)
         if ctx is None:
             ctx = self.context(occupancy)
-        holds = self._check_three_valued(self._prepared(psi, ctx), ctx)
-        value = margin = None
-        if isinstance(
-            psi, (Expectation, ExpectedSteadyState, ExpectedProbability)
-        ):
+        prepared = self._prepared(psi, ctx)
+        if not isinstance(psi, _LEAVES):
+            return Verdict(holds=self._check(prepared, ctx))
+        if isinstance(prepared, _LEAVES):
+            value = self._leaf_value(prepared, ctx)
+            holds = prepared.bound.holds(value)
+        else:
             value = self._leaf_value(psi, ctx)
-            margin = abs(value - psi.bound.threshold)
+            holds = self._check(prepared, ctx)
         return Verdict(
             holds=holds,
-            quality=ctx.trace.quality,
             value=value,
-            margin=margin,
+            margin=abs(value - psi.bound.threshold),
         )
-
-    def _check_three_valued(
-        self, psi: MfCslFormula, ctx: EvaluationContext
-    ) -> "bool | None":
-        if isinstance(psi, MfTrue):
-            return True
-        if isinstance(psi, MfNot):
-            inner = self._check_three_valued(psi.operand, ctx)
-            return None if inner is None else not inner
-        if isinstance(psi, MfAnd):
-            left = self._check_three_valued(psi.left, ctx)
-            right = self._check_three_valued(psi.right, ctx)
-            if left is False or right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if isinstance(psi, MfOr):
-            left = self._check_three_valued(psi.left, ctx)
-            right = self._check_three_valued(psi.right, ctx)
-            if left is True or right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        if isinstance(
-            psi, (Expectation, ExpectedSteadyState, ExpectedProbability)
-        ):
-            value = self._leaf_value(psi, ctx)
-            if ctx.trace.quality != ResultQuality.EXACT:
-                slack = max(
-                    ctx.trace.uncertainty, ctx.options.probability_tol
-                )
-                if abs(value - psi.bound.threshold) <= slack:
-                    ctx.trace.note(
-                        f"indeterminate leaf {psi}: value {value:.6g} "
-                        f"within {slack:.2e} of threshold "
-                        f"{psi.bound.threshold:g} at "
-                        f"{ctx.trace.quality.describe()} quality"
-                    )
-                    return None
-            return psi.bound.holds(value)
-        raise FormulaError(f"not an MF-CSL formula: {psi!r}")
 
     def _check(self, psi: MfCslFormula, ctx: EvaluationContext) -> bool:
         if isinstance(psi, MfTrue):
@@ -294,7 +227,7 @@ class MFModelChecker:
             return self._check(psi.left, ctx) and self._check(psi.right, ctx)
         if isinstance(psi, MfOr):
             return self._check(psi.left, ctx) or self._check(psi.right, ctx)
-        if isinstance(psi, (Expectation, ExpectedSteadyState, ExpectedProbability)):
+        if isinstance(psi, _LEAVES):
             return psi.bound.holds(self._leaf_value(psi, ctx))
         raise FormulaError(f"not an MF-CSL formula: {psi!r}")
 
@@ -312,9 +245,7 @@ class MFModelChecker:
         :class:`FormulaError` for non-leaf formulas.
         """
         psi = self._as_mfcsl(formula)
-        if not isinstance(
-            psi, (Expectation, ExpectedSteadyState, ExpectedProbability)
-        ):
+        if not isinstance(psi, _LEAVES):
             raise FormulaError(
                 "value() is defined for E/ES/EP leaves only; "
                 f"got {psi!r}"
@@ -327,9 +258,9 @@ class MFModelChecker:
         # Under ``"all"`` every leaf shares the context's local checker,
         # so repeated subformulas reuse each other's satisfaction sets,
         # curves and path-probability vectors — an ``EP`` leaf checked
-        # again (with any threshold, or by ``check_detailed``'s second
-        # pass) costs one dot product; under ``"none"`` each leaf gets
-        # a fresh checker.
+        # again (with any threshold, or by ``explain`` after a check)
+        # costs one dot product; under ``"none"`` each leaf gets a fresh
+        # checker.
         shared = ctx._optimized
         checker = ctx.local_checker() if shared else LocalChecker(ctx)
         if isinstance(psi, Expectation):
@@ -519,14 +450,18 @@ class MFModelChecker:
         self,
         formula: FormulaLike,
         occupancy: np.ndarray,
+        ctx: Optional[EvaluationContext] = None,
     ) -> "list[Tuple[str, float, bool]]":
         """Evaluate every expectation leaf of ``Ψ`` and report its verdict.
 
         Returns ``(leaf-text, value, holds)`` triples in parse order —
-        handy for understanding *why* a conjunction failed.
+        handy for understanding *why* a conjunction failed.  Pass the
+        context a check ran on to reuse its work (under ``"all"`` the
+        leaves it already evaluated cost a memo lookup).
         """
         psi = self._as_mfcsl(formula)
-        ctx = self.context(occupancy)
+        if ctx is None:
+            ctx = self.context(occupancy)
         report: "list[Tuple[str, float, bool]]" = []
 
         def walk(node: MfCslFormula) -> None:
@@ -535,9 +470,7 @@ class MFModelChecker:
             elif isinstance(node, (MfAnd, MfOr)):
                 walk(node.left)
                 walk(node.right)
-            elif isinstance(
-                node, (Expectation, ExpectedSteadyState, ExpectedProbability)
-            ):
+            elif isinstance(node, _LEAVES):
                 value = self._leaf_value(node, ctx)
                 report.append((str(node), value, node.bound.holds(value)))
 

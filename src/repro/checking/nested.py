@@ -124,7 +124,6 @@ class TimeVaryingUntil:
             raise CheckingError(f"empty window [{a}, {b}]")
         if b == a:
             return np.eye(self._k + 1)
-        rtol, atol = self.ctx.options.ode_rtol, self.ctx.options.ode_atol
         points = [a] + self._events_in(a, b) + [b]
         result = np.eye(self._k + 1)
         prev_partition: Optional[UntilPartition] = None
@@ -142,8 +141,6 @@ class TimeVaryingUntil:
                 goal_generator_function(self._q_of_t, partition),
                 u,
                 v - u,
-                rtol=rtol,
-                atol=atol,
             )
             result = result @ pi
             prev_partition = partition
@@ -164,7 +161,6 @@ class TimeVaryingUntil:
             raise CheckingError(f"empty window [{a}, {b}]")
         if b == a:
             return np.eye(self._k + 1)
-        rtol, atol = self.ctx.options.ode_rtol, self.ctx.options.ode_atol
         points = [a] + self._events_in(a, b) + [b]
         result = np.eye(self._k + 1)
         first = True
@@ -179,8 +175,6 @@ class TimeVaryingUntil:
                 ),
                 u,
                 v - u,
-                rtol=rtol,
-                atol=atol,
             )
             result = result @ pi
             first = False
@@ -206,7 +200,6 @@ class TimeVaryingUntil:
         if b == a:
             live = self.gamma1.at(a)
             return np.diag([1.0 if s in live else 0.0 for s in range(k)])
-        rtol, atol = self.ctx.options.ode_rtol, self.ctx.options.ode_atol
         events = [
             e
             for e in self.gamma1.boundaries()
@@ -227,8 +220,7 @@ class TimeVaryingUntil:
                 )
 
             pi = self.ctx.transient_matrix(
-                ("absorbing", all_states - live), q_mod, u, v - u,
-                rtol=rtol, atol=atol,
+                ("absorbing", all_states - live), q_mod, u, v - u
             )
             result = result @ pi
             prev_live = live
@@ -303,7 +295,6 @@ class TimeVaryingUntil:
             for s in undecided:
                 holds[s] = bound.holds(0.0)
             return frozenset(s for s, h in holds.items() if h)
-        rtol, atol = self.ctx.options.ode_rtol, self.ctx.options.ode_atol
         points = [a] + self._events_in(a, b) + [b]
         total = len(points) - 1
         if not undecided:
@@ -332,8 +323,6 @@ class TimeVaryingUntil:
                 goal_generator_function(self._q_of_t, partition),
                 u,
                 v - u,
-                rtol=rtol,
-                atol=atol,
             )
             result = result @ pi
             prev_partition = partition

@@ -289,7 +289,6 @@ def until_probabilities_simple(
     all_states = frozenset(range(k))
     q_of_t = ctx.generator_function()
     t1, t2 = interval.lower, interval.upper
-    rtol, atol = ctx.options.ode_rtol, ctx.options.ode_atol
 
     absorbed2 = (all_states - gamma1) | gamma2
     q_phase2 = absorbing_generator_function(q_of_t, absorbed2)
@@ -302,7 +301,7 @@ def until_probabilities_simple(
         indicator2[sorted(gamma2)] = 1.0
         reach_gamma2 = ctx.transient_apply(
             ("absorbing", absorbed2), q_phase2, t + t1, t2 - t1,
-            indicator2, side="right", rtol=rtol, atol=atol,
+            indicator2, side="right",
         )
     else:
         reach_gamma2 = np.zeros(k)
@@ -331,7 +330,7 @@ def until_probabilities_simple(
     return np.clip(
         ctx.transient_apply(
             ("absorbing", absorbed1), q_phase1, t, t1,
-            masked, side="right", rtol=rtol, atol=atol,
+            masked, side="right",
         ),
         0.0,
         1.0,

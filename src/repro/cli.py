@@ -52,7 +52,6 @@ from repro.exceptions import (
     EXIT_BUDGET_EXCEEDED,
     EXIT_CHECKING_ERROR,
     EXIT_FORMULA_ERROR,
-    EXIT_INDETERMINATE,
     EXIT_MODEL_ERROR,
     EXIT_NOT_SATISFIED,
     EXIT_SATISFIED,
@@ -152,23 +151,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     checker = _build_checker(args)
     occupancy = _parse_occupancy(args.occupancy)
     ctx = checker.context(occupancy)
-    verdict = checker.check_detailed(args.formula, occupancy, ctx=ctx)
-    if verdict.indeterminate:
-        print("INDETERMINATE")
-        print(
-            f"    result quality {verdict.quality.describe()}; a leaf "
-            f"value lies within its uncertainty of the threshold"
-        )
-    else:
-        print("SATISFIED" if verdict.holds else "NOT SATISFIED")
+    holds = checker.check(args.formula, occupancy, ctx=ctx)
+    print("SATISFIED" if holds else "NOT SATISFIED")
     if args.explain:
-        for text, value, holds in checker.explain(args.formula, occupancy):
-            print(f"    {text}: value={value:.6f} -> {holds}")
+        report = checker.explain(args.formula, occupancy, ctx=ctx)
+        for text, value, leaf_holds in report:
+            print(f"    {text}: value={value:.6f} -> {leaf_holds}")
     if args.diagnose:
         _print_diagnostics(ctx)
-    if verdict.indeterminate:
-        return EXIT_INDETERMINATE
-    return EXIT_SATISFIED if verdict.holds else EXIT_NOT_SATISFIED
+    return EXIT_SATISFIED if holds else EXIT_NOT_SATISFIED
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
@@ -379,10 +370,7 @@ def _summarize_batch_item(body: dict) -> str:
             f"{body.get('message', body)}"
         )
     if "verdict" in body:
-        verdict = body["verdict"]
-        if verdict.get("indeterminate"):
-            return f"INDETERMINATE (quality {verdict.get('quality')})"
-        return "SATISFIED" if verdict.get("holds") else "NOT SATISFIED"
+        return "SATISFIED" if body["verdict"].get("holds") else "NOT SATISFIED"
     if "value" in body:
         return f"{body['value']:.10f}"
     if "intervals" in body:
@@ -497,12 +485,7 @@ def _run_query_single(client, args: argparse.Namespace) -> int:
             print(f"progress: {parts}", file=sys.stderr)
         return int(body.get("exit_code", EXIT_CHECKING_ERROR))
     if args.query_command == "check":
-        verdict = body["verdict"]
-        if verdict["indeterminate"]:
-            print("INDETERMINATE")
-            print(f"    result quality {verdict['quality']}")
-        else:
-            print("SATISFIED" if verdict["holds"] else "NOT SATISFIED")
+        print("SATISFIED" if body["verdict"]["holds"] else "NOT SATISFIED")
     elif args.query_command == "value":
         print(f"{body['value']:.10f}")
     else:

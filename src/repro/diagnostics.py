@@ -42,7 +42,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from repro.exceptions import NumericalError
-from repro.resilience import RHS_CHECK_INTERVAL, Budget, ResultQuality
+from repro.resilience import RHS_CHECK_INTERVAL, Budget
 
 #: Stiff methods tried, in order, after the primary method fails.
 DEFAULT_FALLBACKS: Tuple[str, ...] = ("Radau", "LSODA")
@@ -131,43 +131,35 @@ class ResidualRecord:
 
 @dataclass
 class DowngradeRecord:
-    """One rung descent of the graceful degradation ladder.
+    """One descent of the transient backend ladder.
 
     Records which backend failed (``from_rung``), what the computation
-    fell back to (``to_rung``), why, the quality tag of the replacement
-    and — for non-exact replacements — the estimated uncertainty of the
-    substituted answer.  The checker itself records only ``sparse ->
-    ode`` descents, which stay ``EXACT``.
+    fell back to (``to_rung``) and why.  The checker records only
+    ``sparse -> ode`` descents; both backends are tolerance-controlled,
+    so a descent changes the cost of a window, never the verdict.
     """
 
     from_rung: str
     to_rung: str
-    quality: ResultQuality
     reason: str
-    uncertainty: float = 0.0
 
     def describe(self) -> str:
-        extra = (
-            f", uncertainty {self.uncertainty:.2e}"
-            if self.uncertainty > 0.0
-            else ""
-        )
-        return (
-            f"{self.from_rung} -> {self.to_rung} "
-            f"[{self.quality.describe()}{extra}]: {self.reason}"
-        )
+        return f"{self.from_rung} -> {self.to_rung}: {self.reason}"
 
 
 class DiagnosticTrace:
-    """Structured record of solver choices, fallbacks and residual checks.
+    """Structured record of solver choices, fallbacks, residual checks
+    and backend downgrades.
 
     One trace hangs off every
     :class:`~repro.checking.context.EvaluationContext` as ``ctx.trace``
     and is shared with derived contexts, mirroring how ``ctx.stats``
     aggregates counters over a logical checking run.  When built with a
     ``stats`` reference it also feeds the
-    ``solver_fallbacks`` / ``residual_checks`` / ``residual_warnings``
-    counters of :class:`~repro.instrumentation.EvalStats`.
+    ``solver_fallbacks`` / ``residual_checks`` / ``residual_warnings`` /
+    ``ladder_downgrades`` counters of
+    :class:`~repro.instrumentation.EvalStats`.  The trace explains how
+    an answer was computed; verdicts never read it.
     """
 
     def __init__(self, stats=None):
@@ -198,20 +190,11 @@ class DiagnosticTrace:
         self.notes.append(str(message))
 
     def downgrade(
-        self,
-        from_rung: str,
-        to_rung: str,
-        quality: ResultQuality,
-        reason: str,
-        uncertainty: float = 0.0,
+        self, from_rung: str, to_rung: str, reason: str
     ) -> DowngradeRecord:
-        """Record one descent of the graceful degradation ladder."""
+        """Record one descent of the transient backend ladder."""
         record = DowngradeRecord(
-            from_rung=from_rung,
-            to_rung=to_rung,
-            quality=quality,
-            reason=str(reason),
-            uncertainty=float(uncertainty),
+            from_rung=from_rung, to_rung=to_rung, reason=str(reason)
         )
         self.downgrades.append(record)
         if self.stats is not None:
@@ -221,25 +204,6 @@ class DiagnosticTrace:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    @property
-    def quality(self) -> ResultQuality:
-        """The weakest guarantee any recorded result carries.
-
-        ``EXACT`` unless a downgrade was recorded with a non-exact
-        quality (only callers of :meth:`downgrade` outside the checker
-        do so: both transient backends are exact).  Verdict logic treats
-        non-exact runs whose leaf value sits within :attr:`uncertainty`
-        of the threshold as indeterminate.
-        """
-        return max(
-            (d.quality for d in self.downgrades), default=ResultQuality.EXACT
-        )
-
-    @property
-    def uncertainty(self) -> float:
-        """Largest substituted-answer uncertainty across all downgrades."""
-        return max((d.uncertainty for d in self.downgrades), default=0.0)
 
     @property
     def num_fallbacks(self) -> int:
@@ -290,11 +254,7 @@ class DiagnosticTrace:
             f"monotone {maxima['monotone']:.2e}"
         )
         if self.downgrades:
-            lines.append(
-                f"  result quality: {self.quality.describe()} "
-                f"({len(self.downgrades)} ladder downgrades, "
-                f"uncertainty {self.uncertainty:.2e})"
-            )
+            lines.append(f"  ladder downgrades: {len(self.downgrades)}")
             for record in self.downgrades:
                 lines.append(f"    downgrade: {record.describe()}")
         for warning in self.warnings:

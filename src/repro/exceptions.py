@@ -25,7 +25,6 @@ EXIT_FORMULA_ERROR = 3
 EXIT_CHECKING_ERROR = 4
 EXIT_BUDGET_EXCEEDED = 5
 EXIT_WORKER_FAILURE = 6
-EXIT_INDETERMINATE = 7
 
 
 def exit_code_for(exc: "ReproError") -> int:

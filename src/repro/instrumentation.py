@@ -187,12 +187,6 @@ class EvalStats:
     service_batch_item_errors:
         Batch items that produced an error response (the batch itself
         still succeeds — partial failure is per-item).
-    transient_fast_keys:
-        Transient-matrix queries whose cache key was assembled from the
-        pre-hoisted options tail (no per-call tolerance overrides) —
-        the dispatch micro-optimization on the ``transient_matrix`` hot
-        path; compare against ``transient_cache_hits + misses`` to see
-        its coverage.
     """
 
     rhs_evaluations: int = 0
@@ -244,7 +238,6 @@ class EvalStats:
     service_batch_requests: int = 0
     service_batch_items: int = 0
     service_batch_item_errors: int = 0
-    transient_fast_keys: int = 0
 
     def reset(self) -> None:
         """Zero every counter in place."""

@@ -1,4 +1,4 @@
-"""Execution budgets and result-quality provenance for the checkers.
+"""Execution budgets for the checkers.
 
 PR 3 hardened the *numerics* (solver fallback chains, residual
 self-verification); this module guards the *execution* layer.  A stiff
@@ -20,20 +20,10 @@ A violated budget raises
 :class:`~repro.exceptions.BudgetExceededError` carrying a
 partial-progress snapshot (what was completed before the limit hit), so
 callers never see a hang or a half-written answer.
-
-The second half of the contract is *provenance*: every downgrade
-recorded on a :class:`~repro.diagnostics.DiagnosticTrace` carries a
-:class:`ResultQuality` tag, so a verdict computed from a non-exact
-number near a threshold ``⋈ p`` is reported as indeterminate instead of
-silently flipped.  Both transient backends of
-:meth:`repro.checking.context.EvaluationContext.transient_matrix` — the
-sparse action engine and the ODE chain — are exact, so no built-in path
-records a non-exact quality today.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 import random
@@ -125,39 +115,6 @@ def full_jitter_backoff(
 #: The guarded right-hand side of :func:`repro.diagnostics.robust_solve_ivp`
 #: checks the deadline once per this many evaluations.
 RHS_CHECK_INTERVAL = 256
-
-
-class ResultQuality(enum.IntEnum):
-    """Provenance tag of a checking result.
-
-    Ordered worst-last so ``max`` over a run gives the weakest guarantee
-    any contributing solve carried.
-
-    - ``EXACT`` — every quantity came from a tolerance-controlled solve
-      (ODE chain or defect-controlled propagator).  Every built-in path
-      delivers this.
-    - ``DEGRADED`` — at least one recorded window carries an estimated,
-      not controlled, error.
-    - ``STATISTICAL`` — at least one recorded window was estimated by
-      sampling and carries a confidence interval, not an error bound.
-
-    The two non-exact tags have no producer in the checker; they are
-    recorded through :meth:`repro.diagnostics.DiagnosticTrace.downgrade`
-    by callers that substitute their own numbers, and drive the
-    three-valued :class:`repro.checking.global_.Verdict`.
-    """
-
-    EXACT = 0
-    DEGRADED = 1
-    STATISTICAL = 2
-
-    def describe(self) -> str:
-        return self.name.lower()
-
-
-def worst_quality(*qualities: ResultQuality) -> ResultQuality:
-    """The weakest guarantee among ``qualities`` (``EXACT`` when empty)."""
-    return max(qualities, default=ResultQuality.EXACT)
 
 
 class Budget:

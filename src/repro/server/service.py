@@ -72,7 +72,6 @@ from repro.checking.context import EvaluationContext
 from repro.exceptions import (
     EXIT_BUDGET_EXCEEDED,
     EXIT_CHECKING_ERROR,
-    EXIT_INDETERMINATE,
     EXIT_NOT_SATISFIED,
     EXIT_SATISFIED,
     CheckingError,
@@ -87,14 +86,13 @@ from repro.resilience import Budget, check_limit
 from repro.server.supervisor import ISOLATION_MODES, QuerySupervisor
 
 #: HTTP status per CLI exit code (documented in docs/serving.md).  The
-#: three *answer* codes — satisfied, not satisfied, indeterminate — are
-#: all successful checks (200); bad inputs are client errors (400);
+#: two *answer* codes — satisfied, not satisfied — are both successful
+#: checks (200); bad inputs are client errors (400);
 #: budget expiry is 503 (the service is fine, this request ran out of
 #: time); numerical and worker failures are server errors (500).
 HTTP_STATUS_BY_EXIT_CODE = {
     0: 200,
     1: 200,
-    7: 200,
     2: 400,
     3: 400,
     4: 500,
@@ -112,10 +110,11 @@ _VALID_COMMANDS = ("check", "value", "csat")
 _MISSING = object()
 
 _SPILL_FORMAT = "repro-server-spill"
-#: Bumped whenever the payload or the transient-cache key layout
-#: changes, so a file written under another layout is quarantined
-#: instead of loaded as entries no query can hit.
-_SPILL_VERSION = 3
+#: Bumped whenever the payload (including the shape of the cached
+#: response cores) or the transient-cache key layout changes, so a file
+#: written under another layout is quarantined instead of loaded as
+#: stale answers or entries no query can hit.
+_SPILL_VERSION = 4
 
 #: Spill file layout: magic, 32-byte sha256 of the pickled payload,
 #: payload.  The checksum is verified *before* unpickling, so a
@@ -1069,17 +1068,12 @@ class CheckingService:
             )
             core["verdict"] = {
                 "holds": verdict.holds,
-                "indeterminate": verdict.indeterminate,
-                "quality": verdict.quality.describe(),
                 "value": verdict.value,
                 "margin": verdict.margin,
             }
-            if verdict.indeterminate:
-                core["exit_code"] = EXIT_INDETERMINATE
-            elif verdict.holds:
-                core["exit_code"] = EXIT_SATISFIED
-            else:
-                core["exit_code"] = EXIT_NOT_SATISFIED
+            core["exit_code"] = (
+                EXIT_SATISFIED if verdict.holds else EXIT_NOT_SATISFIED
+            )
         elif spec.command == "value":
             core["value"] = float(
                 entry.checker.value(spec.formula, spec.occupancy, ctx=ctx)

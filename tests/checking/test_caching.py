@@ -75,9 +75,12 @@ class TestTransientCache:
         ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
         ctx1.transient_matrix(sig, q_abs, 0.0, 2.0)
         ctx1.transient_matrix(sig, q_abs, 1.0, 1.0)
-        ctx1.transient_matrix(sig, q_abs, 0.0, 1.0, rtol=1e-6, atol=1e-9)
+        ctx1.options = ctx1.options.with_(ode_rtol=1e-6)
+        ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
+        ctx1.options = ctx1.options.with_(ode_atol=1e-9)
+        ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
         assert ctx1.stats.transient_cache_hits == 0
-        assert ctx1.stats.transient_cache_misses == 4
+        assert ctx1.stats.transient_cache_misses == 5
 
     def test_residual_tol_change_misses_cache(self, virus1, m_example1):
         """Regression: the transient cache key must include the solver
@@ -98,33 +101,6 @@ class TestTransientCache:
         ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
         assert ctx.stats.transient_cache_hits == 1
 
-    def test_fast_key_path_shares_the_cache_with_explicit_args(
-        self, virus1, m_example1
-    ):
-        """The hoisted-key fast path (no per-call overrides) must build
-        the *same* cache key as an explicit call passing the options'
-        own tolerances — one solve, served to both spellings."""
-        ctx = EvaluationContext(virus1, m_example1)
-        q_abs = absorbing_generator_function(
-            ctx.generator_function(), INFECTED
-        )
-        sig = ("absorbing", INFECTED)
-        fast = ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
-        assert ctx.stats.transient_fast_keys == 1
-        explicit = ctx.transient_matrix(
-            sig,
-            q_abs,
-            0.0,
-            1.0,
-            rtol=ctx.options.ode_rtol,
-            atol=ctx.options.ode_atol,
-        )
-        assert explicit is fast  # same cache entry, not a re-solve
-        assert ctx.stats.transient_cache_hits == 1
-        assert ctx.stats.transient_cache_misses == 1
-        # The explicit spelling bypassed the hoisted tail.
-        assert ctx.stats.transient_fast_keys == 1
-
     def test_fast_key_tail_tracks_option_updates(self, virus1, m_example1):
         ctx = EvaluationContext(virus1, m_example1)
         q_abs = absorbing_generator_function(
@@ -132,11 +108,10 @@ class TestTransientCache:
         )
         sig = ("absorbing", INFECTED)
         ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
-        # Changing an option re-hoists the key tail: the fast path must
-        # miss (new tolerances) instead of serving the stale matrix.
+        # Changing an option re-hoists the key tail: the same window
+        # must miss (new tolerances) instead of serving the stale matrix.
         ctx.options = ctx.options.with_(ode_rtol=1e-6)
         ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
-        assert ctx.stats.transient_fast_keys == 2
         assert ctx.stats.transient_cache_hits == 0
         assert ctx.stats.transient_cache_misses == 2
 

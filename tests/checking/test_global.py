@@ -1,11 +1,49 @@
 """Tests for the MF-CSL checker (Section V-A)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.checking import CheckOptions, MFModelChecker
+from repro.checking.global_ import Verdict
 from repro.exceptions import FormulaError, InvalidOccupancyError
 from repro.logic.parser import parse_mfcsl
+from repro.models.virus import SETTING_1, SETTING_2, virus_model
+
+M_E1 = (0.8, 0.15, 0.05)
+M_E6 = (0.85, 0.1, 0.05)
+M_HEAVY = (0.1, 0.5, 0.4)
+PSI1 = "E[>0.8](P[>0.9](infected U[0,15] (P[>0.8](tt U[0,0.5] infected))))"
+E6 = f"{PSI1} & E[<0.1](active)"
+PHI1 = {"start_convention": "phi1"}
+NESTED = {"until_method": "nested"}
+
+#: ``(setting, options, formula, occupancy)``: every formula the paper
+#: tests and the paper's benchmark queries check (cSat formulas checked
+#: at t = 0), plus vacuous bounds the rewrite folds, at the top and
+#: inside a leaf.
+VERDICT_CASES = [
+    (SETTING_1, {}, "EP[<0.3](not_infected U[0,1] infected)", M_E1),
+    (SETTING_1, PHI1, "EP[<0.3](not_infected U[0,1] infected)", M_E1),
+    (SETTING_1, {}, "tt", M_E1),
+    (SETTING_2, {}, "E[<0.1](active)", M_E6),
+    (SETTING_2, {}, PSI1, M_E6),
+    (SETTING_2, {}, E6, M_E6),
+    (SETTING_2, NESTED, E6, M_E6),
+    (SETTING_2, {}, "E[>0.1](P[>0.8](tt U[0,0.5] infected))", M_E6),
+    (SETTING_1, {}, "E[>0.8](infected)", M_HEAVY),
+    (SETTING_1, {}, "E[>0.8](infected)", M_E1),
+    (SETTING_1, {}, "E[>0.8](infected)", (0.2, 0.5, 0.3)),
+    (SETTING_1, {}, "E[>=0.8](infected)", (0.2, 0.5, 0.3)),
+    (SETTING_1, {}, "ES[>=0.1](infected)", M_E1),
+    (SETTING_2, {}, "ES[>=0.1](infected)", M_E6),
+    (SETTING_1, {}, "EP[<0.4](infected U[0,5] not_infected)", M_E1),
+    (SETTING_1, {}, "E[>=0](infected)", M_E1),
+    (SETTING_1, {}, "EP[>1](not_infected U[0,1] infected)", M_E1),
+    (SETTING_1, {}, "E[>0.5](P[>=0](not_infected U[0,1] infected))", M_E1),
+    (SETTING_1, {}, "!E[>0.3](infected) | EP[<0](tt U[0,1] infected)", M_E1),
+]
 
 
 @pytest.fixture
@@ -106,6 +144,16 @@ class TestDiagnostics:
         assert report[0][1] == pytest.approx(0.2)  # infected fraction
         assert report[0][2] is False
 
+    def test_explain_reuses_the_check_context(self, virus2, m_example2):
+        checker = MFModelChecker(virus2)
+        ctx = checker.context(m_example2)
+        assert not checker.check_detailed(E6, m_example2, ctx=ctx)
+        solves = ctx.stats.solve_ivp_calls
+        assert solves > 0
+        report = checker.explain(E6, m_example2, ctx=ctx)
+        assert [holds for _, _, holds in report] == [False, True]
+        assert ctx.stats.solve_ivp_calls == solves
+
     def test_invalid_occupancy_rejected(self, checker):
         with pytest.raises(InvalidOccupancyError):
             checker.check("tt", np.array([0.5, 0.2, 0.1]))
@@ -130,3 +178,48 @@ class TestCurves:
             "not_infected U[0,1] infected", m_example1, theta=5.0
         )
         assert curve.value(0.0, 0) == pytest.approx(0.0424, abs=2e-3)
+
+
+class TestVerdict:
+    def test_verdict_is_two_valued(self):
+        assert [f.name for f in fields(Verdict)] == ["holds", "value", "margin"]
+        assert bool(Verdict(holds=True)) is True
+        # A frozen dataclass would always be truthy without __bool__.
+        assert bool(Verdict(holds=False, value=0.2, margin=0.05)) is False
+
+    def test_leaf_verdict_reports_value_and_margin(self, checker, m_example1):
+        verdict = checker.check_detailed("E[>0.25](infected)", m_example1)
+        assert verdict.holds is False
+        assert not verdict
+        assert verdict.value == pytest.approx(0.2)
+        assert verdict.margin == pytest.approx(0.05)
+        verdict = checker.check_detailed("E[<0.25](infected)", m_example1)
+        assert verdict.holds is True
+        assert verdict
+
+    def test_compound_verdict_carries_no_value(self, checker, m_example1):
+        verdict = checker.check_detailed(
+            "E[>0.05](infected) & E[>0.25](infected)", m_example1
+        )
+        assert verdict == Verdict(holds=False)
+
+    @pytest.mark.parametrize("mode", ["all", "none"])
+    @pytest.mark.parametrize(
+        "setting, options, formula, occupancy",
+        VERDICT_CASES,
+        ids=[f"{i}" for i in range(len(VERDICT_CASES))],
+    )
+    def test_detailed_holds_matches_check(
+        self, setting, options, formula, occupancy, mode
+    ):
+        checker = MFModelChecker(
+            virus_model(setting),
+            CheckOptions(formula_optimizations=mode, **options),
+        )
+        occ = np.array(occupancy)
+        verdict = checker.check_detailed(formula, occ)
+        assert verdict.holds is checker.check(formula, occ)
+        if verdict.value is not None:
+            assert verdict.value == pytest.approx(
+                checker.value(formula, occ), abs=1e-12
+            )

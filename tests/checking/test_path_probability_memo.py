@@ -3,10 +3,10 @@
 ``Prob(·, φ, m̄, t)`` does not depend on the threshold ``p`` of the
 ``EP``/``P`` operator that reads it, so the checker memoizes the vector
 per ``(path, t)``.  Under ``formula_optimizations="all"`` every leaf
-of a context shares one checker: re-thresholded leaves, the second
-evaluation inside ``check_detailed`` and nested ``P`` operands read the
-stored vector instead of re-running the transient actions — without
-changing a single bit of the answer.
+of a context shares one checker: re-thresholded leaves, a ``value`` or
+``explain`` after a check and nested ``P`` operands read the stored
+vector instead of re-running the transient actions — without changing a
+single bit of the answer.
 """
 
 import operator
@@ -125,17 +125,23 @@ class TestSolveCounts:
         assert len(simple_calls) == len(case.paths)
 
     def test_check_detailed_solves_a_single_leaf_once(self, case, simple_calls):
-        checker = MFModelChecker(case.model, case.options)
-        ctx = checker.context(case.occupancy)
-        path = case.paths[0]
-        verdict = checker.check_detailed(
-            f"EP[<0.5]({path})", case.occupancy, ctx=ctx
-        )
-        assert len(simple_calls) == 1
-        assert verdict.value == checker.value(
-            f"EP[<0.5]({path})", case.occupancy, ctx=ctx
-        )
-        assert len(simple_calls) == 1
+        formula = f"EP[<0.5]({case.paths[0]})"
+        for mode in ("all", "none"):
+            options = (case.options or CheckOptions()).with_(
+                formula_optimizations=mode
+            )
+            checker = MFModelChecker(case.model, options)
+            ctx = checker.context(case.occupancy)
+            simple_calls.clear()
+            verdict = checker.check_detailed(formula, case.occupancy, ctx=ctx)
+            assert len(simple_calls) == 1, mode
+            assert verdict.holds is (verdict.value < 0.5)
+            assert verdict.value == checker.value(
+                formula, case.occupancy, ctx=ctx
+            )
+            # Only the shared checker of "all" answers value() from its
+            # memo; "none" evaluates every call afresh.
+            assert len(simple_calls) == (1 if mode == "all" else 2), mode
 
 
 class TestMemoContents:

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.checking.context import EvaluationContext
-from repro.checking.global_ import MFModelChecker
 from repro.checking.statistical import StatisticalChecker
 from repro.checking.transform import absorbing_generator_function
 from repro.ctmc.inhomogeneous import solve_forward_kolmogorov
@@ -28,14 +27,13 @@ from repro.diagnostics import (
 )
 from repro.exceptions import (
     BudgetExceededError,
-    FormulaError,
     NumericalError,
 )
 from repro.instrumentation import EvalStats
 from repro.logic.parser import parse_path
 from repro.meanfield.ode import OccupancyTrajectory
 from repro.models.virus import SETTING_1, overall_ode_matrix
-from repro.resilience import Budget, ResultQuality
+from repro.resilience import Budget
 
 
 class FaultInjector:
@@ -320,10 +318,10 @@ def _fail_ode_rung(monkeypatch, reason="injected: ode rung down"):
     """Make the ODE rung fail for real windows (zero windows stay exact)."""
     real = EvaluationContext._transient_ode
 
-    def failing(self, signature, q_of_t, t_start, duration, rtol, atol):
+    def failing(self, signature, q_of_t, t_start, duration):
         if duration > 0.0:
             raise NumericalError(reason)
-        return real(self, signature, q_of_t, t_start, duration, rtol, atol)
+        return real(self, signature, q_of_t, t_start, duration)
 
     monkeypatch.setattr(EvaluationContext, "_transient_ode", failing)
 
@@ -349,7 +347,6 @@ class TestDegradationLadder:
 
         assert ctx.trace.downgrades == []
         assert ctx.stats.ladder_downgrades == 0
-        assert ctx.trace.quality is ResultQuality.EXACT
         # Nothing was cached for the failed window: once the fault is
         # gone the same key is solved afresh.
         assert ctx.export_transient_cache() == {}
@@ -403,86 +400,6 @@ class TestDeadlineAtEachRung:
             # Distinct windows so the transient cache cannot serve them.
             ctx.transient_matrix(SIGNATURE, q, 0.0, 1.0)
             ctx.transient_matrix(SIGNATURE, q, 0.0, 2.0)
-
-
-class TestThreeValuedVerdicts:
-    """Near-threshold degraded results report indeterminate, never flip."""
-
-    FORMULA = "EP[<0.3](not_infected U[0,1] infected)"
-
-    def test_degraded_far_from_threshold_stays_definite(
-        self, virus1, m_example1
-    ):
-        checker = MFModelChecker(virus1)
-        ctx = checker.context(m_example1)
-        # Simulate a degraded window whose error bar (0.01) is far
-        # smaller than the distance between the exact value (~0.23) and
-        # the threshold 0.3: the verdict stays definite.
-        ctx.trace.downgrade(
-            "ode", "uniformization", ResultQuality.DEGRADED,
-            "injected", uncertainty=0.01,
-        )
-        verdict = checker.check_detailed(self.FORMULA, m_example1, ctx=ctx)
-        assert verdict.holds is True
-        assert not verdict.indeterminate
-        assert verdict.quality is ResultQuality.DEGRADED
-        assert verdict.margin > 0.05
-        assert bool(verdict) is True
-
-    def test_near_threshold_degraded_is_indeterminate(
-        self, virus1, m_example1
-    ):
-        checker = MFModelChecker(virus1)
-        ctx = checker.context(m_example1)
-        # Simulate a statistical window whose error bar covers the
-        # distance between the leaf value (0.2 infected mass at t=0)
-        # and the threshold 0.25.
-        ctx.trace.downgrade(
-            "ode", "mc", ResultQuality.STATISTICAL,
-            "injected", uncertainty=0.1,
-        )
-        verdict = checker.check_detailed(
-            "E[>0.25](infected)", m_example1, ctx=ctx
-        )
-        assert verdict.indeterminate
-        assert verdict.holds is None
-        assert verdict.quality is ResultQuality.STATISTICAL
-        assert verdict.value == pytest.approx(0.2)
-        assert verdict.margin == pytest.approx(0.05)
-        assert any("indeterminate leaf" in n for n in ctx.trace.notes)
-        with pytest.raises(FormulaError, match="indeterminate"):
-            bool(verdict)
-
-    def test_same_value_exact_run_is_definite(self, virus1, m_example1):
-        checker = MFModelChecker(virus1)
-        verdict = checker.check_detailed("E[>0.25](infected)", m_example1)
-        assert verdict.holds is False
-        assert verdict.quality is ResultQuality.EXACT
-
-    def test_kleene_false_dominates_unknown(self, virus1, m_example1):
-        checker = MFModelChecker(virus1)
-        ctx = checker.context(m_example1)
-        ctx.trace.downgrade(
-            "ode", "mc", ResultQuality.STATISTICAL,
-            "injected", uncertainty=0.1,
-        )
-        # Left: definitely false (0.2 > 0.9 fails by a wide margin).
-        # Right: indeterminate.  false AND unknown == false.
-        verdict = checker.check_detailed(
-            "E[>0.9](infected) & E[>0.25](infected)", m_example1, ctx=ctx
-        )
-        assert verdict.holds is False
-        # ... but true AND unknown stays unknown (0.05 is far enough
-        # below the 0.2 value to survive the 0.1 error bar).
-        verdict = checker.check_detailed(
-            "E[>0.05](infected) & E[>0.25](infected)", m_example1, ctx=ctx
-        )
-        assert verdict.holds is None
-        # ... and true OR unknown is true.
-        verdict = checker.check_detailed(
-            "E[>0.05](infected) | E[>0.25](infected)", m_example1, ctx=ctx
-        )
-        assert verdict.holds is True
 
 
 class TestStatisticalRateBound:

@@ -288,6 +288,36 @@ class TestDegradationLadder:
             d.from_rung == "sparse" for d in strangled.trace.downgrades
         )
 
+    def test_failed_window_costs_one_engine_attempt(self):
+        """A window the engine failed is served from the transient cache
+        on every later call: no second engine attempt, no second
+        downgrade record."""
+        model = _model("loadbalance")
+        strangled = self._strangled(model)
+        absorbed = _absorbed(model)
+        signature = ("absorbing", absorbed)
+        q_sparse = absorbing_generator_function(
+            strangled.generator_function(), absorbed
+        )
+        vector = np.linspace(0.5, 1.5, model.num_states)
+        first = strangled.transient_apply(
+            signature, q_sparse, 0.0, 2.0, vector, side="right"
+        )
+        for _ in range(2):
+            before = strangled.stats.as_dict()
+            again = strangled.transient_apply(
+                signature, q_sparse, 0.0, 2.0, vector, side="right"
+            )
+            after = strangled.stats.as_dict()
+            changed = {
+                name: after[name] - before[name]
+                for name in after
+                if after[name] != before[name]
+            }
+            assert changed == {"transient_cache_hits": 1}
+            np.testing.assert_array_equal(again, first)
+        assert len(strangled.trace.downgrades) == 1
+
     def test_until_probabilities_survive_ladder(self):
         model = _model("loadbalance")
         k = model.num_states

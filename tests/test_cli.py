@@ -342,7 +342,7 @@ class TestExitCodes:
         assert "SATISFIED" in capsys.readouterr().out
 
     def test_ode_chain_failure_exits_4(self, capsys, monkeypatch):
-        def failing(self, signature, q_of_t, t_start, duration, rtol, atol):
+        def failing(self, signature, q_of_t, t_start, duration):
             raise NumericalError("injected: ode chain down")
 
         monkeypatch.setattr(EvaluationContext, "_transient_ode", failing)

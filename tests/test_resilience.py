@@ -1,4 +1,4 @@
-"""Tests for execution budgets and result-quality provenance."""
+"""Tests for execution budgets and the backend-downgrade record."""
 
 import pytest
 
@@ -6,12 +6,7 @@ from repro.checking.options import CheckOptions
 from repro.diagnostics import DiagnosticTrace, DowngradeRecord
 from repro.exceptions import BudgetExceededError, ModelError
 from repro.instrumentation import EvalStats
-from repro.resilience import (
-    RHS_CHECK_INTERVAL,
-    Budget,
-    ResultQuality,
-    worst_quality,
-)
+from repro.resilience import RHS_CHECK_INTERVAL, Budget
 
 
 class FakeClock:
@@ -177,96 +172,22 @@ class TestFromOptions:
             CheckOptions(max_memory_mb=-5.0)
 
 
-class TestResultQuality:
-    def test_ordering_worst_last(self):
-        assert ResultQuality.EXACT < ResultQuality.DEGRADED
-        assert ResultQuality.DEGRADED < ResultQuality.STATISTICAL
-
-    def test_describe(self):
-        assert ResultQuality.EXACT.describe() == "exact"
-        assert ResultQuality.DEGRADED.describe() == "degraded"
-        assert ResultQuality.STATISTICAL.describe() == "statistical"
-
-    def test_worst_quality(self):
-        assert worst_quality() is ResultQuality.EXACT
-        assert (
-            worst_quality(ResultQuality.EXACT, ResultQuality.DEGRADED)
-            is ResultQuality.DEGRADED
-        )
-        assert (
-            worst_quality(
-                ResultQuality.STATISTICAL,
-                ResultQuality.EXACT,
-                ResultQuality.DEGRADED,
-            )
-            is ResultQuality.STATISTICAL
-        )
-
-
 class TestTraceDowngrades:
-    def test_trace_starts_exact(self):
-        trace = DiagnosticTrace()
-        assert trace.quality is ResultQuality.EXACT
-        assert trace.uncertainty == 0.0
-
-    def test_downgrade_records_and_degrades_quality(self):
-        trace = DiagnosticTrace()
-        record = trace.downgrade(
-            "propagator", "ode", ResultQuality.EXACT, "residual too large"
-        )
-        assert isinstance(record, DowngradeRecord)
-        assert trace.quality is ResultQuality.EXACT  # ode rung stays exact
-        trace.downgrade(
-            "ode",
-            "uniformization",
-            ResultQuality.DEGRADED,
-            "solver diverged",
-            uncertainty=1e-4,
-        )
-        assert trace.quality is ResultQuality.DEGRADED
-        assert trace.uncertainty == pytest.approx(1e-4)
-
-    def test_uncertainty_is_the_worst_across_downgrades(self):
-        trace = DiagnosticTrace()
-        trace.downgrade(
-            "ode", "uniformization", ResultQuality.DEGRADED, "a",
-            uncertainty=1e-5,
-        )
-        trace.downgrade(
-            "uniformization", "mc", ResultQuality.STATISTICAL, "b",
-            uncertainty=3e-2,
-        )
-        assert trace.quality is ResultQuality.STATISTICAL
-        assert trace.uncertainty == pytest.approx(3e-2)
-
     def test_downgrades_count_into_stats(self):
         stats = EvalStats()
         trace = DiagnosticTrace(stats=stats)
-        trace.downgrade("ode", "mc", ResultQuality.STATISTICAL, "x")
+        record = trace.downgrade("sparse", "ode", "x")
+        assert isinstance(record, DowngradeRecord)
+        assert trace.downgrades == [record]
         assert stats.ladder_downgrades == 1
 
     def test_describe_mentions_the_rungs(self):
-        record = DowngradeRecord(
-            from_rung="ode",
-            to_rung="mc",
-            quality=ResultQuality.STATISTICAL,
-            reason="all solvers failed",
-            uncertainty=0.01,
-        )
-        text = record.describe()
-        assert "ode -> mc" in text
-        assert "statistical" in text
-        assert "uncertainty" in text
-
-    def test_summary_reports_quality_when_degraded(self):
         trace = DiagnosticTrace()
-        trace.downgrade(
-            "ode", "uniformization", ResultQuality.DEGRADED, "why",
-            uncertainty=2e-3,
-        )
+        record = trace.downgrade("sparse", "ode", "refinement cap reached")
+        assert record.describe() == "sparse -> ode: refinement cap reached"
         text = trace.format()
-        assert "result quality: degraded" in text
-        assert "downgrade:" in text
+        assert "ladder downgrades: 1" in text
+        assert "downgrade: sparse -> ode" in text
 
 
 class TestSnapshotNamespacing:
