@@ -273,6 +273,7 @@ class EvaluationContext:
                 fallbacks=self.options.solver_fallbacks,
                 trace=self.trace,
                 residual_tol=self.options.residual_tol,
+                budget=self.budget,
             )
         return self._trajectory
 
@@ -652,16 +653,8 @@ class EvaluationContext:
         is probed before the engine, so a failed window costs one engine
         attempt and one downgrade however often it is asked for.  Budget
         errors always propagate.
-
-        ``vector`` may be a single ``(K',)`` vector or an ``(M, K')``
-        row-stacked block — on *both* sides: row ``i`` of the result is
-        ``vector[i] @ Π`` (left) or ``Π @ vector[i]`` (right).  Blocks
-        ride through every backend in one matmat pass per cell / series
-        term instead of ``M`` separate matvec chains; results match the
-        looped path to solver tolerance.
         """
         vector = np.asarray(vector, dtype=float)
-        block = vector.ndim == 2
         solve = self._transient_ladder
         if self.matrix_backend == "sparse":
             handle = self.action_engine(signature)
@@ -675,13 +668,6 @@ class EvaluationContext:
                         f"+{float(duration):g}"
                     )
                 try:
-                    if block and side == "right":
-                        # The sparse engine takes right-action blocks as
-                        # (K, M) columns; restack around the call.
-                        return handle.apply(
-                            vector.T, float(t_start), float(duration),
-                            side="right",
-                        ).T
                     return handle.apply(
                         vector, float(t_start), float(duration), side=side
                     )
@@ -692,8 +678,6 @@ class EvaluationContext:
             solve, signature, q_of_t, t_start, duration
         )
         if side == "right":
-            if block:
-                return vector @ pi.T
             return pi @ vector
         return vector @ pi
 
@@ -826,7 +810,11 @@ class EvaluationContext:
         """
         if self._steady_box["value"] is None:
             coarse = stationary_from_long_run(
-                self.model, self.initial, drift_tol=1e-7, trace=self.trace
+                self.model,
+                self.initial,
+                drift_tol=1e-7,
+                trace=self.trace,
+                budget=self.budget,
             )
             try:
                 fp = find_fixed_point(self.model, coarse)

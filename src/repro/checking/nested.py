@@ -471,6 +471,7 @@ class TimeVaryingUntil:
                     fallbacks=self.ctx.options.solver_fallbacks,
                     label="Appendix ODE (12)",
                     trace=self.ctx.trace,
+                    budget=self.ctx.budget,
                 )
             except NumericalError as exc:
                 raise NumericalError(

@@ -157,24 +157,6 @@ class ProbabilityCurve:
         times = np.linspace(self.t_start, self.t_end, int(num))
         return times, self.values_many(times)
 
-    def expected_many(self, ts, initial) -> np.ndarray:
-        """Expected curve values under stacked initial distributions.
-
-        ``initial`` is one distribution ``(K,)`` or a row-stacked block
-        ``(M, K)``; the result is ``(n,)`` respectively ``(n, M)`` with
-        ``result[i, j] = initial[j] @ values(ts[i])``.  The per-state
-        curve is evaluated once per time (batched through
-        :meth:`values_many` and shared by the cache), so the marginal
-        cost of each extra stacked distribution is one BLAS row of the
-        final matmat — this is the fan-out half of the batched checking
-        path.
-        """
-        vals = self.values_many(ts)
-        initial = np.asarray(initial, dtype=float)
-        if initial.ndim == 1:
-            return vals @ initial
-        return vals @ initial.T
-
     # ------------------------------------------------------------------
 
     def _segments(self) -> List["tuple[float, float]"]:
@@ -262,7 +244,6 @@ def until_probabilities_simple(
     gamma2: FrozenSet[int],
     interval: TimeInterval,
     t: float = 0.0,
-    initial: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``Prob(s, Φ1 U^I Φ2, m̄, t)`` for every state — Equations (4)/(7).
 
@@ -270,21 +251,8 @@ def until_probabilities_simple(
     operands.  ``t`` is the evaluation time relative to the context's
     occupancy trajectory (0 reproduces Equation (4), larger values
     Equation (7)).
-
-    ``initial`` optionally supplies stacked initial local-state
-    distributions: a single ``(K,)`` row returns the scalar expected
-    until probability, an ``(M, K)`` block the ``(M,)`` vector of
-    expectations.  The two Kolmogorov right actions — the expensive part
-    — are shared by the whole stack (they are query-independent), so
-    every extra stacked distribution costs one dot product.
     """
     _require_bounded(interval)
-    if initial is not None:
-        probs = until_probabilities_simple(ctx, gamma1, gamma2, interval, t=t)
-        initial = np.asarray(initial, dtype=float)
-        if initial.ndim == 1:
-            return float(initial @ probs)
-        return initial @ probs
     k = ctx.num_states
     all_states = frozenset(range(k))
     q_of_t = ctx.generator_function()

@@ -497,7 +497,7 @@ def _run_query_single(client, args: argparse.Namespace) -> int:
                 print(f"[{a:.6f}, {b:.6f}]")
     cache = body.get("cache", {})
     print(
-        f"cache: hit={cache.get('hit')} coalesced={cache.get('coalesced')} "
+        f"cache: hit={cache.get('hit')} "
         f"context_reused={cache.get('context_reused')}"
     )
     return int(body.get("exit_code", EXIT_CHECKING_ERROR))

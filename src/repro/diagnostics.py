@@ -270,13 +270,14 @@ class DiagnosticTrace:
                 f"{stats.transient_cache_misses} misses"
             )
             if getattr(stats, "propagator_engines", 0):
+                # Contexts only ever build the sparse action engine.
                 lines.append(
                     "  propagator: "
                     f"{stats.propagator_engines} engines, "
-                    f"{stats.propagator_cells_built} cells built, "
+                    f"{stats.sparse_cells_built} cells built, "
                     f"{stats.propagator_cache_hits} cache hits, "
-                    f"{stats.propagator_products} products, "
-                    f"{stats.propagator_refinements} refinements"
+                    f"{stats.sparse_applies} applies, "
+                    f"{stats.sparse_refinements} refinements"
                 )
             if (
                 getattr(stats, "rewrites_applied", 0)

@@ -127,9 +127,6 @@ class EvalStats:
     service_cache_evictions:
         Warm cache entries dropped by the LRU bound or the global memory
         guard (spilled to disk first when a cache directory is set).
-    service_coalesced:
-        Requests that waited on an identical in-flight computation
-        instead of starting their own (request coalescing).
     service_context_reuses:
         Requests served by a warm evaluation context (shared compiled
         generators, propagator cells, transient matrices) rather than a
@@ -221,7 +218,6 @@ class EvalStats:
     service_cache_hits: int = 0
     service_cache_misses: int = 0
     service_cache_evictions: int = 0
-    service_coalesced: int = 0
     service_context_reuses: int = 0
     service_rejections: int = 0
     service_spill_saves: int = 0

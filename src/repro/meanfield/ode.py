@@ -73,6 +73,9 @@ class OccupancyTrajectory:
         every solve attempt and post-solve simplex residual check.
     residual_tol:
         Tolerance of the per-extension simplex residual check.
+    budget:
+        Optional :class:`~repro.resilience.Budget` charged by every
+        extension's solve attempts and checked during them.
     """
 
     def __init__(
@@ -89,6 +92,7 @@ class OccupancyTrajectory:
         fallbacks: Sequence[str] = DEFAULT_FALLBACKS,
         trace: Optional[DiagnosticTrace] = None,
         residual_tol: float = DEFAULT_RESIDUAL_TOL,
+        budget=None,
     ):
         self._stats = stats
         if stats is not None:
@@ -109,6 +113,7 @@ class OccupancyTrajectory:
         self._fallbacks = tuple(fallbacks)
         self._trace = trace
         self._residual_tol = float(residual_tol)
+        self._budget = budget
         self._segments: List[_Segment] = []
         # Segment start times, for binary-search lookup in __call__ /
         # eval_many; entry i is self._segments[i].t_start.
@@ -150,6 +155,7 @@ class OccupancyTrajectory:
                 fallbacks=self._fallbacks,
                 label="occupancy ODE",
                 trace=self._trace,
+                budget=self._budget,
             )
         except NumericalError as exc:
             raise NumericalError(

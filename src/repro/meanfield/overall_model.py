@@ -130,7 +130,7 @@ class MeanFieldModel:
         ``stats`` (an :class:`~repro.instrumentation.EvalStats`) makes the
         trajectory count its drift evaluations and ``solve_ivp`` calls.
         Extra keyword arguments (``fallbacks``, ``trace``,
-        ``residual_tol``, ``method``, …) are forwarded to
+        ``residual_tol``, ``budget``, ``method``, …) are forwarded to
         :class:`~repro.meanfield.ode.OccupancyTrajectory`.
         """
         initial = validate_occupancy(initial, self.num_states)

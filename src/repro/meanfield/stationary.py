@@ -210,6 +210,7 @@ def stationary_from_long_run(
     rtol: float = 1e-7,
     atol: float = 1e-10,
     trace=None,
+    budget=None,
 ) -> np.ndarray:
     """Approximate ``m̃`` by integrating Equation (1) until the drift dies.
 
@@ -222,7 +223,9 @@ def stationary_from_long_run(
     that need full precision polish the result with
     :func:`find_fixed_point` (as :meth:`EvaluationContext.steady_state`
     does), so chasing tight ODE tolerances over huge horizons would be
-    wasted work.
+    wasted work.  A ``budget`` (:class:`~repro.resilience.Budget`) is
+    charged by every solve attempt and checked during it, so a
+    deadline ends a long run that has not settled.
     """
     from repro.meanfield.ode import OccupancyTrajectory
 
@@ -238,6 +241,7 @@ def stationary_from_long_run(
         # to the implicit Radau scheme if it still gives up.
         fallbacks=("Radau",),
         trace=trace,
+        budget=budget,
     )
     t = min(horizon, max_horizon)
     while True:

@@ -5,7 +5,8 @@ generators, propagator cells, transient matrices — and throws it all
 away on exit.  This package promotes that state to *process lifetime*:
 :class:`~repro.server.service.CheckingService` keeps an LRU cache of
 warm checking state keyed by ``(model hash, options signature)``, with
-request coalescing, admission control built on
+one computation per entry at a time (so identical concurrent requests
+compute once), admission control built on
 :class:`~repro.resilience.Budget`, and disk spill so warm state survives
 restarts.  :mod:`repro.server.http` serves it over HTTP/JSON
 (``mfcsl serve``) and :mod:`repro.server.client` talks to it

@@ -8,27 +8,20 @@ and the tests both want the raw body.
 
 The client keeps **one persistent connection** to the server
 (HTTP/1.1 keep-alive) and reuses it across requests; a stale keep-alive
-socket is replaced transparently.  On top of that sit two resilience
-mechanisms tuned for a server that restarts, drains and sheds load as a
-matter of course:
-
-- **Bounded retry with exponential backoff and full jitter.**  Connect
-  errors and *serving-condition* responses — 429 admission rejections,
-  503s from a draining server or a crashed query worker — are retried
-  up to ``retries`` times, sleeping
-  :func:`repro.resilience.full_jitter_backoff` between attempts (the
-  full-jitter variant keeps a fleet of clients from retrying in
-  lockstep).  A ``Retry-After`` header, when the server sends one, is
-  honored (capped at ``backoff_cap``).  Definitive answers are *never*
-  retried — in particular a 503 carrying ``BudgetExceededError`` means
-  *this request's own deadline expired*, and retrying it would just
-  burn another deadline.
-- **A circuit breaker on connect failures.**  After
-  ``breaker_threshold`` consecutive failures to reach the server at
-  all, the breaker opens for ``breaker_cooldown`` seconds and requests
-  fail fast (same ``cannot reach checking server`` error, no socket
-  work), so a dead server costs a fleet of callers microseconds, not
-  timeouts.  One successful contact closes it again.
+socket is replaced transparently.  On top of that sits **bounded retry
+with exponential backoff and full jitter**, tuned for a server that
+restarts, drains and sheds load as a matter of course: connect errors
+and *serving-condition* responses — 429 admission rejections, 503s from
+a draining server or a crashed query worker — are retried up to
+``retries`` times, sleeping :func:`repro.resilience.full_jitter_backoff`
+between attempts (the full-jitter variant keeps a fleet of clients from
+retrying in lockstep).  Every one of those attempts reaches the
+network, so a server that comes back while the client is still
+retrying answers it.  A ``Retry-After`` header, when the server sends
+one, is honored (capped at ``backoff_cap``).  Definitive answers are
+*never* retried — in particular a 503 carrying ``BudgetExceededError``
+means *this request's own deadline expired*, and retrying it would just
+burn another deadline.
 
 Retrying a ``POST /query`` is safe by construction: queries are pure
 computations, idempotent on the server's warm cache.
@@ -56,7 +49,6 @@ RETRYABLE_ERROR_CLASSES = frozenset(
         "Draining",
         "AdmissionRejected",
         "WorkerCrashError",
-        "CoalesceTimeout",
     }
 )
 
@@ -89,10 +81,6 @@ class ServerClient:
     backoff_base / backoff_cap:
         The full-jitter backoff schedule between attempts; the cap also
         bounds how long a ``Retry-After`` header is honored.
-    breaker_threshold / breaker_cooldown:
-        Consecutive connect failures that open the circuit breaker, and
-        how long it stays open (requests fail fast without touching the
-        network).
     rng / sleep:
         Injectable randomness and sleeping for deterministic tests.
 
@@ -109,8 +97,6 @@ class ServerClient:
         retries: int = 3,
         backoff_base: float = 0.25,
         backoff_cap: float = 8.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 30.0,
         rng: Optional[random.Random] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -131,19 +117,9 @@ class ServerClient:
                 f"need 0 < backoff_base <= backoff_cap, got "
                 f"base={backoff_base}, cap={backoff_cap}"
             )
-        if breaker_threshold < 1:
-            raise CheckingError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
-        if breaker_cooldown <= 0:
-            raise CheckingError(
-                f"breaker_cooldown must be positive, got {breaker_cooldown}"
-            )
         self.retries = int(retries)
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = float(breaker_cooldown)
         self._rng = rng
         self._sleep = sleep
         self._scheme = parsed.scheme
@@ -152,16 +128,8 @@ class ServerClient:
         self._path_prefix = parsed.path.rstrip("/")
         self._lock = threading.Lock()
         self._conn: Optional[http.client.HTTPConnection] = None
-        self._consecutive_failures = 0
-        self._breaker_open_until: Optional[float] = None
-        #: Resilience telemetry: attempts retried, sleeps taken, fast
-        #: failures while the breaker was open, breaker openings.
-        self.resilience_stats = {
-            "retries": 0,
-            "retry_sleeps": 0.0,
-            "breaker_fast_fails": 0,
-            "breaker_trips": 0,
-        }
+        #: Resilience telemetry: attempts retried, seconds slept.
+        self.resilience_stats = {"retries": 0, "retry_sleeps": 0.0}
 
     # -- connection management -----------------------------------------
 
@@ -187,37 +155,6 @@ class ServerClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- circuit breaker -----------------------------------------------
-
-    def breaker_open(self) -> bool:
-        """Whether the client is currently failing fast."""
-        with self._lock:
-            return self._breaker_open_now()
-
-    def _breaker_open_now(self) -> bool:
-        """Caller holds the lock."""
-        if self._breaker_open_until is None:
-            return False
-        if time.monotonic() < self._breaker_open_until:
-            return True
-        # Cool-down elapsed: half-open, the next request probes.
-        self._breaker_open_until = None
-        return False
-
-    def _record_contact(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            self._breaker_open_until = None
-
-    def _record_connect_failure(self) -> None:
-        with self._lock:
-            self._consecutive_failures += 1
-            if self._consecutive_failures >= self.breaker_threshold:
-                self._breaker_open_until = (
-                    time.monotonic() + self.breaker_cooldown
-                )
-                self.resilience_stats["breaker_trips"] += 1
 
     # -- transport -----------------------------------------------------
 
@@ -261,14 +198,6 @@ class ServerClient:
         unreachable and raises.
         """
         with self._lock:
-            if self._breaker_open_now():
-                self.resilience_stats["breaker_fast_fails"] += 1
-                raise CheckingError(
-                    f"cannot reach checking server at {self.base_url}: "
-                    f"circuit breaker open after "
-                    f"{self._consecutive_failures} consecutive "
-                    f"connection failures (cooling down)"
-                )
             last_exc: Optional[Exception] = None
             for _ in range(2):
                 conn = self._conn
@@ -289,7 +218,6 @@ class ServerClient:
                     continue
                 self._conn = conn
                 return result
-        self._record_connect_failure()
         raise CheckingError(
             f"cannot reach checking server at {self.base_url}: "
             f"{last_exc}"
@@ -319,7 +247,6 @@ class ServerClient:
             except CheckingError as exc:
                 last_error = exc
             else:
-                self._record_contact()
                 if not (
                     retry and response_is_retryable(status, body)
                 ):

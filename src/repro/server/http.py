@@ -3,7 +3,7 @@
 Standard-library only (``http.server`` + ``json``): the container this
 runs in must not need anything beyond the numerical stack.  The server
 is a :class:`~http.server.ThreadingHTTPServer`, so concurrent requests
-exercise the service's coalescing and admission control for real; all
+exercise the service's entry locks and admission control for real; all
 interesting behaviour lives in the transport-free service and is tested
 there — this module only decodes requests, dispatches and encodes
 responses, plus the three transport-level robustness duties the service

@@ -23,13 +23,15 @@ client/transport hardening in :mod:`repro.server.http` and
 
 Three mechanisms keep a shared long-running process safe:
 
-- **Request coalescing** — identical queries that arrive while one of
-  them is computing wait on the in-flight computation instead of
-  starting their own.  The coalescing key *includes* the per-request
-  execution limits (deadline, solve cap) so an unhurried request is
-  never handed a tight-deadline peer's budget error; the response cache
-  key *excludes* them, because execution limits never change an answer
-  (see :data:`repro.checking.options.SIGNATURE_EXCLUDED_FIELDS`).
+- **One computation per entry at a time** — an admitted request takes
+  its entry's lock, probes the entry's response cache again and only
+  then computes, storing its answer before it lets go.  So a burst of
+  identical requests computes once: the others find the answer when
+  their turn comes.  The response cache key *excludes* the per-request
+  execution limits (deadline, solve cap), because they never change an
+  answer (see :data:`repro.checking.options.SIGNATURE_EXCLUDED_FIELDS`);
+  only successes are cached, so a request queued behind a failed
+  computation computes on its own under its own limits.
 - **Admission control** — at most ``max_concurrent`` computations run at
   once; a request that cannot get a slot within ``queue_timeout``
   seconds is rejected with HTTP 429 instead of piling onto an overloaded
@@ -44,13 +46,14 @@ Three mechanisms keep a shared long-running process safe:
   request for the same key, so warm transient state survives restarts.
 
 Locking discipline: ``self._lock`` (service-level) protects the entry
-map, the in-flight map and the service counters, and is only ever held
-for dict operations — never across a computation.  ``entry.lock``
-(per-entry) serializes computations against one warm state.  No code
-path acquires the service lock while holding an entry lock *and* blocks,
-so warm response-cache hits never queue behind a long compute.  The
-registry-model map takes no lock: a pair is only ever added, with one
-atomic ``dict.setdefault``, and never replaced or removed.
+map, the entries' response caches and the service counters, and is only
+ever held for dict operations — never across a computation.
+``entry.lock`` (per-entry) serializes computations against one warm
+state.  No code path acquires the service lock while holding an entry
+lock *and* blocks, so warm response-cache hits never queue behind a long
+compute.  The registry-model map takes no lock: a pair is only ever
+added, with one atomic ``dict.setdefault``, and never replaced or
+removed.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ from repro.exceptions import (
     EXIT_CHECKING_ERROR,
     EXIT_NOT_SATISFIED,
     EXIT_SATISFIED,
-    CheckingError,
     ModelError,
     ReproError,
     exit_code_for,
@@ -152,15 +154,12 @@ class ServerConfig:
         Deadline applied to requests that do not set one; ``None``
         leaves them unbounded.
     max_concurrent:
-        Admission-control bound on concurrently running computations
-        (cache hits and coalesced waits are not counted — they do not
-        occupy a worker slot).
+        Admission-control bound on concurrently running computations.
+        Response-cache hits never take a slot; a request that waits for
+        its entry's lock holds one.
     queue_timeout:
         Seconds a computation may wait for an admission slot before
         being rejected with 429.
-    coalesce_timeout:
-        Seconds a coalesced request waits on the in-flight computation
-        before giving up with a budget-style 503.
     max_batch_items:
         Upper bound on the number of queries one ``/batch`` envelope may
         carry; larger envelopes are rejected with 400 before any work
@@ -197,7 +196,6 @@ class ServerConfig:
     default_deadline: Optional[float] = None
     max_concurrent: int = 4
     queue_timeout: float = 30.0
-    coalesce_timeout: float = 600.0
     max_batch_items: int = 256
     isolate: str = "none"
     worker_grace: float = 5.0
@@ -215,10 +213,7 @@ class ServerConfig:
             "crash_loop_threshold",
         ):
             check_limit(name, getattr(self, name), integer=True)
-        for name in (
-            "max_cache_mb", "coalesce_timeout", "worker_grace",
-            "drain_deadline",
-        ):
+        for name in ("max_cache_mb", "worker_grace", "drain_deadline"):
             check_limit(name, getattr(self, name))
         check_limit("queue_timeout", self.queue_timeout, nonnegative=True)
         for name in ("default_deadline", "connection_timeout"):
@@ -281,13 +276,6 @@ class _RequestSpec:
     def response_key(self) -> tuple:
         """Cache address of the *answer* — execution limits excluded."""
         return (self.command, self.formula, self.occ_key, self.theta)
-
-    @property
-    def inflight_key(self) -> tuple:
-        """Coalescing address — execution limits *included*, so only
-        requests that would fail and succeed together share a
-        computation."""
-        return self.response_key + (self.deadline, self.max_solves)
 
 
 class _CacheEntry:
@@ -354,17 +342,6 @@ class _CacheEntry:
         )
 
 
-class _InFlight:
-    """One running computation that identical requests coalesce onto."""
-
-    __slots__ = ("event", "status", "response")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.status: Optional[int] = None
-        self.response: Optional[dict] = None
-
-
 class CheckingService:
     """Transport-free checking-as-a-service core.
 
@@ -388,7 +365,6 @@ class CheckingService:
         #: request that names it and shared by every entry after that
         #: (models are immutable).  Never evicted: one per registry name.
         self._registry_models: Dict[str, Tuple[Any, str]] = {}
-        self._inflight: Dict[tuple, _InFlight] = {}
         self._slots = threading.BoundedSemaphore(self.config.max_concurrent)
         self._closed = False
         #: Set once the first ``close()`` has finished spilling; later
@@ -559,8 +535,7 @@ class CheckingService:
         # One slot for the whole envelope — a 64-item batch costs the
         # admission controller exactly one concurrent computation.
         if not self._slots.acquire(timeout=self.config.queue_timeout):
-            status, body, _ = self._admission_rejection()
-            return status, body
+            return self._admission_rejection()
 
         deadline_end = (
             None
@@ -841,92 +816,45 @@ class CheckingService:
     def _serve_via(
         self, spec: _RequestSpec, compute
     ) -> Tuple[int, dict, bool]:
-        """Cache probe → coalesce → ``compute(spec)`` for one request.
+        """Cache probe → ``compute(spec)`` for one request.
 
         The common serve skeleton of :meth:`handle` (where ``compute``
         acquires its own admission slot) and :meth:`handle_batch` (where
         the whole batch already holds one).  Returns ``(status,
-        response, computed)`` — ``computed`` is ``False`` for response
-        cache hits and coalesced waits, which never warrant an eviction
-        sweep.
+        response, computed)`` — ``computed`` is ``False`` for answers
+        served from a warm entry's response cache, which never warrant
+        an eviction sweep.
         """
-        inflight: Optional[_InFlight] = None
         with self._lock:
             if self._closed:
                 raise ModelError("service is shut down")
             entry = self._entries.get(spec.entry_key)
             if entry is not None:
                 self._entries.move_to_end(spec.entry_key)
-                core = entry.responses.get(spec.response_key)
+                core = self._probe(entry, spec)
                 if core is not None:
-                    entry.responses.move_to_end(spec.response_key)
-                    self.stats.service_cache_hits += 1
                     status, response = self._finish(core, hit=True)
                     return status, response, False
-            waiting_on = self._inflight.get(spec.inflight_key)
-            if waiting_on is None:
-                inflight = _InFlight()
-                self._inflight[spec.inflight_key] = inflight
-
-        if waiting_on is not None:
-            status, response = self._await_peer(waiting_on)
-            return status, response, False
-
-        status, response, core = 500, None, None
         try:
-            status, response, core = compute(spec)
+            return compute(spec)
         except Exception as exc:
             # Any failure, not only a library error, answers this
-            # request, its coalesced peers and its /batch slot alike.
+            # request or its /batch slot alike.
             if not isinstance(exc, ReproError):
                 traceback.print_exc()  # a defect: keep its traceback
             status, response = self._error_response(exc)
-        finally:
-            # Never leave the key in flight: later identical requests
-            # would wait on it until coalesce_timeout.
-            with self._lock:
-                if core is not None:
-                    entry = self._entries.get(spec.entry_key)
-                    if entry is not None:
-                        entry.responses[spec.response_key] = core
-                        entry.trim_responses(
-                            self.config.max_responses_per_entry
-                        )
-                inflight.status = status
-                inflight.response = response
-                self._inflight.pop(spec.inflight_key, None)
-            inflight.event.set()
-        return status, response, True
+            return status, response, True
 
-    def _await_peer(self, peer: _InFlight) -> Tuple[int, dict]:
-        """Wait on an identical in-flight computation (coalescing)."""
-        with self._lock:
-            self.stats.service_coalesced += 1
-        if not peer.event.wait(self.config.coalesce_timeout):
-            return (
-                503,
-                {
-                    "status": "error",
-                    "error_class": "CoalesceTimeout",
-                    "message": (
-                        "identical in-flight computation did not finish "
-                        f"within {self.config.coalesce_timeout}s"
-                    ),
-                    "exit_code": EXIT_BUDGET_EXCEEDED,
-                },
-            )
-        if peer.response is None:
-            # The computation died of a BaseException (an interrupt).
-            return self._error_response(
-                CheckingError("identical computation was interrupted")
-            )
-        response = dict(peer.response)
-        cache = dict(response.get("cache", {}))
-        cache["coalesced"] = True
-        response["cache"] = cache
-        return peer.status, response
+    def _probe(self, entry: _CacheEntry, spec: _RequestSpec) -> Optional[dict]:
+        """The entry's cached response core, counted as a hit.  Caller
+        holds ``self._lock``."""
+        core = entry.responses.get(spec.response_key)
+        if core is not None:
+            entry.responses.move_to_end(spec.response_key)
+            self.stats.service_cache_hits += 1
+        return core
 
-    def _admission_rejection(self) -> Tuple[int, dict, Optional[dict]]:
+    def _admission_rejection(self) -> Tuple[int, dict]:
         """The 429 response of a failed admission-slot acquisition."""
         with self._lock:
             self.stats.service_rejections += 1
@@ -943,15 +871,13 @@ class CheckingService:
                 ),
                 "exit_code": EXIT_BUDGET_EXCEEDED,
             },
-            None,
         )
 
-    def _compute(
-        self, spec: _RequestSpec
-    ) -> Tuple[int, dict, Optional[dict]]:
+    def _compute(self, spec: _RequestSpec) -> Tuple[int, dict, bool]:
         """Acquire an admission slot, then run one computation."""
         if not self._slots.acquire(timeout=self.config.queue_timeout):
-            return self._admission_rejection()
+            status, response = self._admission_rejection()
+            return status, response, False
         try:
             return self._compute_admitted(spec)
         finally:
@@ -959,22 +885,19 @@ class CheckingService:
 
     def _compute_admitted(
         self, spec: _RequestSpec
-    ) -> Tuple[int, dict, Optional[dict]]:
-        """Run one computation; the caller holds an admission slot.
-        Returns ``(status, response, cacheable core or None)``."""
+    ) -> Tuple[int, dict, bool]:
+        """Answer one request under its entry's lock; the caller holds
+        an admission slot.  Returns ``(status, response, computed)``."""
         entry, cold = self._entry_for(spec)
-        # A cold entry revived from disk spill may already hold this
-        # very answer; the probe in _serve ran before the entry
-        # existed, so re-probe before computing.
-        with self._lock:
-            core = entry.responses.get(spec.response_key)
-            if core is not None:
-                entry.responses.move_to_end(spec.response_key)
-                self.stats.service_cache_hits += 1
-        if core is not None:
-            status, response = self._finish(core, hit=True)
-            return status, response, core
         with entry.lock:
+            # While this request waited for the lock, an identical one
+            # may have stored the answer, or the entry may have been
+            # revived from a spill that holds it: probe before computing.
+            with self._lock:
+                core = self._probe(entry, spec)
+            if core is not None:
+                status, response = self._finish(core, hit=True)
+                return status, response, cold
             before = entry.stats.as_dict()
             entry.budget.restart(
                 deadline=spec.deadline, max_solves=spec.max_solves
@@ -1008,26 +931,29 @@ class CheckingService:
                 )
             except ReproError as exc:
                 status, response = self._error_response(exc)
-                return status, response, None
+                return status, response, True
             if isolated:
                 if transients:
                     ctx.import_transient_cache(transients)
                 for name, value in counters.items():
                     setattr(entry.stats, name, value)
             after = entry.stats.as_dict()
+            with self._lock:
+                entry.responses[spec.response_key] = core
+                entry.trim_responses(self.config.max_responses_per_entry)
         delta = {
             k: after[k] - before[k]
             for k in after
             if after[k] != before[k]
         }
-        response = self._finish(
+        status, response = self._finish(
             core,
             hit=False,
             context_reused=reused,
             cold_entry=cold,
             stats_delta=delta,
-        )[1]
-        return HTTP_STATUS_BY_EXIT_CODE[core["exit_code"]], response, core
+        )
+        return status, response, True
 
     def _entry_for(self, spec: _RequestSpec) -> Tuple[_CacheEntry, bool]:
         """The warm entry for this request (created cold on a miss)."""
@@ -1105,7 +1031,6 @@ class CheckingService:
         response = dict(core)
         response["cache"] = {
             "hit": hit,
-            "coalesced": False,
             "context_reused": context_reused,
             "cold_entry": cold_entry,
         }

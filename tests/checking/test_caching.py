@@ -245,6 +245,27 @@ class TestStats:
         b = EvaluationContext(virus1, m_example1)
         assert a.stats is not b.stats
 
+    def test_diagnose_reports_the_sparse_engine_counters(self):
+        model = deep_load_balancing_model(buffer=40)
+        occupancy = 0.7 ** np.arange(model.num_states, dtype=float)
+        occupancy /= occupancy.sum()
+        ctx = EvaluationContext(
+            model, occupancy, CheckOptions(matrix_backend="sparse")
+        )
+        MFModelChecker(model).value(
+            "EP[>=0](busy U[0,1] congested)", occupancy, ctx=ctx
+        )
+        stats = ctx.stats
+        assert stats.sparse_cells_built > 0 and stats.sparse_applies > 0
+        line = next(
+            line
+            for line in ctx.trace.format(stats).splitlines()
+            if line.strip().startswith("propagator:")
+        )
+        assert f"{stats.sparse_cells_built} cells built" in line
+        assert f"{stats.sparse_applies} applies" in line
+        assert f"{stats.sparse_refinements} refinements" in line
+
 
 class TestEngineClearInPlace:
     """Regression: :meth:`EvaluationContext.clear_caches` must clear the

@@ -1,50 +1,25 @@
 """Block (multi-vector) kernels agree with looped single-vector calls.
 
-The batched-checking tentpole stacks ``M`` initial vectors into one
-``(M, K)`` block and carries it through every transient kernel in one
-matmat pass per cell / series term.  A block answer must be the *same*
-answer: row ``i`` of every block result has to match the corresponding
-single-vector call to far better than solver tolerance, on the dense
-propagator engine, the raw transient kernels and both context backends
-across the model zoo — and the batched until front-end
-(``until_probabilities_simple(initial=...)``,
-``ProbabilityCurve.expected_many``) must reduce to per-query dots with
-the shared probability vectors.
+The transient kernels and the propagator engines accept ``M`` stacked
+vectors as one ``(M, K)`` block and carry it in one matmat pass per
+cell / series term; the sparse action engine pushes blocks this way for
+its Richardson probes and ``propagate``.  A block answer must be the
+*same* answer: row ``i`` of every block result has to match the
+corresponding single-vector call to far better than solver tolerance,
+on the dense propagator engine and the raw transient kernels.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from repro.checking.context import EvaluationContext
-from repro.checking.options import CheckOptions
-from repro.checking.reachability import until_probabilities_simple
-from repro.checking.transform import absorbing_generator_function
 from repro.ctmc.propagators import PropagatorEngine
 from repro.ctmc.transient import transient_distribution
 from repro.exceptions import ModelError
-from repro.logic.ast import TimeInterval
-from repro.models import (
-    load_balancing_model,
-    sir_model,
-    virus_model,
-)
-from repro.models.virus import SETTING_1, SETTING_2
 
 #: Block vs looped equivalence bound (matches the sparse-equivalence
 #: acceptance bound: any disagreement is structural, not solver noise).
 TOL = 1e-10
-
-TIGHT = dict(ode_rtol=1e-11, ode_atol=1e-13, propagator_tol=1e-11)
-
-ZOO = {
-    "virus1": lambda: virus_model(SETTING_1),
-    "virus2": lambda: virus_model(SETTING_2),
-    "sir": sir_model,
-    "loadbalance": load_balancing_model,
-}
-
-ZOO_NAMES = sorted(ZOO)
 
 
 def q_periodic(t: float) -> np.ndarray:
@@ -57,11 +32,6 @@ def q_periodic(t: float) -> np.ndarray:
             [0.0, 0.2, -0.2],
         ]
     )
-
-
-def _occupancy(k: int) -> np.ndarray:
-    occ = 0.25 ** np.arange(k, dtype=float)
-    return occ / occ.sum()
 
 
 def _block(m: int, k: int) -> np.ndarray:
@@ -157,118 +127,3 @@ class TestKernelBlocks:
         )
         sparse_out = transient_distribution(block, q, 1.3, method=method)
         assert float(np.max(np.abs(sparse_out - dense_out))) <= TOL
-
-
-class TestContextBlockApply:
-    """``EvaluationContext.transient_apply`` block path, both backends."""
-
-    def _context(self, model, backend, **extra):
-        options = dict(TIGHT)
-        options.update(extra)
-        return EvaluationContext(
-            model,
-            _occupancy(model.num_states),
-            options=CheckOptions(matrix_backend=backend, **options),
-        )
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    @pytest.mark.parametrize("name", ZOO_NAMES)
-    def test_sparse_block_matches_dense_loop(self, name, side):
-        model = ZOO[name]()
-        k = model.num_states
-        dense_ctx = self._context(model, "dense")
-        sparse_ctx = self._context(model, "sparse")
-        absorbed = frozenset({k - 1})
-        signature = ("absorbing", absorbed)
-        q_dense = absorbing_generator_function(
-            dense_ctx.generator_function(), absorbed
-        )
-        q_sparse = absorbing_generator_function(
-            sparse_ctx.generator_function(), absorbed
-        )
-        block = _block(4, k)
-        out = sparse_ctx.transient_apply(
-            signature, q_sparse, 0.2, 0.7, block, side=side
-        )
-        assert out.shape == block.shape
-        for i in range(block.shape[0]):
-            single = dense_ctx.transient_apply(
-                signature, q_dense, 0.2, 0.7, block[i], side=side
-            )
-            assert float(np.max(np.abs(out[i] - single))) <= TOL
-
-    def test_dense_default_method_block_matches_loop(self):
-        # The dense backend serves blocks through the cached matrix:
-        # same answers, one solve.
-        model = ZOO["virus1"]()
-        k = model.num_states
-        ctx = self._context(model, "dense")
-        absorbed = frozenset({k - 1})
-        signature = ("absorbing", absorbed)
-        q = absorbing_generator_function(
-            ctx.generator_function(), absorbed
-        )
-        block = _block(3, k)
-        for side in ("left", "right"):
-            out = ctx.transient_apply(
-                signature, q, 0.0, 1.0, block, side=side
-            )
-            for i in range(block.shape[0]):
-                single = ctx.transient_apply(
-                    signature, q, 0.0, 1.0, block[i], side=side
-                )
-                assert float(np.max(np.abs(out[i] - single))) <= TOL
-
-
-class TestBatchedUntilFrontEnd:
-    """Stacked initials through the until/curve front-end."""
-
-    def _ctx(self, model):
-        return EvaluationContext(
-            model,
-            _occupancy(model.num_states),
-            options=CheckOptions(matrix_backend="dense", **TIGHT),
-        )
-
-    @pytest.mark.parametrize("name", ZOO_NAMES)
-    def test_until_initial_block_matches_dots(self, name):
-        model = ZOO[name]()
-        k = model.num_states
-        ctx = self._ctx(model)
-        gamma2 = frozenset({k - 1})
-        gamma1 = frozenset(range(k - 1))
-        interval = TimeInterval(0.25, 1.0)
-        probs = until_probabilities_simple(ctx, gamma1, gamma2, interval)
-        initials = _block(6, k)
-        initials /= initials.sum(axis=1, keepdims=True)
-        batched = until_probabilities_simple(
-            ctx, gamma1, gamma2, interval, initial=initials
-        )
-        assert batched.shape == (6,)
-        assert float(np.max(np.abs(batched - initials @ probs))) <= TOL
-        one = until_probabilities_simple(
-            ctx, gamma1, gamma2, interval, initial=initials[0]
-        )
-        assert isinstance(one, float)
-        assert abs(one - float(initials[0] @ probs)) <= TOL
-
-    def test_expected_many_block(self):
-        model = ZOO["virus1"]()
-        k = model.num_states
-        ctx = self._ctx(model)
-        checker = ctx.local_checker()
-        from repro.logic.parser import parse_path
-
-        curve = checker.path_curve(
-            parse_path("not_infected U[0,1] infected"), 2.0
-        )
-        ts = np.linspace(0.0, 2.0, 7)
-        initials = _block(4, k)
-        initials /= initials.sum(axis=1, keepdims=True)
-        many = curve.expected_many(ts, initials)
-        assert many.shape == (7, 4)
-        vals = curve.values_many(ts)
-        assert float(np.max(np.abs(many - vals @ initials.T))) <= TOL
-        one = curve.expected_many(ts, initials[0])
-        assert one.shape == (7,)
-        assert float(np.max(np.abs(one - many[:, 0]))) <= TOL

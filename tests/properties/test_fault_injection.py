@@ -13,9 +13,12 @@ from a right-hand side, so one raising call aborts exactly one
 non-finite for good (e.g. a division blow-up in a user model).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.checking import CheckOptions, MFModelChecker
 from repro.checking.context import EvaluationContext
 from repro.checking.statistical import StatisticalChecker
 from repro.checking.transform import absorbing_generator_function
@@ -32,6 +35,7 @@ from repro.exceptions import (
 from repro.instrumentation import EvalStats
 from repro.logic.parser import parse_path
 from repro.meanfield.ode import OccupancyTrajectory
+from repro.models import MODEL_REGISTRY
 from repro.models.virus import SETTING_1, overall_ode_matrix
 from repro.resilience import Budget
 
@@ -400,6 +404,48 @@ class TestDeadlineAtEachRung:
             # Distinct windows so the transient cache cannot serve them.
             ctx.transient_matrix(SIGNATURE, q, 0.0, 1.0)
             ctx.transient_matrix(SIGNATURE, q, 0.0, 2.0)
+
+
+class TestDeadlineReachesEverySolve:
+    """A check that never settles still ends at its deadline: the
+    occupancy ODE and the steady-state long run obey the budget too.
+    Each check runs on a thread joined with a timeout, so a regression
+    fails here instead of hanging the suite."""
+
+    @staticmethod
+    def _check_by(deadline, model, occupancy, formula):
+        outcome = []
+
+        def run():
+            checker = MFModelChecker(model, CheckOptions(deadline=deadline))
+            try:
+                outcome.append(checker.check(formula, np.array(occupancy)))
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(deadline + 1.0)
+        assert not thread.is_alive(), "the check outlived its deadline"
+        return outcome[0]
+
+    def test_occupancy_ode_obeys_the_deadline(self):
+        # From m1 = 0.1 the smart-virus drift reaches its m1 floor near
+        # t = 0.77, where RK45's stable step is about 1e-11.
+        error = self._check_by(
+            3.0,
+            MODEL_REGISTRY["virus1"](),
+            [0.1, 0.5, 0.4],
+            "EP[<0.4](infected U[0,5] not_infected)",
+        )
+        assert isinstance(error, BudgetExceededError)
+
+    def test_steady_state_long_run_obeys_the_deadline(self):
+        # The diurnal rates oscillate, so the long run never settles.
+        error = self._check_by(
+            2.0, MODEL_REGISTRY["diurnal"](), [0.5, 0.5], "ES[>0.1](tt)"
+        )
+        assert isinstance(error, BudgetExceededError)
 
 
 class TestStatisticalRateBound:

@@ -3,7 +3,7 @@
 Covers the batch contract end to end: envelope validation, per-item
 error isolation (a malformed item must not fail its siblings), the
 shared batch budget, admission control that rejects whole envelopes
-without touching the warm cache, duplicate-item coalescing through the
+without touching the warm cache, duplicate items answered from the
 response cache, and counter consistency under concurrent batches.
 """
 
@@ -175,7 +175,6 @@ class TestBatchAnswers:
         assert status == 200
         assert body["exit_codes"] == [0, EXIT_CHECKING_ERROR, 0]
         assert body["results"][1]["error_class"] == "RuntimeError"
-        assert service._inflight == {}
 
     def test_huge_occupancy_entry_fails_only_that_item(self, service):
         queries = [
@@ -340,11 +339,10 @@ class TestConcurrentBatches:
         assert payload["service_batch_items"] == n_threads * n_items
         assert payload["service_requests"] == n_threads * n_items
         assert payload["service_batch_item_errors"] == 0
-        # Every item was answered by a computation, a cache hit or a
-        # coalesced wait — the accounting must add up exactly.
+        # Every item was answered by a computation or a cache hit —
+        # the accounting must add up exactly.
         accounted = (
             payload["service_cache_hits"]
-            + payload["service_coalesced"]
             + payload["service_cache_misses"]
             + payload["service_context_reuses"]
         )

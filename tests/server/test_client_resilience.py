@@ -1,4 +1,4 @@
-"""Tests for the client's retry, backoff and circuit-breaker behaviour.
+"""Tests for the client's retry and backoff behaviour.
 
 The scripted tests shadow ``service.handle`` on a live in-process
 server, so the retries travel the real HTTP path; sleeps and jitter are
@@ -6,6 +6,7 @@ injected, so no test actually waits.
 """
 
 import random
+import socket
 import threading
 
 import pytest
@@ -186,57 +187,40 @@ class TestRetryPolicy:
             dead.query(REQUEST)
         assert len(sleeps) == 2
 
+    def test_retries_reach_a_server_that_comes_back(self):
+        """Every retry reaches the network: a server that starts while
+        the client is still backing off answers the next attempt."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        sleeps, servers = [], []
 
-class TestCircuitBreaker:
-    def dead_client(self, **kwargs):
-        kwargs.setdefault("timeout", 0.2)
-        kwargs.setdefault("retries", 0)
-        kwargs.setdefault("sleep", lambda _s: None)
-        return ServerClient("http://127.0.0.1:1", **kwargs)
+        def sleep(delay):
+            sleeps.append(delay)
+            if len(sleeps) == 5:
+                srv = make_server(port=port, config=ServerConfig())
+                threading.Thread(
+                    target=srv.serve_forever, daemon=True
+                ).start()
+                servers.append(srv)
 
-    def test_breaker_opens_after_threshold(self):
-        client = self.dead_client(breaker_threshold=2)
-        for _ in range(2):
-            with pytest.raises(CheckingError, match="cannot reach"):
-                client.query(REQUEST)
-        assert client.breaker_open() is True
-        assert client.resilience_stats["breaker_trips"] == 1
-        # While open, requests fail fast with the same error contract
-        # and no socket work.
-        with pytest.raises(CheckingError, match="circuit breaker open"):
-            client.query(REQUEST)
-        assert client.resilience_stats["breaker_fast_fails"] == 1
-
-    def test_breaker_half_opens_after_cooldown(self):
-        import time
-
-        client = self.dead_client(
-            breaker_threshold=1, breaker_cooldown=0.05
+        client = ServerClient(
+            f"http://127.0.0.1:{port}",
+            timeout=60.0,
+            retries=8,
+            rng=random.Random(7),
+            sleep=sleep,
         )
-        with pytest.raises(CheckingError):
-            client.query(REQUEST)
-        assert client.breaker_open() is True
-        time.sleep(0.06)
-        assert client.breaker_open() is False  # next request probes
-
-    def test_success_closes_breaker(self, server):
-        client, _ = make_client(
-            server,
-            breaker_threshold=1,
-            breaker_cooldown=0.01,
-            retries=0,
-            sleep=lambda _s: None,
-        )
-        # Force a failure record, then a real success must reset it.
-        client._record_connect_failure()
-        assert client._consecutive_failures == 1
-        import time
-
-        time.sleep(0.02)
-        status, _ = client.query(REQUEST)
+        try:
+            status, body = client.query(REQUEST)
+        finally:
+            client.close()
+            for srv in servers:
+                srv.shutdown()
+                srv.server_close()
         assert status == 200
-        assert client._consecutive_failures == 0
-        assert client.breaker_open() is False
+        assert body["status"] == "ok"
+        assert len(sleeps) == 5
 
     def test_knob_validation(self):
         with pytest.raises(CheckingError):
@@ -245,7 +229,3 @@ class TestCircuitBreaker:
             ServerClient("http://x", backoff_base=0.0)
         with pytest.raises(CheckingError):
             ServerClient("http://x", backoff_base=2.0, backoff_cap=1.0)
-        with pytest.raises(CheckingError):
-            ServerClient("http://x", breaker_threshold=0)
-        with pytest.raises(CheckingError):
-            ServerClient("http://x", breaker_cooldown=0.0)

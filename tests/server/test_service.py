@@ -2,7 +2,7 @@
 
 Everything here calls :meth:`CheckingService.handle` directly — no
 sockets — which is exactly how the HTTP layer calls it.  The threaded
-tests exercise the coalescing and admission-control paths for real by
+tests exercise the entry-lock and admission-control paths for real by
 slowing the underlying computation down with a monkeypatched checker.
 """
 
@@ -392,6 +392,33 @@ class TestBudgets:
         finally:
             svc.close()
 
+    def test_deadline_ends_a_crawling_occupancy_ode(self):
+        """The occupancy ODE obeys the request deadline: the request
+        answers 503 in time and hands its admission slot back."""
+        svc = CheckingService(
+            ServerConfig(max_concurrent=1, queue_timeout=1.0)
+        )
+        crawling = check_request(
+            occupancy=[0.1, 0.5, 0.4],
+            formula="EP[<0.4](infected U[0,5] not_infected)",
+            deadline=2,
+        )
+        outcome = []
+        thread = threading.Thread(
+            target=lambda: outcome.append(svc.handle(crawling)), daemon=True
+        )
+        try:
+            thread.start()
+            thread.join(3.0)
+            assert not thread.is_alive(), "the request outlived its deadline"
+            status, body = outcome[0]
+            assert status == 503
+            assert body["error_class"] == "BudgetExceededError"
+            status, _ = svc.handle(check_request())
+            assert status == 200
+        finally:
+            svc.close()
+
     def test_max_solves_enforced(self, service):
         # csat propagates the until window across [0, theta] — far more
         # than one charged solve.
@@ -404,12 +431,15 @@ class TestBudgets:
 
 
 class TestCoalescing:
+    """Identical requests share one computation through the entry lock:
+    whoever takes it after the computer finds the stored answer."""
+
     def test_identical_concurrent_queries_compute_once(
         self, service, monkeypatch
     ):
-        """Satellite smoke test: N threads hammer one entry; exactly one
-        computation runs, everyone gets the identical verdict, and the
-        counters are not torn."""
+        """N threads hammer one entry; exactly one computation runs,
+        everyone gets the identical verdict, and the counters are not
+        torn."""
         calls = []
         original = MFModelChecker.check_detailed
 
@@ -431,13 +461,20 @@ class TestCoalescing:
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(n)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        # Switch threads as often as possible while the burst runs, so
+        # the lock hand-offs and counter updates interleave finely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
         assert all(not t.is_alive() for t in threads)
 
-        assert len(calls) == 1  # coalesced onto one computation
+        assert len(calls) == 1  # one computation for the whole burst
         statuses = {s for s, _ in results}
         verdicts = [r["verdict"] for _, r in results]
         assert statuses == {200}
@@ -445,19 +482,17 @@ class TestCoalescing:
 
         stats = service.stats
         assert stats.service_requests == n
-        # Everyone besides the computer was either coalesced onto the
-        # in-flight computation or (if it arrived after publication)
-        # served from the response cache; nothing was lost or torn.
-        assert stats.service_coalesced + stats.service_cache_hits == n - 1
+        # Everyone besides the computer was served from the response
+        # cache, before or after waiting for the entry; nothing was
+        # lost or torn.
         assert stats.service_cache_misses == 1
-        coalesced = [
-            r for _, r in results if r["cache"].get("coalesced")
-        ]
-        assert len(coalesced) == stats.service_coalesced
+        assert stats.service_cache_hits == n - 1
+        assert sum(r["cache"]["hit"] for _, r in results) == n - 1
 
     def test_different_limits_do_not_coalesce(self, service, monkeypatch):
         """A no-deadline request must never inherit a tight-deadline
-        peer's budget error: the in-flight key includes the limits."""
+        peer's budget error: errors are not cached, so the unhurried
+        request computes under its own limits."""
         original = MFModelChecker.check_detailed
 
         def slow_check(self, formula, occupancy, ctx=None):
@@ -487,18 +522,10 @@ class TestCoalescing:
 
 
 class TestFailureContainment:
-    """Every failure answers its request and releases the in-flight key."""
-
-    @pytest.fixture
-    def svc(self):
-        # A key left in flight makes the identical retry wait out
-        # coalesce_timeout and answer 503: keep that wait short.
-        svc = CheckingService(ServerConfig(coalesce_timeout=2.0))
-        yield svc
-        svc.close()
+    """Every failure answers its own request and caches nothing."""
 
     def test_unexpected_error_is_500_then_the_key_recovers(
-        self, svc, monkeypatch
+        self, service, monkeypatch
     ):
         original = MFModelChecker.check_detailed
         calls = []
@@ -510,57 +537,68 @@ class TestFailureContainment:
             return original(self, formula, occupancy, ctx=ctx)
 
         monkeypatch.setattr(MFModelChecker, "check_detailed", flaky)
-        status, body = svc.handle(check_request())
+        status, body = service.handle(check_request())
         assert status == 500
         assert body["error_class"] == "RuntimeError"
         assert body["exit_code"] == EXIT_CHECKING_ERROR
-        assert svc._inflight == {}
-        status, body = svc.handle(check_request())
+        status, body = service.handle(check_request())
         assert status == 200
         assert body["cache"]["hit"] is False
         assert len(calls) == 2
 
-    def test_coalesced_peer_shares_the_error(self, svc, monkeypatch):
+    def test_peer_of_a_failed_computation_computes_alone(
+        self, service, monkeypatch
+    ):
+        """A request waiting behind an identical computation that fails
+        is not handed the error: it computes under its own limits."""
+        original = MFModelChecker.check_detailed
         started = threading.Event()
+        calls = []
 
-        def failing(self, formula, occupancy, ctx=None):
-            started.set()
-            time.sleep(0.3)
-            raise RuntimeError("injected: not a library error")
+        def fails_once(self, formula, occupancy, ctx=None):
+            calls.append(formula)
+            if len(calls) == 1:
+                started.set()
+                time.sleep(0.3)
+                raise RuntimeError("injected: not a library error")
+            return original(self, formula, occupancy, ctx=ctx)
 
-        monkeypatch.setattr(MFModelChecker, "check_detailed", failing)
+        monkeypatch.setattr(MFModelChecker, "check_detailed", fails_once)
         results = {}
         first = threading.Thread(
-            target=lambda: results.update(first=svc.handle(check_request()))
+            target=lambda: results.update(
+                first=service.handle(check_request())
+            )
         )
         first.start()
         assert started.wait(timeout=30)
-        results["peer"] = svc.handle(check_request())
+        results["peer"] = service.handle(check_request())
         first.join(timeout=30)
+        assert not first.is_alive()
         assert results["first"][0] == 500
         status, body = results["peer"]
-        assert status == 500
-        assert body["error_class"] == "RuntimeError"
-        assert body["cache"]["coalesced"] is True
-        assert svc._inflight == {}
+        assert status == 200
+        assert body["cache"]["hit"] is False
+        assert body["verdict"]["holds"] is True
+        assert len(calls) == 2
 
     def test_ode_chain_failure_is_500_and_caches_nothing(
-        self, svc, monkeypatch
+        self, service, monkeypatch
     ):
         def failing(self, signature, q_of_t, t_start, duration):
             raise NumericalError("injected: ode chain down")
 
         monkeypatch.setattr(EvaluationContext, "_transient_ode", failing)
-        status, body = svc.handle(check_request())
+        status, body = service.handle(check_request())
         assert status == 500
         assert body["error_class"] == "NumericalError"
         assert body["exit_code"] == EXIT_CHECKING_ERROR
-        for entry in svc._entries.values():
+        for entry in service._entries.values():
             assert not entry.responses
             for ctx in entry.contexts.values():
                 assert ctx.export_transient_cache() == {}
         monkeypatch.undo()
-        status, body = svc.handle(check_request())
+        status, body = service.handle(check_request())
         assert status == 200
         assert body["cache"]["hit"] is False
         assert set(body["verdict"]) == {"holds", "value", "margin"}
@@ -570,9 +608,9 @@ class TestFailureContainment:
         ["(" * 200 + LEAF + ")" * 200, " & ".join([LEAF] * 1000)],
         ids=["200-parentheses", "1000-term-chain"],
     )
-    def test_too_deep_formula_is_400(self, svc, on_fresh_thread, formula):
+    def test_too_deep_formula_is_400(self, service, on_fresh_thread, formula):
         status, body = on_fresh_thread(
-            svc.handle, check_request(formula=formula)
+            service.handle, check_request(formula=formula)
         )
         assert status == 400
         assert body["exit_code"] == EXIT_FORMULA_ERROR
@@ -584,10 +622,10 @@ class TestFailureContainment:
         ids=["100-parentheses", "900-term-chain"],
     )
     def test_deep_formula_within_reach_still_checks(
-        self, svc, on_fresh_thread, formula
+        self, service, on_fresh_thread, formula
     ):
         status, body = on_fresh_thread(
-            svc.handle, check_request(formula=formula)
+            service.handle, check_request(formula=formula)
         )
         assert status == 200
         assert body["verdict"]["holds"] is True
@@ -612,7 +650,7 @@ class TestAdmission:
             results[name] = svc.handle(payload)
 
         try:
-            # Two *different* formulas: no coalescing, both need a slot.
+            # Two *different* formulas: each needs its own computation.
             t1 = threading.Thread(
                 target=run, args=("a", check_request())
             )
@@ -771,7 +809,7 @@ class TestConfigValidation:
             {"default_deadline": -1.0},
             {"max_concurrent": 0},
             {"queue_timeout": -1.0},
-            {"coalesce_timeout": 0.0},
+            {"drain_deadline": 0.0},
             {"max_cache_mb": float("nan")},
             {"queue_timeout": float("nan")},
             {"drain_deadline": float("nan")},
