@@ -18,7 +18,11 @@ The acceptance workload of the sparse/Krylov transient backend
   :func:`repro.models.population.choose_capacity` is vindicated
   a posteriori;
 - **timing** (``REPRO_BENCH_TIMING_GATE=0`` disables): the K=1001
-  sparse solve finishes under :data:`SPARSE_WALL_CEILING_S`.
+  sparse solve finishes under :data:`SPARSE_WALL_CEILING_S`;
+- **deep two-window cold build** (always on): the two cold ``EP``
+  window builds that open every ``deep-sparse`` round, on a fresh
+  context — values and ``EvalStats`` counters asserted, wall time
+  recorded (advisory).
 
 Wall-times are appended to ``BENCH_sparse.json`` via
 :mod:`benchmarks.record`; :func:`benchmarks.record.check_regressions`
@@ -34,6 +38,7 @@ import pytest
 
 from benchmarks.conftest import record, record_stats
 from benchmarks.record import SPARSE_PATH, check_regressions, record_wall_times
+from repro.checking import MFModelChecker
 from repro.checking.context import EvaluationContext
 from repro.checking.options import CheckOptions
 from repro.checking.transform import absorbing_generator_function
@@ -56,6 +61,21 @@ MEMORY_BUDGET_MB = 32.0
 
 K_SMALL_BUFFER = 199  # K = 200: both backends affordable
 K_DEEP_BUFFER = 1000  # K = 1001: dense Kolmogorov workspace is 64 MB
+
+#: The two cold window builds of a ``deep-sparse`` round, in its order,
+#: with the values they must produce (read before the per-factor action
+#: plans, which left them bitwise unchanged).
+COLD_BUILD_QUERIES = (
+    ("EP[<0.5](busy U[0,0.5] idle)", 0.37870054718854024),
+    ("EP[<0.5](busy U[0,1] idle)", 0.42813029984920825),
+)
+#: ``EvalStats`` counters of that build on a fresh context.
+COLD_BUILD_COUNTERS = {
+    "sparse_cells_built": 32,
+    "sparse_applies": 4,
+    "sparse_refinements": 0,
+    "generator_evals": 193,
+}
 
 
 def _timing_gate() -> bool:
@@ -300,3 +320,53 @@ def test_population_truncation_diagnostic(benchmark):
 
     assert hit_probability < 1e-6
     assert start_mass < 1e-6
+
+
+def test_deep_lb_two_window_cold_build(benchmark):
+    """The deep-sparse round's two cold EP window builds, fresh context.
+
+    ``loadbalance-deep`` (K = 1001) at ``m_k ∝ 0.70^k`` (entries below
+    1e-14 zeroed): ``busy U[0,0.5] idle`` then ``busy U[0,1] idle``, the
+    second reusing the first one's cells.  Values and counters are
+    asserted; the wall time is recorded, not gated.
+    """
+    model = deep_load_balancing_model(buffer=K_DEEP_BUFFER)
+    weights = 0.70 ** np.arange(model.num_states, dtype=float)
+    weights[weights < 1e-14] = 0.0
+    occupancy = weights / weights.sum()
+    model.local.compiled_generator()
+    checker = MFModelChecker(model)
+
+    def run():
+        ctx = checker.context(occupancy)
+        start = time.perf_counter()
+        values = [
+            checker.check_detailed(formula, occupancy, ctx=ctx).value
+            for formula, _ in COLD_BUILD_QUERIES
+        ]
+        return values, ctx.stats, time.perf_counter() - start
+
+    values, stats, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    counters = {name: getattr(stats, name) for name in COLD_BUILD_COUNTERS}
+    record(benchmark, k=model.num_states, values=values, cold_build_s=elapsed)
+    record_stats(benchmark, stats)
+    record_wall_times(
+        "deep_lb_two_window_cold_build",
+        {"cold_build": elapsed},
+        extra={
+            "k": model.num_states,
+            "values": values,
+            "stats": stats.as_dict(),
+        },
+        path=SPARSE_PATH,
+    )
+    _print_flags("deep_lb_two_window_cold_build")
+    print(
+        f"\nK={model.num_states} two-window cold build: {elapsed:.3f}s, "
+        f"values {values[0]:.15f} / {values[1]:.15f}"
+    )
+
+    for value, (_, expected) in zip(values, COLD_BUILD_QUERIES):
+        assert value == pytest.approx(expected, abs=1e-13)
+    assert counters == COLD_BUILD_COUNTERS

@@ -265,7 +265,8 @@ class MFModelChecker:
         checker = ctx.local_checker() if shared else LocalChecker(ctx)
         if isinstance(psi, Expectation):
             sat = checker.sat_at(psi.operand, 0.0)
-            return float(sum(ctx.initial[j] for j in sat))
+            states = np.fromiter(sat, dtype=np.intp, count=len(sat))
+            return float(ctx.initial[states].sum())
         if isinstance(psi, ExpectedSteadyState):
             steady_ctx = ctx.steady_context()
             steady_checker = (

@@ -88,15 +88,17 @@ def absorbing_generator_function(
 def absorbing_generator_sparse(
     q: scipy.sparse.spmatrix, absorbed: FrozenSet[int]
 ) -> scipy.sparse.csr_matrix:
-    """Sparse ``M[Φ]``: CSR copy with absorbed rows' data zeroed.
+    """Sparse ``M[Φ]``: CSR with absorbed rows' data zeroed.
 
-    The sparsity structure is preserved (entries become explicit zeros),
-    so repeated transforms along a trajectory keep one structure.
+    Only ``data`` is copied; the result shares ``q``'s index arrays
+    (absorbed entries become explicit zeros), so repeated transforms
+    along a trajectory keep one structure.  Treat it as read-only.
     """
-    out = q.tocsr().copy()
+    q = q.tocsr()
+    data = q.data.copy()
     for s in absorbed:
-        out.data[out.indptr[s] : out.indptr[s + 1]] = 0.0
-    return out
+        data[q.indptr[s] : q.indptr[s + 1]] = 0.0
+    return scipy.sparse.csr_matrix((data, q.indices, q.indptr), shape=q.shape)
 
 
 def absorbing_generator_sparse_function(

@@ -47,11 +47,12 @@ For large local models (the sparse backend of docs/performance.md
 "Backend selection") the dense cell cache itself is the problem: each
 cached cell is a dense ``(K, K)`` propagator and each window product
 costs ``O(K³)``.  :class:`SparseActionPropagator` keeps the same grid
-geometry but caches only the *sparse CF4 exponents* per cell and applies
-``Π(a, b)`` to vectors/blocks through chains of
-:func:`scipy.sparse.linalg.expm_multiply` actions — ``O(nnz)`` per
-matvec, never a dense matrix unless a caller explicitly densifies
-(which then passes through ``Budget.max_memory_mb``).  Its defect
+geometry but caches only the *sparse CF4 exponents* per cell, each with
+its Al-Mohy–Higham action plan (shift, norm and Taylor parameters, paid
+once per exponent), and applies ``Π(a, b)`` to vectors/blocks through
+chains of truncated-Taylor actions — ``O(nnz)`` per matvec, never a
+dense matrix unless a caller explicitly densifies (which then passes
+through ``Budget.max_memory_mb``).  Its defect
 control is Richardson extrapolation (grid ``h`` vs ``h/2`` on probe
 blocks) instead of dense ODE references, which would themselves be
 ``O(K²)`` state solves — the trade-off is documented in
@@ -66,7 +67,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from repro.ctmc.transient import transient_matrix_uniformization
 from repro.diagnostics import (
@@ -120,6 +120,26 @@ _SPARSE_PROBE_COLUMNS = 4
 #: Fixed seed of the sparse probe directions — deterministic defect
 #: estimates across runs (same convention as the MC ladder seed).
 _SPARSE_PROBE_SEED = 20130613
+
+#: Unit roundoff of double precision: the truncation tolerance of the
+#: sparse engine's exponential actions.
+_ACTION_TOL = 2.0 ** -53
+
+#: ``(m, θ_m)`` at tolerance 2⁻⁵³: ``m`` Taylor terms of ``e^{A/s}``
+#: meet the tolerance while ``‖A/s‖₁ ≤ θ_m`` (Higham, *Functions of
+#: Matrices*, Table A.3, for ``m ≤ 30``; Al-Mohy & Higham, SIAM J. Sci.
+#: Comput. 33(2), 2011, Table 3.1, beyond).
+_THETA = (
+    (1, 2.29e-16), (2, 2.58e-8), (3, 1.39e-5), (4, 3.40e-4),
+    (5, 2.40e-3), (6, 9.07e-3), (7, 2.38e-2), (8, 5.00e-2),
+    (9, 8.96e-2), (10, 1.44e-1), (11, 2.14e-1), (12, 3.00e-1),
+    (13, 4.00e-1), (14, 5.14e-1), (15, 6.41e-1), (16, 7.81e-1),
+    (17, 9.31e-1), (18, 1.09), (19, 1.26), (20, 1.44),
+    (21, 1.62), (22, 1.82), (23, 2.01), (24, 2.22),
+    (25, 2.43), (26, 2.64), (27, 2.86), (28, 3.08),
+    (29, 3.31), (30, 3.54), (35, 4.7), (40, 6.0),
+    (45, 7.2), (50, 8.5), (55, 9.9),
+)
 
 
 def split_window(h: float, a: float, b: float):
@@ -746,20 +766,199 @@ class PropagatorEngine:
 SparseGeneratorFunction = Callable[[float], scipy.sparse.csr_matrix]
 
 
+def _taylor_parameters(norm: float) -> "tuple[int, int]":
+    """``(m*, s)`` minimising ``m·⌈‖A‖₁/θ_m⌉`` over :data:`_THETA`.
+
+    This is code fragment (3.1) of Al-Mohy & Higham under their
+    condition (3.13).  Where (3.13) fails the choice stays valid, only
+    conservative: the paper's sharper bound uses ``α_p(A) ≤ ‖A‖₁``.
+    A zero operator needs no terms: ``(0, 1)``.
+    """
+    if norm == 0.0:
+        return 0, 1
+    best_m, best_s = 0, 0
+    for m, theta in _THETA:
+        s = int(math.ceil(norm / theta))
+        if best_m == 0 or m * s < best_m * best_s:
+            best_m, best_s = m, s
+    return best_m, best_s
+
+
+def _inf_norm(x: np.ndarray) -> float:
+    """``‖x‖_∞`` of a vector, or the largest absolute row sum of a block."""
+    x = np.abs(x)
+    if x.ndim == 1:
+        return x.max()
+    return (x @ np.ones(x.shape[1])).max()
+
+
+class _ActionPlan:
+    """``e^E`` for one fixed sparse exponent ``E``, ready to apply.
+
+    Holds what Al-Mohy & Higham's Algorithm 3.2 needs of the operator,
+    computed once: the shift ``μ = trace(E)/n``, the shifted operator
+    ``A = E − μI`` as CSR, its exact 1-norm and the Taylor degree and
+    step count ``(m*, s)`` chosen from it.  :meth:`right` is then the
+    algorithm's loop alone.  The transposed plan behind :meth:`left` is
+    built on first use.
+    """
+
+    __slots__ = ("op", "mu", "norm", "m_star", "s", "_eta", "_pattern",
+                 "_transposed")
+
+    def __init__(self, op, mu, norm: float, pattern: "_ExponentPattern"):
+        self.op = op
+        self.mu = mu
+        self.norm = norm
+        self.m_star, self.s = _taylor_parameters(norm)
+        self._eta = np.exp(mu / float(self.s))
+        self._pattern = pattern
+        self._transposed: "Optional[_ActionPlan]" = None
+
+    def right(self, b: np.ndarray) -> np.ndarray:
+        """``e^E @ b`` for a vector ``(n,)`` or a block ``(n, B)``.
+
+        Algorithm 3.2 at tolerance 2⁻⁵³: ``s`` steps of at most ``m*``
+        Taylor terms each, a step ending early once two consecutive
+        terms are negligible against the partial sum.
+        """
+        op, s = self.op, self.s
+        f = b
+        for _ in range(s):
+            c1 = _inf_norm(b)
+            for j in range(self.m_star):
+                b = (1.0 / float(s * (j + 1))) * op.dot(b)
+                c2 = _inf_norm(b)
+                f = f + b
+                if c1 + c2 <= _ACTION_TOL * _inf_norm(f):
+                    break
+                c1 = c2
+            f = self._eta * f
+            b = f
+        return f
+
+    def left(self, v: np.ndarray) -> np.ndarray:
+        """``v @ e^E`` for a row ``(n,)`` or a block ``(B, n)``."""
+        transposed = self._transposed
+        if transposed is None:
+            transposed = self._transposed = self._pattern.transpose(self)
+        return transposed.right(v.T).T
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the operator values (and of the transpose, if built);
+        the index arrays belong to the engine's shared pattern."""
+        total = int(self.op.data.nbytes)
+        if self._transposed is not None:
+            total += int(self._transposed.op.data.nbytes)
+        return total
+
+
+class _ExponentPattern:
+    """The one CSR pattern every exponent of an engine lives on.
+
+    It is the generator's fixed structure with a diagonal slot added to
+    every row that lacks one (goal chains have empty rows), so the shift
+    ``E − μI`` never changes the pattern.  Exponent values arrive on the
+    generator's structure and are scattered into the completed one; the
+    transposed pattern for left actions is derived on first use.
+    """
+
+    def __init__(self, q: scipy.sparse.csr_matrix):
+        n = int(q.shape[0])
+        self.n = n
+        #: The generator structure every ``q_of_t`` result must repeat.
+        self.q_indptr = q.indptr
+        self.q_indices = q.indices
+        rows = np.repeat(np.arange(n), np.diff(q.indptr))
+        missing = np.setdiff1d(np.arange(n), rows[rows == q.indices])
+        if missing.size:
+            all_rows = np.concatenate([rows, missing])
+            all_cols = np.concatenate([q.indices, missing])
+            order = np.lexsort((all_cols, all_rows))
+            self.indices = all_cols[order].astype(q.indices.dtype)
+            self.indptr = np.zeros(n + 1, dtype=q.indptr.dtype)
+            np.cumsum(np.bincount(all_rows, minlength=n), out=self.indptr[1:])
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            #: Slot of each generator entry in the completed pattern.
+            self._scatter: Optional[np.ndarray] = rank[: q.indices.size]
+            rows = all_rows[order]
+        else:
+            self.indices, self.indptr = q.indices, q.indptr
+            self._scatter = None
+        self._rows = rows
+        self._diagonal = np.flatnonzero(rows == self.indices)
+        self._transpose_order: Optional[tuple] = None
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+    def plan(self, data: np.ndarray) -> _ActionPlan:
+        """Plan for the exponent with values ``data`` on the generator's
+        structure (a fresh array; it may become the plan's own)."""
+        if self._scatter is not None:
+            full = np.zeros(self.nnz)
+            full[self._scatter] = data
+            data = full
+        n = self.n
+        mu = data[self._diagonal].sum() / float(n)
+        data[self._diagonal] -= mu
+        norm = np.bincount(self.indices, weights=np.abs(data), minlength=n)
+        op = scipy.sparse.csr_matrix(
+            (data, self.indices, self.indptr), shape=(n, n)
+        )
+        return _ActionPlan(op, mu, float(norm.max()), self)
+
+    def transpose(self, plan: _ActionPlan) -> _ActionPlan:
+        """The plan of ``Eᵀ``: same shift, the transposed operator and
+        its own 1-norm (the largest absolute row sum of ``A``)."""
+        if self._transpose_order is None:
+            order = np.argsort(self.indices, kind="stable")
+            indptr = np.zeros(self.n + 1, dtype=self.indptr.dtype)
+            np.cumsum(
+                np.bincount(self.indices, minlength=self.n), out=indptr[1:]
+            )
+            self._transpose_order = (
+                order, self._rows[order].astype(self.indices.dtype), indptr
+            )
+        order, indices, indptr = self._transpose_order
+        data = plan.op.data
+        norm = np.bincount(self._rows, weights=np.abs(data), minlength=self.n)
+        op = scipy.sparse.csr_matrix(
+            (data[order], indices, indptr), shape=(self.n, self.n)
+        )
+        return _ActionPlan(op, plan.mu, float(norm.max()), self)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the shared index arrays."""
+        arrays = [self.indices, self.indptr, self._rows, self._diagonal]
+        if self._scatter is not None:
+            arrays.append(self._scatter)
+        if self._transpose_order is not None:
+            arrays.extend(self._transpose_order)
+        return sum(int(a.nbytes) for a in arrays)
+
+
 class SparseActionPropagator:
     """Action-based propagator for large sparse inhomogeneous chains.
 
     The grid geometry matches :class:`PropagatorEngine` (uniform cells,
     boundary slivers, CF4 or midpoint cell rule), but the cache holds
     the *sparse exponent matrices* of each cell — for CF4 the pair
-    ``E₁ = h(b·Q₁ + a·Q₂)``, ``E₂ = h(a·Q₁ + b·Q₂)`` whose sparsity
-    equals the generator's — and ``Π(a, b)`` is only ever *applied*:
+    ``E₁ = h(b·Q₁ + a·Q₂)``, ``E₂ = h(a·Q₁ + b·Q₂)``, computed on the
+    generator's own CSR structure — each with its Al-Mohy–Higham action
+    plan (shift, 1-norm and Taylor parameters, built with the cell), and
+    ``Π(a, b)`` is only ever *applied*:
 
     - right action ``Π(a, b) @ w`` (reach-probability vectors):
-      ``exp(E₁)·exp(E₂)·…·w`` evaluated right-to-left through
-      :func:`scipy.sparse.linalg.expm_multiply`;
+      ``exp(E₁)·exp(E₂)·…·w`` evaluated right-to-left, one Algorithm 3.2
+      loop per factor (docs/numerics.md §2);
     - left action ``v @ Π(a, b)`` (distribution rows): the transposed
-      chain evaluated left-to-right.
+      chain evaluated left-to-right (each factor's transposed plan is
+      built on first use).
 
     Memory is O(cells · nnz) instead of O(cells · K²) and a window
     application costs O(cells · nnz · series terms) — no dense matrix
@@ -775,9 +974,11 @@ class SparseActionPropagator:
     references are not affordable here.
 
     Parameters mirror :class:`PropagatorEngine` where they apply;
-    ``q_of_t`` must return a :class:`scipy.sparse.csr_matrix` (for one
-    fixed sparsity structure, e.g. from
-    :meth:`repro.meanfield.compiled.CompiledGenerator.sparse`).
+    ``q_of_t`` must return a canonical :class:`scipy.sparse.csr_matrix`
+    with one fixed sparsity structure for every ``t`` (e.g. from
+    :meth:`repro.meanfield.compiled.CompiledGenerator.sparse`).  Each
+    evaluation is checked against the structure of ``q_of_t(0)``, and a
+    change raises :class:`~repro.exceptions.ModelError`.
     """
 
     def __init__(
@@ -812,8 +1013,15 @@ class SparseActionPropagator:
                 "SparseActionPropagator needs a sparse generator function; "
                 f"got {type(q0).__name__} (use PropagatorEngine for dense)"
             )
+        q0 = q0.tocsr()
+        if not q0.has_canonical_format:
+            raise ModelError(
+                "SparseActionPropagator needs a canonical CSR generator "
+                "(sorted indices, no duplicate entries)"
+            )
         self.k = int(q0.shape[0])
         self._nnz = int(q0.nnz)
+        self._pattern = _ExponentPattern(q0)
         self._h: Optional[float] = None
         self._validated: Optional["tuple[float, float, float]"] = None
         self.refinements = 0
@@ -838,18 +1046,31 @@ class SparseActionPropagator:
         if self._stats is not None and amount:
             setattr(self._stats, name, getattr(self._stats, name) + amount)
 
+    def _generator_data(self, t: float) -> np.ndarray:
+        """Values of ``q_of_t(t)``, checked against the fixed structure."""
+        q = self.q_of_t(t).tocsr()
+        pattern = self._pattern
+        if not (
+            q.shape == (self.k, self.k)
+            and np.array_equal(q.indptr, pattern.q_indptr)
+            and np.array_equal(q.indices, pattern.q_indices)
+        ):
+            raise ModelError(
+                f"q_of_t({t:g}) changed the sparsity structure; the sparse "
+                f"engine needs one fixed structure for every time point"
+            )
+        return q.data
+
     def _factors(self, start: float, width: float) -> tuple:
-        """Sparse exponent factors of the cell rule over one interval."""
+        """Action plans of the cell rule's exponents over one interval."""
         if self.order == 2:
-            q = self.q_of_t(start + 0.5 * width).tocsr()
-            return (q * width,)
-        c1 = start + width * (0.5 - _GAUSS_OFFSET)
-        c2 = start + width * (0.5 + _GAUSS_OFFSET)
-        q1 = self.q_of_t(c1).tocsr()
-        q2 = self.q_of_t(c2).tocsr()
+            data = self._generator_data(start + 0.5 * width) * width
+            return (self._pattern.plan(data),)
+        q1 = self._generator_data(start + width * (0.5 - _GAUSS_OFFSET))
+        q2 = self._generator_data(start + width * (0.5 + _GAUSS_OFFSET))
         return (
-            (width * _CF4_B) * q1 + (width * _CF4_A) * q2,
-            (width * _CF4_A) * q1 + (width * _CF4_B) * q2,
+            self._pattern.plan((width * _CF4_B) * q1 + (width * _CF4_A) * q2),
+            self._pattern.plan((width * _CF4_A) * q1 + (width * _CF4_B) * q2),
         )
 
     def _cell(self, i: int) -> tuple:
@@ -858,7 +1079,8 @@ class SparseActionPropagator:
             self._count("propagator_cache_hits")
             return factors
         if self._budget is not None:
-            per_factor = self._nnz * 12 + (self.k + 1) * 4
+            # A factor's operator values, and those of its transpose.
+            per_factor = 16 * self._pattern.nnz
             per_cell = per_factor * (2 if self.order == 4 else 1)
             self._budget.check_memory(
                 (len(self._cells) + len(self._slivers) + 1) * per_cell,
@@ -887,15 +1109,15 @@ class SparseActionPropagator:
     @staticmethod
     def _right_action(factors, w: np.ndarray) -> np.ndarray:
         """``(∏ exp(E_f)) @ w`` — factors applied right-to-left."""
-        for e in reversed(factors):
-            w = expm_multiply(e, w)
+        for plan in reversed(factors):
+            w = plan.right(w)
         return w
 
     @staticmethod
     def _left_action(factors, v: np.ndarray) -> np.ndarray:
         """``v @ (∏ exp(E_f))`` — transposed chain, left-to-right."""
-        for e in factors:
-            v = expm_multiply(e.T.tocsr(), v.T).T
+        for plan in factors:
+            v = plan.left(v)
         return v
 
     def _pieces(self, a: float, b: float) -> list:
@@ -932,8 +1154,9 @@ class SparseActionPropagator:
         self, a: float, b: float, v: np.ndarray, side: str
     ) -> np.ndarray:
         """Same piece sequence, but every piece split in two — the
-        Richardson comparison point for the defect estimate.  Halved
-        factors are built fresh and not cached (the estimate must not
+        Richardson comparison point for the defect estimate.  Each
+        piece's halved factors are built, applied and dropped before the
+        next piece's: they are never cached (the estimate must not
         pollute the working grid)."""
         left, j0, j1, right = split_window(self._h, a, b)
         intervals = []
@@ -942,18 +1165,14 @@ class SparseActionPropagator:
         intervals.extend((i * self._h, (i + 1) * self._h) for i in range(j0, j1))
         if right is not None:
             intervals.append(right)
-        halves = []
+        action = self._left_action
+        if side == "right":
+            intervals.reverse()
+            action = self._right_action
+        w = np.asarray(v, dtype=float)
         for s, e in intervals:
             mid = 0.5 * (s + e)
-            halves.append(self._factors(s, mid - s))
-            halves.append(self._factors(mid, e - mid))
-        w = np.asarray(v, dtype=float)
-        if side == "right":
-            for factors in reversed(halves):
-                w = self._right_action(factors, w)
-            return w
-        for factors in halves:
-            w = self._left_action(factors, w)
+            w = action(self._factors(s, mid - s) + self._factors(mid, e - mid), w)
         return w
 
     # ------------------------------------------------------------------
@@ -1152,10 +1371,10 @@ class SparseActionPropagator:
         total = 0
         for cache in (self._cells, self._slivers):
             for factors in tuple(cache.values()):
-                for exponent in factors:
-                    total += int(exponent.data.nbytes)
-                    total += int(exponent.indices.nbytes)
-                    total += int(exponent.indptr.nbytes)
+                for plan in factors:
+                    total += plan.nbytes
+        if total:
+            total += self._pattern.nbytes
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

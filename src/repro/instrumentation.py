@@ -75,8 +75,8 @@ class EvalStats:
         :class:`~repro.ctmc.propagators.SparseActionPropagator` (cache
         hits count into ``propagator_cache_hits`` like the dense engine).
     sparse_applies:
-        Window actions (``v @ Π`` / ``Π @ v``) evaluated through
-        ``expm_multiply`` chains by the sparse engine.
+        Window actions (``v @ Π`` / ``Π @ v``) evaluated by the sparse
+        engine through chains of its cells' cached action plans.
     sparse_refinements:
         Grid halvings forced by the sparse engine's Richardson defect
         control.

@@ -137,6 +137,11 @@ class CompiledGenerator:
         self.transition_targets = np.array(
             [tr.target for tr in model.transitions], dtype=np.intp
         )
+        #: Targets then sources: the states :meth:`drift` credits and
+        #: debits, in that order.
+        self._flow_states = np.concatenate(
+            [self.transition_targets, self.transition_sources]
+        )
         self._k = k
         #: Transitions whose rate is re-evaluated per call.
         self.num_dynamic = len(dynamic)
@@ -364,15 +369,20 @@ class CompiledGenerator:
         """
         _indptr, indices, tr_pos, diag_pos = self._sparse_structure()
         b = rates.shape[0]
-        data = np.zeros((b, indices.size))
-        rows = np.arange(b)[:, None]
-        np.add.at(data, (rows, np.broadcast_to(tr_pos, rates.shape)), rates)
-        exit_rates = np.zeros((b, self._k))
-        np.add.at(
-            exit_rates,
-            (rows, np.broadcast_to(self.transition_sources, rates.shape)),
-            rates,
-        )
+        nnz, k = indices.size, self._k
+        # One ``bincount`` per scatter over row-offset slots: it adds in
+        # the same per-slot order as ``np.add.at``, so the result is
+        # bitwise identical, at a fraction of the cost.
+        offsets = np.arange(b)[:, None]
+        weights = rates.ravel()
+        data = np.bincount(
+            (offsets * nnz + tr_pos).ravel(), weights, minlength=b * nnz
+        ).reshape(b, nnz)
+        exit_rates = np.bincount(
+            (offsets * k + self.transition_sources).ravel(),
+            weights,
+            minlength=b * k,
+        ).reshape(b, k)
         data[:, diag_pos] = -exit_rates
         return data
 
@@ -438,10 +448,12 @@ class CompiledGenerator:
         m = np.asarray(m, dtype=float)
         rates = self.transition_rates(m[None, :], t)[0]
         flux = m[self.transition_sources] * rates
-        out = np.zeros(self._k)
-        np.add.at(out, self.transition_targets, flux)
-        np.add.at(out, self.transition_sources, -flux)
-        return out
+        # One ``bincount`` over targets then sources keeps the per-state
+        # order of inflows before outflows (two separate sums would round
+        # differently).
+        return np.bincount(
+            self._flow_states, np.concatenate([flux, -flux]), minlength=self._k
+        )
 
     def __repr__(self) -> str:
         return (

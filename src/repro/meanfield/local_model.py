@@ -110,6 +110,7 @@ class LocalModel:
             )
         self._transitions: Tuple[Transition, ...] = tuple(parsed)
         self._compiled = None
+        self._label_states: Dict[str, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # Structure
@@ -165,10 +166,20 @@ class LocalModel:
         return self._labels[state]
 
     def states_with_label(self, label: str) -> FrozenSet[int]:
-        """Indices of states labelled with ``label``."""
-        return frozenset(
-            i for i, name in enumerate(self._states) if label in self._labels[name]
-        )
+        """Indices of states labelled with ``label`` (memoized: labels are
+        fixed at construction)."""
+        states = self._label_states.get(label)
+        if states is None:
+            states = frozenset(
+                i
+                for i, name in enumerate(self._states)
+                if label in self._labels[name]
+            )
+            # Only the model's own labels are kept, so formulas naming
+            # unknown ones (any string a client sends) cannot grow it.
+            if states:
+                self._label_states[label] = states
+        return states
 
     # ------------------------------------------------------------------
     # Generator

@@ -81,6 +81,20 @@ class TestExpectationOperator:
         assert checker.value("E[>0](infected)", m_example1) == pytest.approx(0.2)
         assert checker.value("E[>0](active)", m_example1) == pytest.approx(0.05)
 
+    def test_value_matches_python_sum_on_deep_model(self):
+        from repro.models import MODEL_REGISTRY
+
+        model = MODEL_REGISTRY["loadbalance-deep"]()
+        k = model.num_states
+        occupancy = 0.70 ** np.arange(k, dtype=float)
+        occupancy /= occupancy.sum()
+        checker = MFModelChecker(model)
+        for label in ("busy", "idle"):
+            sat = model.local.states_with_label(label)
+            expected = sum(occupancy[j] for j in sat)
+            value = checker.value(f"E[>0]({label})", occupancy)
+            assert value == pytest.approx(expected, abs=1e-15)
+
     def test_paper_showcase_formula_1(self, checker):
         """E_{>0.8}(infected): the system counts as infected."""
         badly_infected = np.array([0.1, 0.5, 0.4])

@@ -11,6 +11,10 @@ Unit coverage for the pieces the sparse matrix backend is built from
   window actions, densification, batched ``apply_many``, Richardson
   defect control and its refinement-cap failure mode — against exact
   per-window Kolmogorov solves of the same inhomogeneous chain;
+- the engine's per-factor action plans against
+  :func:`scipy.sparse.linalg.expm_multiply` on ``loadbalance-deep``
+  exponents, its fixed-structure contract, and a value-and-counter lock
+  on the deep two-window cold build;
 - the memory guards of :func:`repro.ctmc.generator.build_generator` and
   :func:`repro.ctmc.inhomogeneous.solve_forward_kolmogorov` that make
   the dense path refuse (rather than thrash) exactly where the sparse
@@ -20,13 +24,27 @@ Unit coverage for the pieces the sparse matrix backend is built from
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.sparse.linalg import expm_multiply
 
+from repro.checking import MFModelChecker
+from repro.checking.context import EvaluationContext
+from repro.checking.options import CheckOptions
+from repro.checking.transform import (
+    UntilPartition,
+    absorbing_generator_sparse_function,
+    goal_generator_sparse_function,
+)
 from repro.ctmc.generator import build_generator, build_sparse_generator
 from repro.ctmc.inhomogeneous import (
     TransitionMatrixPropagator,
     solve_forward_kolmogorov,
 )
-from repro.ctmc.propagators import SparseActionPropagator
+from repro.ctmc.propagators import (
+    _CF4_A,
+    _CF4_B,
+    _GAUSS_OFFSET,
+    SparseActionPropagator,
+)
 from repro.ctmc.transient import (
     poisson_truncation_point,
     transient_distribution,
@@ -39,6 +57,7 @@ from repro.exceptions import (
     ModelError,
     NumericalError,
 )
+from repro.models import MODEL_REGISTRY
 from repro.resilience import Budget
 
 K = 6
@@ -217,6 +236,146 @@ class TestSparseActionPropagator:
         engine = self._engine(budget=Budget(max_memory_mb=1e-4))
         with pytest.raises(BudgetExceededError):
             engine.propagate(0.0, 1.0)
+
+    def test_structure_change_raises_model_error(self):
+        extra = scipy.sparse.csr_matrix(([1e-3], ([0], [3])), shape=(K, K))
+
+        def q_of_t(t: float) -> scipy.sparse.csr_matrix:
+            q = _q_of_t_sparse(t)
+            return q if t == 0.0 else (q + extra).tocsr()
+
+        engine = SparseActionPropagator(q_of_t, tol=1e-8)
+        with pytest.raises(ModelError, match="sparsity structure"):
+            engine.apply(_distribution(), 0.0, 1.0, side="left")
+
+    def test_rejects_non_canonical_structure(self):
+        q = _sparse_q()
+        shuffled = scipy.sparse.csr_matrix(
+            (q.data[::-1].copy(), q.indices[::-1].copy(), q.indptr),
+            shape=q.shape,
+        )
+        with pytest.raises(ModelError, match="canonical"):
+            SparseActionPropagator(lambda t: shuffled)
+
+
+def _deep_occupancy(k: int) -> np.ndarray:
+    """``m_k ∝ 0.70^k`` with entries below 1e-14 zeroed (the deep-sparse
+    workload's occupancies)."""
+    weights = 0.70 ** np.arange(k, dtype=float)
+    weights[weights < 1e-14] = 0.0
+    return weights / weights.sum()
+
+
+@pytest.fixture(scope="module")
+def deep_chains():
+    """``loadbalance-deep`` (K = 1001) sparse chains on one context."""
+    model = MODEL_REGISTRY["loadbalance-deep"]()
+    k = model.num_states
+    ctx = EvaluationContext(
+        model, _deep_occupancy(k), CheckOptions(matrix_backend="sparse")
+    )
+    q = ctx.sparse_generator_function()
+    busy = model.local.states_with_label("busy")
+    idle = model.local.states_with_label("idle")
+    return {
+        "absorbing": absorbing_generator_sparse_function(
+            q, frozenset(range(k)) - (busy - idle)
+        ),
+        "goal": goal_generator_sparse_function(
+            q, UntilPartition.from_sets(k, busy, idle)
+        ),
+        "all-absorbed": absorbing_generator_sparse_function(
+            q, frozenset(range(k))
+        ),
+    }
+
+
+def _cf4_exponents(q_of_t, start: float, width: float) -> list:
+    """The two CF4 exponents of one interval, built with scipy algebra."""
+    q1 = q_of_t(start + width * (0.5 - _GAUSS_OFFSET)).tocsr()
+    q2 = q_of_t(start + width * (0.5 + _GAUSS_OFFSET)).tocsr()
+    return [
+        (width * _CF4_B) * q1 + (width * _CF4_A) * q2,
+        (width * _CF4_A) * q1 + (width * _CF4_B) * q2,
+    ]
+
+
+#: Largest ‖A‖₁ for which Al-Mohy & Higham's condition (3.13) holds on
+#: a single vector (m_max = 55, ℓ = 2, p_max = 8): 2ℓ·p_max(p_max + 3)
+#: · θ_55 / 55.
+_CONDITION_3_13_BOUND = 4 * 8 * 11 * 9.9 / 55
+
+
+class TestActionPlans:
+    """Cached per-factor plans against ``scipy.sparse.linalg.expm_multiply``."""
+
+    TOL = 1e-14
+
+    def _check(self, q_of_t, width: float) -> list:
+        engine = SparseActionPropagator(q_of_t)
+        plans = engine._factors(0.25, width)
+        exponents = _cf4_exponents(q_of_t, 0.25, width)
+        rng = np.random.default_rng(7)
+        n = engine.k
+        for plan, exponent in zip(plans, exponents):
+            for block in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+                block = block / np.max(np.abs(block), axis=0)
+                right = expm_multiply(exponent, block)
+                left = expm_multiply(exponent.T.tocsr(), block).T
+                np.testing.assert_allclose(
+                    plan.right(block), right, rtol=0, atol=self.TOL
+                )
+                np.testing.assert_allclose(
+                    plan.left(block.T), left, rtol=0, atol=self.TOL
+                )
+        return plans
+
+    @pytest.mark.parametrize("width", [0.03125, 0.5])
+    def test_absorbing_chain_exponents(self, deep_chains, width):
+        self._check(deep_chains["absorbing"], width)
+
+    def test_goal_chain_with_empty_rows(self, deep_chains):
+        q = deep_chains["goal"](0.0)
+        assert q.shape[0] == deep_chains["absorbing"](0.0).shape[0] + 1
+        assert np.any(np.diff(q.indptr) == 0)
+        self._check(deep_chains["goal"], 0.03125)
+
+    def test_all_absorbed_chain_is_identity_copy(self, deep_chains):
+        for plan in self._check(deep_chains["all-absorbed"], 0.5):
+            assert (plan.m_star, plan.s) == (0, 1)
+            block = np.linspace(-1.0, 1.0, plan.op.shape[0])
+            out = plan.right(block)
+            np.testing.assert_array_equal(out, block)
+            assert out is not block
+
+    def test_exponent_beyond_condition_3_13(self, deep_chains):
+        plans = self._check(deep_chains["absorbing"], 40.0)
+        assert min(plan.norm for plan in plans) > _CONDITION_3_13_BOUND
+
+
+class TestDeepColdBuildLock:
+    """Values and counters of the deep two-window cold build.  They were
+    read from the engine's former ``expm_multiply`` actions, which the
+    per-factor plans reproduce bitwise."""
+
+    def test_two_window_cold_build(self):
+        model = MODEL_REGISTRY["loadbalance-deep"]()
+        occupancy = _deep_occupancy(model.num_states)
+        checker = MFModelChecker(model)
+        ctx = checker.context(occupancy)
+        short = checker.check_detailed(
+            "EP[<0.5](busy U[0,0.5] idle)", occupancy, ctx=ctx
+        )
+        long = checker.check_detailed(
+            "EP[<0.5](busy U[0,1] idle)", occupancy, ctx=ctx
+        )
+        assert short.value == pytest.approx(0.37870054718854024, abs=1e-13)
+        assert long.value == pytest.approx(0.42813029984920825, abs=1e-13)
+        stats = ctx.stats
+        assert stats.sparse_cells_built == 32
+        assert stats.sparse_applies == 4
+        assert stats.sparse_refinements == 0
+        assert stats.generator_evals == 193
 
 
 class TestDenseMemoryGuards:

@@ -186,3 +186,44 @@ def test_compiled_expression_matches_evaluate(expr, weights, t):
         np.asarray(compiled(batch, t), dtype=float), (2,)
     )
     assert abs(batch_values[0] - interpreted) <= TOL * max(1.0, abs(interpreted))
+
+
+def _add_at_scatter(compiled, rates):
+    """CSR ``data`` rows scattered with ``np.add.at`` (the reference)."""
+    _indptr, indices, tr_pos, diag_pos = compiled._sparse_structure()
+    b = rates.shape[0]
+    rows = np.arange(b)[:, None]
+    data = np.zeros((b, indices.size))
+    np.add.at(data, (rows, np.broadcast_to(tr_pos, rates.shape)), rates)
+    exit_rates = np.zeros((b, compiled.num_states))
+    np.add.at(
+        exit_rates,
+        (rows, np.broadcast_to(compiled.transition_sources, rates.shape)),
+        rates,
+    )
+    data[:, diag_pos] = -exit_rates
+    return data
+
+
+def test_bincount_scatters_match_add_at_with_duplicate_transitions():
+    local = load_balancing_model().local
+    # Every (source, target) pair twice, the copies in reverse order, so
+    # slots accumulate several rates (a model built through the public
+    # API cannot repeat a pair).
+    local._transitions = local.transitions + local.transitions[::-1]
+    compiled = CompiledGenerator(local)
+    k = compiled.num_states
+    occupancies = random_occupancies(k, 8, seed=3)
+    rates = compiled.transition_rates(occupancies)
+    reference = _add_at_scatter(compiled, rates)
+
+    np.testing.assert_array_equal(
+        compiled.sparse_data_batch(occupancies), reference
+    )
+    for i, m in enumerate(occupancies):
+        np.testing.assert_array_equal(compiled.sparse(m).data, reference[i])
+        flux = m[compiled.transition_sources] * rates[i]
+        drift = np.zeros(k)
+        np.add.at(drift, compiled.transition_targets, flux)
+        np.add.at(drift, compiled.transition_sources, -flux)
+        np.testing.assert_array_equal(compiled.drift(m), drift)

@@ -74,6 +74,14 @@ class TestLabels:
         assert model.states_with_label("active") == frozenset({2})
         assert model.states_with_label("missing") == frozenset()
 
+    def test_states_with_label_is_memoized(self, model):
+        first = model.states_with_label("infected")
+        assert model.states_with_label("infected") is first
+        assert first == frozenset({1, 2})
+        # Unknown labels answer the empty set without entering the memo.
+        assert model.states_with_label("missing") == frozenset()
+        assert "missing" not in model._label_states
+
     def test_atomic_propositions(self, model):
         assert model.atomic_propositions == frozenset(
             {"not_infected", "infected", "inactive", "active"}
