@@ -86,7 +86,7 @@ def test_warm_batch_beats_sequential_queries(server):
     client = ServerClient(f"http://{host}:{port}", timeout=120.0)
     try:
         queries = _queries()
-        # Warm every distinct query (and the server's entry/contexts)
+        # Warm every distinct query (and the server's entry)
         # so both measured sides are pure cache hits.
         status, warmup = client.query_batch(queries)
         assert status == 200

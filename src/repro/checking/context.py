@@ -737,57 +737,6 @@ class EvaluationContext:
             engine.clear_caches()
         self._local_checker = None
 
-    def export_transient_cache(self) -> dict:
-        """Plain-dict copy of the transient-matrix cache.
-
-        Keys are the ``(signature, window, tolerances)`` tuples
-        of :meth:`transient_matrix` and values dense arrays — all
-        picklable, which is what the serving layer's disk spill relies
-        on (:mod:`repro.server.service`).
-        """
-        return dict(self._transient_cache)
-
-    def import_transient_cache(self, entries: dict) -> None:
-        """Adopt previously :meth:`export_transient_cache`-ed solves.
-
-        Keys carry every answer-shaping tolerance, so entries exported
-        under different options simply never match a query; trust is
-        still required (the arrays are served verbatim) — feed this only
-        state this process, or a previous run of it, exported.
-        """
-        self._transient_cache.update(entries)
-
-    def cache_nbytes(self) -> int:
-        """Estimated bytes held by this context's solve caches.
-
-        Sums the dense/sparse generator memos, the transient-matrix
-        cache, every shared engine's cell caches and the shared local
-        checker's path-probability vectors and curve samples
-        (:meth:`~repro.checking.local.LocalChecker.memo_nbytes`).  Used
-        by the serving layer's global memory guard
-        (:mod:`repro.server.service`); an estimate, not an accounting —
-        trajectory segments and small bookkeeping are not counted.
-
-        The guard sums every entry while other entries compute on their
-        own threads, so each memo is copied with one ``tuple()`` call —
-        atomic under the interpreter lock — before it is walked: a
-        concurrent insert cannot raise "dictionary changed size during
-        iteration".
-        """
-        total = 0
-        for q in tuple(self._generator_cache.values()):
-            total += int(q.nbytes)
-        for q in tuple(self._sparse_generator_cache.values()):
-            total += int(q.data.nbytes + q.indices.nbytes + q.indptr.nbytes)
-        for pi in tuple(self._transient_cache.values()):
-            total += int(pi.nbytes)
-        for engine in tuple(self._action_engines.values()):
-            total += engine.cache_nbytes()
-        checker = self._local_checker
-        if checker is not None:
-            total += checker.memo_nbytes()
-        return total
-
     # ------------------------------------------------------------------
     # Steady state (Sections IV-D / V-A)
     # ------------------------------------------------------------------

@@ -252,20 +252,6 @@ class LocalChecker:
         self._curve_cache[key] = curve
         return curve
 
-    def memo_nbytes(self) -> int:
-        """Bytes held by the path-probability memo and the sample caches
-        of the memoized curves, the steady-context checker's included.
-
-        Safe to call while another thread fills the memos (see
-        :meth:`~repro.checking.context.EvaluationContext.cache_nbytes`).
-        """
-        total = sum(p.nbytes for p in tuple(self._prob_cache.values()))
-        for curve in tuple(self._curve_cache.values()):
-            total += curve.cache_nbytes()
-        if self._steady_checker is not None:
-            total += self._steady_checker.memo_nbytes()
-        return total
-
     # ------------------------------------------------------------------
 
     def _until_sat_bounded(

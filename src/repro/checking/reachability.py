@@ -107,11 +107,6 @@ class ProbabilityCurve:
             self._cache[key] = vals
         return vals
 
-    def cache_nbytes(self) -> int:
-        """Bytes held by the cached samples (safe against a concurrent
-        fill: the cache is copied in one atomic call first)."""
-        return sum(v.nbytes for v in tuple(self._cache.values()))
-
     def value(self, t: float, state: int) -> float:
         """Probability for one starting state."""
         return float(self.values(t)[state])

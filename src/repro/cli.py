@@ -283,7 +283,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServerConfig(
         max_entries=args.max_entries,
-        max_cache_mb=args.max_cache_mb,
         cache_dir=args.cache_dir,
         default_deadline=args.default_deadline,
         max_concurrent=args.max_concurrent,
@@ -498,7 +497,7 @@ def _run_query_single(client, args: argparse.Namespace) -> int:
     cache = body.get("cache", {})
     print(
         f"cache: hit={cache.get('hit')} "
-        f"context_reused={cache.get('context_reused')}"
+        f"cold_entry={cache.get('cold_entry')}"
     )
     return int(body.get("exit_code", EXIT_CHECKING_ERROR))
 
@@ -691,17 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound on warm (model, options) cache entries",
     )
     p_serve.add_argument(
-        "--max-cache-mb",
-        type=float,
-        default=256.0,
-        help="global bound on summed warm-cache bytes; exceeding it "
-        "evicts LRU entries (spilled to --cache-dir when set)",
-    )
-    p_serve.add_argument(
         "--cache-dir",
         default=None,
-        help="disk-spill directory; evicted warm state is written here "
-        "and revived after restarts (omit to disable spill)",
+        help="disk-spill directory; evicted entries' responses are "
+        "written here and revived after restarts (omit to disable spill)",
     )
     p_serve.add_argument(
         "--default-deadline",

@@ -746,14 +746,6 @@ class PropagatorEngine:
         self._validated = None
         self.refinements = 0
 
-    def cache_nbytes(self) -> int:
-        """Bytes held by the cached cells, slivers and references."""
-        return sum(
-            arr.nbytes
-            for cache in (self._cells, self._slivers, self._references)
-            for arr in cache.values()
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"PropagatorEngine(k={self.k}, kernel={self.kernel!r}, "
@@ -844,15 +836,6 @@ class _ActionPlan:
             transposed = self._transposed = self._pattern.transpose(self)
         return transposed.right(v.T).T
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the operator values (and of the transpose, if built);
-        the index arrays belong to the engine's shared pattern."""
-        total = int(self.op.data.nbytes)
-        if self._transposed is not None:
-            total += int(self._transposed.op.data.nbytes)
-        return total
-
 
 class _ExponentPattern:
     """The one CSR pattern every exponent of an engine lives on.
@@ -930,16 +913,6 @@ class _ExponentPattern:
             (data[order], indices, indptr), shape=(self.n, self.n)
         )
         return _ActionPlan(op, plan.mu, float(norm.max()), self)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the shared index arrays."""
-        arrays = [self.indices, self.indptr, self._rows, self._diagonal]
-        if self._scatter is not None:
-            arrays.append(self._scatter)
-        if self._transpose_order is not None:
-            arrays.extend(self._transpose_order)
-        return sum(int(a.nbytes) for a in arrays)
 
 
 class SparseActionPropagator:
@@ -1358,24 +1331,6 @@ class SparseActionPropagator:
         self._h = None
         self._validated = None
         self.refinements = 0
-
-    def cache_nbytes(self) -> int:
-        """Bytes held by the cached sparse exponent factors.
-
-        The serving layer's memory guard calls this while other threads
-        apply windows through the same engine, so each cache is copied
-        with one ``tuple()`` call — atomic under the interpreter lock —
-        before it is walked: a concurrent insert cannot raise
-        "dictionary changed size during iteration".
-        """
-        total = 0
-        for cache in (self._cells, self._slivers):
-            for factors in tuple(cache.values()):
-                for plan in factors:
-                    total += plan.nbytes
-        if total:
-            total += self._pattern.nbytes
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

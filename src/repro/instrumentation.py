@@ -123,20 +123,16 @@ class EvalStats:
         recomputing anything.
     service_cache_misses:
         Requests whose ``(model hash, options signature)`` entry had to
-        be created cold (no warm engine state existed).
+        be created cold (no entry with stored responses existed).
     service_cache_evictions:
-        Warm cache entries dropped by the LRU bound or the global memory
-        guard (spilled to disk first when a cache directory is set).
-    service_context_reuses:
-        Requests served by a warm evaluation context (shared compiled
-        generators, propagator cells, transient matrices) rather than a
-        freshly built one.
+        Cache entries dropped by the LRU bound (spilled to disk first
+        when a cache directory is set).
     service_rejections:
         Requests refused by admission control (worker pool saturated
         beyond the queue timeout).
     service_spill_saves / service_spill_loads:
         Cache entries written to / revived from the disk-spill
-        directory (warm state surviving process restarts).
+        directory (stored responses surviving process restarts).
     service_supervised:
         Queries executed under worker isolation
         (:class:`repro.server.supervisor.QuerySupervisor`,
@@ -163,8 +159,8 @@ class EvalStats:
     service_spill_failures:
         Spill writes that raised (a full disk, an unwritable or
         non-directory ``cache_dir``, an unpicklable payload).  The
-        entry's warm state is lost but serving continues — spill is an
-        optimization, never a correctness dependency.
+        entry's stored responses are lost but serving continues — spill
+        is an optimization, never a correctness dependency.
     service_client_disconnects:
         Responses that could not be written because the client hung up
         mid-response (``BrokenPipeError``/``ConnectionResetError``);
@@ -218,7 +214,6 @@ class EvalStats:
     service_cache_hits: int = 0
     service_cache_misses: int = 0
     service_cache_evictions: int = 0
-    service_context_reuses: int = 0
     service_rejections: int = 0
     service_spill_saves: int = 0
     service_spill_loads: int = 0

@@ -165,45 +165,6 @@ class Budget:
         #: :class:`~repro.exceptions.BudgetExceededError`.
         self.progress: Dict[str, Any] = {}
 
-    #: Sentinel distinguishing "keep the current limit" from "disable the
-    #: limit" (``None``) in :meth:`restart`.
-    _KEEP = object()
-
-    def restart(
-        self,
-        *,
-        deadline: Any = _KEEP,
-        max_solves: Any = _KEEP,
-        max_refinements: Any = _KEEP,
-        max_memory_mb: Any = _KEEP,
-    ) -> None:
-        """Re-anchor the clock and reset the run counters in place.
-
-        The deadline is measured from *now* instead of construction time,
-        and ``solves``/``progress`` start from zero — this is the
-        per-request re-arm used by long-running processes (the checking
-        server) that keep one budget alive across many requests: the
-        evaluation-context engines capture the budget object at
-        construction, so replacing the object would leave them enforcing
-        the stale one, while ``restart()`` mutates it in place and every
-        captured reference sees the fresh anchor.
-
-        Each keyword, when passed, *replaces* the corresponding limit
-        (``None`` disables it); omitted limits are kept.  Replacement
-        values are validated exactly like the constructor's.
-        """
-        for name, value in (
-            ("deadline", deadline),
-            ("max_solves", max_solves),
-            ("max_refinements", max_refinements),
-            ("max_memory_mb", max_memory_mb),
-        ):
-            if value is not Budget._KEEP:
-                self._set_limit(name, value)
-        self._start = self._clock()
-        self.solves = 0
-        self.progress = {}
-
     def _set_limit(self, name: str, value: Any) -> None:
         integer, nonnegative = BUDGET_LIMITS[name]
         value = check_limit(

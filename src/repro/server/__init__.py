@@ -1,14 +1,15 @@
-"""Checking-as-a-service: a long-running server with a warm cross-request cache.
+"""Checking-as-a-service: a long-running server with a cross-request cache.
 
-The one-shot CLI rebuilds everything per invocation — model, compiled
-generators, propagator cells, transient matrices — and throws it all
-away on exit.  This package promotes that state to *process lifetime*:
-:class:`~repro.server.service.CheckingService` keeps an LRU cache of
-warm checking state keyed by ``(model hash, options signature)``, with
-one computation per entry at a time (so identical concurrent requests
-compute once), admission control built on
-:class:`~repro.resilience.Budget`, and disk spill so warm state survives
-restarts.  :mod:`repro.server.http` serves it over HTTP/JSON
+The one-shot CLI rebuilds the model and every answer per invocation and
+throws them away on exit.  This package keeps them for the *process
+lifetime*: :class:`~repro.server.service.CheckingService` builds each
+registry model once and keeps an LRU cache of finished responses keyed
+by ``(model hash, options signature)``.  Each computation builds its
+own evaluation context and budget from its request, so no computation
+depends on earlier traffic.  One computation runs per entry at a time
+(so identical concurrent requests compute once), admission control
+bounds concurrent computations, and disk spill lets stored responses
+survive restarts.  :mod:`repro.server.http` serves it over HTTP/JSON
 (``mfcsl serve``) and :mod:`repro.server.client` talks to it
 (``mfcsl query``).  See docs/serving.md.
 """

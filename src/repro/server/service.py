@@ -1,13 +1,16 @@
-"""The checking service: a persistent cross-request cache around the checkers.
+"""The checking service: a persistent cross-request response cache.
 
 This module is the transport-free core of ``mfcsl serve``.  A
-:class:`CheckingService` owns a per-process LRU cache of *warm checking
-state* keyed by ``(model hash, options signature)`` — compiled
-generators, propagator cell caches, transient matrices and finished
-responses — and serves ``check`` / ``value`` / ``csat`` requests against
-it.  The HTTP layer (:mod:`repro.server.http`) is a thin adapter: every
-behaviour worth testing lives here and is exercised directly, without
-sockets, by ``tests/server/``.
+:class:`CheckingService` owns a per-process LRU cache of entries keyed
+by ``(model hash, options signature)``.  An entry keeps the model, its
+options, a checker, its counters, a lock and the finished responses,
+and serves ``check`` / ``value`` / ``csat`` requests from them.  Each
+computation builds its own evaluation context from the request alone —
+MF-CSL's answer is a function of the occupancy and the formula only —
+and drops it once the response is stored, so earlier traffic never
+changes a computation.  The HTTP layer (:mod:`repro.server.http`) is a
+thin adapter: every behaviour worth testing lives here and is exercised
+directly, without sockets, by ``tests/server/``.
 
 The fault-tolerance layer (docs/serving.md, "Operations") adds four
 more guarantees on top: supervised query execution
@@ -35,25 +38,25 @@ Three mechanisms keep a shared long-running process safe:
 - **Admission control** — at most ``max_concurrent`` computations run at
   once; a request that cannot get a slot within ``queue_timeout``
   seconds is rejected with HTTP 429 instead of piling onto an overloaded
-  process.  Each admitted computation re-arms the entry's shared
-  :class:`~repro.resilience.Budget` in place
-  (:meth:`~repro.resilience.Budget.restart`) so per-request deadlines
-  are anchored at admission, not at entry creation.
-- **Bounded memory** — the entry count is LRU-bounded and the summed
-  cache bytes (:meth:`~repro.checking.context.EvaluationContext.cache_nbytes`)
-  are guarded by ``max_cache_mb``; evicted entries are spilled to disk
+  process.  Each admitted computation gets its own
+  :class:`~repro.resilience.Budget`, built from the request's limits by
+  :meth:`~repro.resilience.Budget.from_options` as the CLI builds one,
+  so a deadline is anchored when the computation starts.
+- **Bounded memory** — an entry holds at most
+  ``max_responses_per_entry`` responses and the entry count is
+  LRU-bounded by ``max_entries``; evicted entries are spilled to disk
   (when a cache directory is configured) and revived on the next cold
-  request for the same key, so warm transient state survives restarts.
+  request for the same key, so stored responses survive restarts.  No
+  evaluation context outlives its request.
 
 Locking discipline: ``self._lock`` (service-level) protects the entry
 map, the entries' response caches and the service counters, and is only
 ever held for dict operations — never across a computation.
-``entry.lock`` (per-entry) serializes computations against one warm
-state.  No code path acquires the service lock while holding an entry
-lock *and* blocks, so warm response-cache hits never queue behind a long
-compute.  The registry-model map takes no lock: a pair is only ever
-added, with one atomic ``dict.setdefault``, and never replaced or
-removed.
+``entry.lock`` (per-entry) serializes computations on one entry.  No
+code path acquires the service lock while holding an entry lock *and*
+blocks, so warm response-cache hits never queue behind a long compute.
+The registry-model map takes no lock: a pair is only ever added, with
+one atomic ``dict.setdefault``, and never replaced or removed.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -113,9 +116,10 @@ _MISSING = object()
 
 _SPILL_FORMAT = "repro-server-spill"
 #: Bumped whenever the payload (including the shape of the cached
-#: response cores) or the transient-cache key layout changes, so a file
-#: written under another layout is quarantined instead of loaded as
-#: stale answers or entries no query can hit.
+#: response cores) changes, so a file written under another layout is
+#: quarantined instead of loaded as stale answers.  Version-4 files of
+#: earlier releases also carry a ``transients`` map; the reader ignores
+#: it.
 _SPILL_VERSION = 4
 
 #: Spill file layout: magic, 32-byte sha256 of the pickled payload,
@@ -138,18 +142,11 @@ class ServerConfig:
     ----------
     max_entries:
         LRU bound on warm ``(model hash, options signature)`` entries.
-    max_cache_mb:
-        Global bound on the summed cache bytes of all warm entries;
-        exceeding it evicts least-recently-used entries (current entry
-        excluded) until back under.
-    max_contexts_per_entry:
-        LRU bound on warm evaluation contexts (one per distinct
-        occupancy vector) within one entry.
     max_responses_per_entry:
         LRU bound on finished responses cached within one entry.
     cache_dir:
         Directory for disk spill; ``None`` disables spill entirely
-        (evicted state is simply dropped).
+        (evicted entries are simply dropped).
     default_deadline:
         Deadline applied to requests that do not set one; ``None``
         leaves them unbounded.
@@ -189,8 +186,6 @@ class ServerConfig:
     """
 
     max_entries: int = 32
-    max_cache_mb: float = 256.0
-    max_contexts_per_entry: int = 8
     max_responses_per_entry: int = 256
     cache_dir: Optional[str] = None
     default_deadline: Optional[float] = None
@@ -206,14 +201,13 @@ class ServerConfig:
     def __post_init__(self) -> None:
         for name in (
             "max_entries",
-            "max_contexts_per_entry",
             "max_responses_per_entry",
             "max_concurrent",
             "max_batch_items",
             "crash_loop_threshold",
         ):
             check_limit(name, getattr(self, name), integer=True)
-        for name in ("max_cache_mb", "worker_grace", "drain_deadline"):
+        for name in ("worker_grace", "drain_deadline"):
             check_limit(name, getattr(self, name))
         check_limit("queue_timeout", self.queue_timeout, nonnegative=True)
         for name in ("default_deadline", "connection_timeout"):
@@ -261,7 +255,7 @@ class _RequestSpec:
         self.signature = options.signature()
         self.occupancy = occupancy
         # Rounded so float formatting noise ("0.8" vs "0.80000000000001"
-        # from a lossy client) cannot split warm contexts.
+        # from a lossy client) cannot split cached responses.
         self.occ_key = tuple(round(float(x), 12) for x in occupancy)
         self.formula = formula
         self.theta = theta
@@ -279,67 +273,22 @@ class _RequestSpec:
 
 
 class _CacheEntry:
-    """Warm state for one ``(model hash, options signature)`` pair."""
+    """Cached answers for one ``(model hash, options signature)`` pair."""
 
     def __init__(self, model, options: CheckOptions, key: Tuple[str, str]):
         self.key = key
         self.model = model
-        # The entry's options never carry per-request execution limits —
-        # those live on the budget and are re-armed per request.
+        # The entry's options never carry per-request execution limits:
+        # each computation builds its budget from its own request.
         self.options = options
         self.stats = EvalStats()
         self.checker = MFModelChecker(model, options)
-        #: One budget for the whole entry, mutated in place per request:
-        #: the contexts' engines capture it at construction, so
-        #: replacing the object would leave them enforcing a stale one.
-        self.budget = Budget(
-            max_refinements=options.max_refinements,
-            max_memory_mb=options.max_memory_mb,
-        )
         self.lock = threading.Lock()
-        self.contexts: "OrderedDict[tuple, EvaluationContext]" = OrderedDict()
         self.responses: "OrderedDict[tuple, dict]" = OrderedDict()
-        #: Transient caches revived from a disk spill, keyed by occupancy
-        #: key; seeded into the matching context when it is first built.
-        self.spilled_transients: Dict[tuple, dict] = {}
-
-    def context_for(self, spec: _RequestSpec) -> Tuple[EvaluationContext, bool]:
-        """The warm context for this occupancy (built cold if needed).
-
-        Returns ``(context, reused)``.  Caller holds ``self.lock``.
-        """
-        ctx = self.contexts.get(spec.occ_key)
-        if ctx is not None:
-            self.contexts.move_to_end(spec.occ_key)
-            return ctx, True
-        ctx = EvaluationContext(
-            self.model,
-            spec.occupancy,
-            self.options,
-            stats=self.stats,
-            budget=self.budget,
-        )
-        spilled = self.spilled_transients.pop(spec.occ_key, None)
-        if spilled:
-            ctx.import_transient_cache(spilled)
-        self.contexts[spec.occ_key] = ctx
-        return ctx, False
-
-    def trim_contexts(self, bound: int) -> None:
-        while len(self.contexts) > bound:
-            self.contexts.popitem(last=False)
 
     def trim_responses(self, bound: int) -> None:
         while len(self.responses) > bound:
             self.responses.popitem(last=False)
-
-    def cache_nbytes(self) -> int:
-        # The memory guard calls this without ``self.lock`` while this
-        # entry may be adding a context: copy the map with one atomic
-        # ``tuple()`` call before walking it.
-        return sum(
-            ctx.cache_nbytes() for ctx in tuple(self.contexts.values())
-        )
 
 
 class CheckingService:
@@ -410,8 +359,8 @@ class CheckingService:
         Flips to ``draining`` and blocks until every in-flight request
         has finished or ``timeout`` (default ``config.drain_deadline``)
         expires.  Returns whether the service fully quiesced; either
-        way the caller proceeds to :meth:`close`, which spills whatever
-        warm state exists at that point.
+        way the caller proceeds to :meth:`close`, which spills the
+        responses stored by then.
         """
         if timeout is None:
             timeout = self.config.drain_deadline
@@ -498,9 +447,9 @@ class CheckingService:
         The envelope is ``{"queries": [request, ...]}`` plus optional
         ``deadline`` / ``max_solves`` defaults shared by every item.
         One admission slot and one deadline budget cover the whole
-        batch; items execute sequentially so the warm entry state each
-        item leaves behind (transient matrices, propagator cells,
-        contexts) is immediately visible to the next.  Item failures
+        batch; items execute sequentially, so an item repeated later in
+        the envelope is answered from the response the earlier one
+        stored.  Item failures
         are *per item*: a malformed or failing query yields an error
         body and exit code in its slot while the rest of the batch is
         answered normally — the envelope itself only fails on envelope
@@ -730,9 +679,9 @@ class CheckingService:
 
         Deadline and solve cap are pulled *out* of the options so the
         entry's :class:`~repro.checking.options.CheckOptions` never
-        carries them — they are re-armed on the entry budget per
-        request (the options signature excludes them for the same
-        reason).
+        carries them — each computation builds its budget from its own
+        request's limits (the options signature excludes them for the
+        same reason).
         """
         opts_doc = payload.get("options", {})
         if opts_doc is None:
@@ -899,42 +848,39 @@ class CheckingService:
                 status, response = self._finish(core, hit=True)
                 return status, response, cold
             before = entry.stats.as_dict()
-            entry.budget.restart(
-                deadline=spec.deadline, max_solves=spec.max_solves
+            budget = Budget.from_options(
+                replace(
+                    entry.options,
+                    deadline=spec.deadline,
+                    max_solves=spec.max_solves,
+                )
             )
-            ctx, reused = entry.context_for(spec)
-            entry.trim_contexts(self.config.max_contexts_per_entry)
-            if reused:
-                with self._lock:
-                    self.stats.service_context_reuses += 1
+            ctx = EvaluationContext(
+                entry.model,
+                spec.occupancy,
+                entry.options,
+                stats=entry.stats,
+                budget=budget,
+            )
+
             def job():
                 # Runs in-process or in a forked worker, depending on
                 # the isolation mode and breaker state.  The fork
                 # boundary strands everything the child computes, so
-                # the job ships back the full harvest: the response
-                # core, the picklable transient-matrix cache and the
-                # entry counters (the parent's copies are frozen while
+                # the job ships back the response core and the entry
+                # counters (the parent's copies are frozen while
                 # entry.lock is held, so a wholesale copy-back is
                 # exact).
-                core = self._execute(spec, entry, ctx)
-                return (
-                    core,
-                    ctx.export_transient_cache(),
-                    entry.stats.as_dict(),
-                )
+                return self._execute(spec, entry, ctx), entry.stats.as_dict()
 
             try:
-                (core, transients, counters), isolated = (
-                    self.supervisor.run(
-                        job, deadline=spec.deadline, trace=ctx.trace
-                    )
+                (core, counters), isolated = self.supervisor.run(
+                    job, deadline=spec.deadline, trace=ctx.trace
                 )
             except ReproError as exc:
                 status, response = self._error_response(exc)
                 return status, response, True
             if isolated:
-                if transients:
-                    ctx.import_transient_cache(transients)
                 for name, value in counters.items():
                     setattr(entry.stats, name, value)
             after = entry.stats.as_dict()
@@ -947,11 +893,7 @@ class CheckingService:
             if after[k] != before[k]
         }
         status, response = self._finish(
-            core,
-            hit=False,
-            context_reused=reused,
-            cold_entry=cold,
-            stats_delta=delta,
+            core, hit=False, cold_entry=cold, stats_delta=delta
         )
         return status, response, True
 
@@ -1023,17 +965,12 @@ class CheckingService:
         core: dict,
         *,
         hit: bool,
-        context_reused: bool = True,
         cold_entry: bool = False,
         stats_delta: Optional[dict] = None,
     ) -> Tuple[int, dict]:
         """Attach per-request cache metadata to a cached/fresh core."""
         response = dict(core)
-        response["cache"] = {
-            "hit": hit,
-            "context_reused": context_reused,
-            "cold_entry": cold_entry,
-        }
+        response["cache"] = {"hit": hit, "cold_entry": cold_entry}
         response["stats_delta"] = stats_delta or {}
         return HTTP_STATUS_BY_EXIT_CODE[core["exit_code"]], response
 
@@ -1065,32 +1002,15 @@ class CheckingService:
     # ------------------------------------------------------------------
 
     def _enforce_limits(self, keep: tuple) -> None:
-        """Evict LRU entries beyond the count and memory bounds.
+        """Evict LRU entries beyond ``max_entries``.
 
         ``keep`` (the entry just used) is never evicted — evicting the
-        state a request just warmed would defeat the cache.
+        answers a request just stored would defeat the cache.
         """
         evicted = []
-        max_bytes = self.config.max_cache_mb * 1024 * 1024
         with self._lock:
             while len(self._entries) > self.config.max_entries:
-                key = next(
-                    (k for k in self._entries if k != keep), None
-                )
-                if key is None:
-                    break
-                evicted.append(self._entries.pop(key))
-            while len(self._entries) > 1:
-                total = sum(
-                    e.cache_nbytes() for e in self._entries.values()
-                )
-                if total <= max_bytes:
-                    break
-                key = next(
-                    (k for k in self._entries if k != keep), None
-                )
-                if key is None:
-                    break
+                key = next(k for k in self._entries if k != keep)
                 evicted.append(self._entries.pop(key))
             self.stats.service_cache_evictions += len(evicted)
         for entry in evicted:
@@ -1105,11 +1025,8 @@ class CheckingService:
         return Path(self.config.cache_dir) / f"entry-{digest[:32]}.pkl"
 
     def _spill_entry(self, entry: _CacheEntry) -> None:
-        """Write an entry's revivable state to the spill directory.
+        """Write an entry's stored responses to the spill directory.
 
-        Responses and transient matrices are worth keeping (they answer
-        future queries directly); propagator engines are not spilled —
-        they are cheap to rebuild relative to their size on disk.
         Failures are counted (``service_spill_failures``) and otherwise
         swallowed: spill is an optimization, never a correctness
         dependency.
@@ -1117,21 +1034,15 @@ class CheckingService:
         path = self._spill_path(entry.key)
         if path is None:
             return
+        # Taking the entry lock lets an in-flight computation store its
+        # response first.
         with entry.lock:
-            transients = {
-                occ_key: ctx.export_transient_cache()
-                for occ_key, ctx in entry.contexts.items()
-            }
-            transients = {k: v for k, v in transients.items() if v}
-            # Un-revived spilled state is still worth re-spilling.
-            transients.update(entry.spilled_transients)
             payload = {
                 "format": _SPILL_FORMAT,
                 "version": _SPILL_VERSION,
                 "model_hash": entry.key[0],
                 "options_signature": entry.key[1],
                 "responses": dict(entry.responses),
-                "transients": transients,
             }
         try:
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1177,9 +1088,6 @@ class CheckingService:
         if isinstance(responses, dict):
             entry.responses.update(responses)
             entry.trim_responses(self.config.max_responses_per_entry)
-        transients = payload.get("transients")
-        if isinstance(transients, dict):
-            entry.spilled_transients.update(transients)
         return True
 
     def _read_spill(self, path: Path, key: tuple) -> Optional[dict]:
@@ -1239,9 +1147,7 @@ class CheckingService:
                 {
                     "model_hash": e.key[0],
                     "options_signature": e.key[1],
-                    "contexts": len(e.contexts),
                     "responses": len(e.responses),
-                    "cache_nbytes": e.cache_nbytes(),
                     "stats": e.stats.as_dict(),
                 }
                 for e in self._entries.values()
@@ -1260,7 +1166,6 @@ class CheckingService:
                 "entries": entries,
                 "config": {
                     "max_entries": self.config.max_entries,
-                    "max_cache_mb": self.config.max_cache_mb,
                     "max_concurrent": self.config.max_concurrent,
                     "queue_timeout": self.config.queue_timeout,
                     "default_deadline": self.config.default_deadline,
@@ -1272,7 +1177,7 @@ class CheckingService:
             }
 
     def close(self) -> None:
-        """Spill every warm entry and refuse further requests.
+        """Spill every entry's responses and refuse further requests.
 
         Terminal: unlike ``draining`` (a transient 503 — retry
         elsewhere), a closed service answers 400, because there is no

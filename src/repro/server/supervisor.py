@@ -14,13 +14,11 @@ The design reuses the three patterns that made
 :func:`repro.parallel.run_batches` fault-tolerant:
 
 - **fork inheritance, not pickling** — the query closure captures the
-  warm entry state (compiled generators, evaluation contexts), none of
-  which can cross a pickle boundary.  Each supervised query forks a
-  fresh worker, which inherits the parent's memory snapshot — including
-  every warm cache — by copy-on-write; only the *result* (a plain
-  response core plus the picklable transient-cache export) crosses back
-  through the pipe, so the parent's caches stay warm even though the
-  work happened elsewhere.
+  entry's model, checker and the query's evaluation context, none of
+  which need cross a pickle boundary.  Each supervised query forks a
+  fresh worker, which inherits the parent's memory snapshot by
+  copy-on-write; only the *result* (a plain response core plus the
+  entry's counters) crosses back through the pipe.
 - **crash detection with restart under capped backoff** — a worker that
   dies without delivering (or outlives its wall-clock allowance and is
   reaped) is recorded as a :class:`WorkerCrash`; the *next* supervised
@@ -271,8 +269,8 @@ class QuerySupervisor:
 
         Returns ``(result, isolated)`` — ``isolated`` is ``True`` only
         when ``fn`` actually ran in a worker process, which is what
-        tells the caller whether worker-side cache state must be
-        shipped back.  Library exceptions raised by ``fn`` propagate
+        tells the caller whether the counters the worker returned must
+        be copied back.  Library exceptions raised by ``fn`` propagate
         unchanged regardless of where it ran; a dead or reaped worker
         raises :class:`~repro.exceptions.WorkerCrashError` instead.
         """

@@ -5,20 +5,15 @@ identical to uncached solves, derived contexts only share state that is
 sound to share, and the instrumentation counters actually count.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
 from repro.checking.context import EvaluationContext
 from repro.checking.global_ import MFModelChecker
-from repro.checking.local import LocalChecker
 from repro.checking.options import CheckOptions
 from repro.checking.transform import absorbing_generator_function
 from repro.ctmc.inhomogeneous import solve_forward_kolmogorov
 from repro.instrumentation import EvalStats
-from repro.logic.parser import parse_path
 from repro.meanfield.ode import ShiftedTrajectory
 from repro.models.diurnal import diurnal_virus_model
 from repro.models.load_balancing import deep_load_balancing_model
@@ -285,7 +280,6 @@ class TestEngineClearInPlace:
         handle.propagate(0.0, 1.0)
         engine = ctx._action_engines[sig]
         assert engine.num_cached_cells > 0
-        assert ctx.cache_nbytes() > 0
 
         # A derived context captures a handle onto the *same* engine.
         child = ctx.at_time(0.5)
@@ -295,7 +289,6 @@ class TestEngineClearInPlace:
 
         ctx.clear_caches()
         assert engine.num_cached_cells == 0
-        assert ctx.cache_nbytes() == 0
         assert ctx._action_engines[sig] is engine  # still registered
 
         # The captured handle observes the invalidation and rebuilds;
@@ -303,97 +296,3 @@ class TestEngineClearInPlace:
         rebuilt = child_handle.propagate(0.0, 1.0)
         np.testing.assert_allclose(rebuilt, expected, atol=1e-9)
         assert engine.num_cached_cells > 0
-
-    def test_cache_nbytes_drops_to_zero_after_clear(self, ctx1):
-        q_abs = absorbing_generator_function(
-            ctx1.generator_function(), INFECTED
-        )
-        sig = ("absorbing", INFECTED)
-        ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
-        assert ctx1.cache_nbytes() > 0
-        # A memo-less checker warms the transients of the path, so the
-        # shared checker's evaluation adds only its memoized vector.
-        path = parse_path("not_infected U[0,1] infected")
-        LocalChecker(ctx1).path_probabilities(path)
-        solved = ctx1.cache_nbytes()
-        MFModelChecker(ctx1.model).value(
-            "EP[<0.3](not_infected U[0,1] infected)", ctx1.initial, ctx=ctx1
-        )
-        memo = ctx1.local_checker().path_probabilities(path)
-        assert ctx1.cache_nbytes() == solved + memo.nbytes
-        ctx1.clear_caches()
-        assert ctx1.cache_nbytes() == 0
-
-    def test_action_engine_cache_nbytes_survives_concurrent_applies(self):
-        """The serving layer's memory guard sums an entry's engine bytes
-        while another thread applies windows through that engine:
-        summing must never trip over a cell cache being filled."""
-        model = deep_load_balancing_model(buffer=40)
-        k = model.num_states
-        occupancy = np.zeros(k)
-        occupancy[0] = 1.0
-        ctx = EvaluationContext(
-            model, occupancy, CheckOptions(matrix_backend="sparse")
-        )
-        handle = ctx.action_engine(("absorbing", frozenset({k - 1})))
-        # Validate the grid up front so the threads race on cell fills,
-        # not on the (slow, single-threaded) defect probes.
-        handle.ensure(0.0, 5.0, window=1.0)
-        rng = np.random.default_rng(7)
-        starts = rng.uniform(0.0, 4.0, 150)
-        widths = rng.uniform(0.05, 1.0, 150)
-        vector = np.full(k, 1.0 / k)
-        errors = []
-        applied = threading.Event()
-
-        def apply():
-            try:
-                for a, w in zip(starts, widths):
-                    handle.apply(vector, float(a), float(w))
-            finally:
-                applied.set()
-
-        def read():
-            while not applied.is_set():
-                try:
-                    handle.engine.cache_nbytes()
-                except RuntimeError as exc:
-                    errors.append(exc)
-
-        threads = [threading.Thread(target=apply), threading.Thread(target=read)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(120.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert handle.engine.cache_nbytes() > 0
-
-    def test_transient_cache_roundtrips_through_export_import(
-        self, virus1, m_example1
-    ):
-        donor = EvaluationContext(virus1, m_example1)
-        q_abs = absorbing_generator_function(
-            donor.generator_function(), INFECTED
-        )
-        sig = ("absorbing", INFECTED)
-        pi = donor.transient_matrix(sig, q_abs, 0.0, 1.0)
-        exported = donor.export_transient_cache()
-        assert exported
-
-        fresh = EvaluationContext(virus1, m_example1)
-        fresh.import_transient_cache(exported)
-        q_abs2 = absorbing_generator_function(
-            fresh.generator_function(), INFECTED
-        )
-        solves_before = fresh.stats.solve_ivp_calls
-        served = fresh.transient_matrix(sig, q_abs2, 0.0, 1.0)
-        np.testing.assert_array_equal(served, pi)
-        assert fresh.stats.transient_cache_hits == 1
-        # Served from the imported cache: no Kolmogorov re-solve.
-        assert fresh.stats.solve_ivp_calls == solves_before

@@ -353,10 +353,10 @@ class TestDegradationLadder:
         assert ctx.stats.ladder_downgrades == 0
         # Nothing was cached for the failed window: once the fault is
         # gone the same key is solved afresh.
-        assert ctx.export_transient_cache() == {}
         monkeypatch.undo()
         pi = ctx.transient_matrix(SIGNATURE, _absorbing_q(ctx), 0.0, 1.0)
         assert ctx.stats.transient_cache_misses == 2
+        assert ctx.stats.transient_cache_hits == 0
         assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-9)
 
     def test_every_rung_failing_raises_with_history(

@@ -476,26 +476,3 @@ class TestIsolatedSemantics:
         finally:
             inline.close()
             forked.close()
-
-    def test_worker_warm_state_ships_back_to_parent(self):
-        """The transient matrices a forked worker computes must land in
-        the parent's cache — the second query reuses them instead of
-        re-solving."""
-        service = CheckingService(ServerConfig(isolate="process"))
-        try:
-            service.handle(check_request())
-            entry = next(iter(service._entries.values()))
-            misses_after_cold = entry.stats.transient_cache_misses
-            assert misses_after_cold > 0
-
-            # Same window, different threshold: new response key, same
-            # transient solves — warm if (and only if) the worker's
-            # cache made it home.
-            status, body = service.handle(
-                check_request(formula=FORMULA_B)
-            )
-            assert status == 200
-            assert entry.stats.transient_cache_misses == misses_after_cold
-            assert entry.stats.transient_cache_hits > 0
-        finally:
-            service.close()

@@ -230,7 +230,7 @@ class TestQueryCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "SATISFIED" in out
-        assert "cache: hit=False" in out
+        assert "cache: hit=False cold_entry=True" in out
         code = main(
             [
                 "query",
@@ -243,7 +243,7 @@ class TestQueryCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "cache: hit=True" in out
+        assert "cache: hit=True cold_entry=False" in out
 
     def test_query_value_and_csat(self, server, capsys):
         from repro.cli import main

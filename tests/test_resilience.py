@@ -138,6 +138,18 @@ class TestBudgetValidation:
         with pytest.raises(ModelError):
             Budget(**kwargs)
 
+    def test_non_finite_limits_rejected(self):
+        for kwargs in (
+            {"deadline": float("nan")},
+            {"deadline": float("inf")},
+            {"max_memory_mb": float("nan")},
+            {"max_solves": "3"},
+            {"max_refinements": True},
+        ):
+            name = next(iter(kwargs))
+            with pytest.raises(ModelError, match=name):
+                Budget(**kwargs)
+
 
 class TestFromOptions:
     def test_none_when_no_limit_set(self):
@@ -219,86 +231,3 @@ class TestSnapshotNamespacing:
         snap = budget.snapshot()
         assert snap["batches_completed"] == 7
         assert "progress.batches_completed" not in snap
-
-
-class TestBudgetRestart:
-    """Per-request re-arm for long-running processes (the checking
-    server keeps one budget per cache entry and restarts it in place;
-    the engines captured the object at construction, so the deadline
-    must re-anchor without replacing it)."""
-
-    def test_restart_reanchors_the_deadline(self):
-        clock = FakeClock()
-        budget = Budget(deadline=1.0, clock=clock)
-        clock.advance(5.0)
-        assert budget.expired()
-        budget.restart()
-        assert not budget.expired()
-        assert budget.elapsed() == 0.0
-        clock.advance(0.5)
-        assert budget.remaining() == pytest.approx(0.5)
-
-    def test_restart_resets_counters_and_progress(self):
-        budget = Budget(max_solves=10, clock=FakeClock())
-        budget.charge_solve()
-        budget.advance("batches_completed", 4)
-        budget.restart()
-        assert budget.solves == 0
-        assert budget.progress == {}
-
-    def test_restart_replaces_passed_limits_only(self):
-        budget = Budget(
-            deadline=1.0, max_solves=5, max_refinements=3,
-            max_memory_mb=64.0, clock=FakeClock(),
-        )
-        budget.restart(deadline=2.0, max_solves=None)
-        assert budget.deadline == 2.0
-        assert budget.max_solves is None
-        # Omitted limits are kept.
-        assert budget.max_refinements == 3
-        assert budget.max_memory_mb == 64.0
-
-    def test_non_finite_limits_rejected(self):
-        for kwargs in (
-            {"deadline": float("nan")},
-            {"deadline": float("inf")},
-            {"max_memory_mb": float("nan")},
-            {"max_solves": "3"},
-            {"max_refinements": True},
-        ):
-            name = next(iter(kwargs))
-            with pytest.raises(ModelError, match=name):
-                Budget(**kwargs)
-        budget = Budget(clock=FakeClock())
-        with pytest.raises(ModelError, match="deadline must be finite"):
-            budget.restart(deadline=float("nan"))
-
-    def test_restart_validates_like_the_constructor(self):
-        budget = Budget(clock=FakeClock())
-        with pytest.raises(ModelError, match="deadline must be positive"):
-            budget.restart(deadline=-1.0)
-        with pytest.raises(ModelError, match="max_solves must be positive"):
-            budget.restart(max_solves=0)
-        with pytest.raises(ModelError, match="max_refinements"):
-            budget.restart(max_refinements=-1)
-        with pytest.raises(ModelError, match="max_memory_mb"):
-            budget.restart(max_memory_mb=0.0)
-
-    def test_restarted_budget_enforces_the_new_deadline(self):
-        clock = FakeClock()
-        budget = Budget(deadline=10.0, clock=clock)
-        budget.restart(deadline=1.0)
-        clock.advance(1.5)
-        with pytest.raises(BudgetExceededError):
-            budget.checkpoint("after restart")
-
-    def test_same_object_is_rearmed(self):
-        """Engines capture the budget; restart must mutate in place."""
-        clock = FakeClock()
-        budget = Budget(deadline=1.0, clock=clock)
-        captured = budget  # stand-in for an engine's reference
-        clock.advance(2.0)
-        assert captured.expired()
-        budget.restart(deadline=3.0)
-        assert not captured.expired()
-        assert captured.deadline == 3.0
