@@ -38,6 +38,9 @@ SERVER_PATH = Path(__file__).resolve().parent / "BENCH_server.json"
 #: History file of the batched-checking benchmark family.
 BATCH_PATH = Path(__file__).resolve().parent / "BENCH_batch.json"
 
+#: History file of the compiled small-K path (cold paper queries).
+COMPILED_PATH = Path(__file__).resolve().parent / "BENCH_compiled.json"
+
 #: Keep at most this many records per benchmark name (oldest dropped).
 MAX_RECORDS_PER_NAME = 200
 

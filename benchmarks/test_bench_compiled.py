@@ -10,16 +10,23 @@ Quantifies the three layers added for performance (docs/performance.md):
   populated), with the instrumentation counters attached to the JSON
   record so regressions can be traced to recomputation;
 - RHS-evaluation counts of one trajectory solve, compiled vs the
-  interpreted oracle.
+  interpreted oracle;
+- two cold paper queries on the small-K per-call path, their answers and
+  counters asserted and their wall times appended to
+  ``BENCH_compiled.json``.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import M_EXAMPLE_2, record, record_stats
+from benchmarks.record import COMPILED_PATH, record_wall_times
 from repro.checking import EvaluationContext, MFModelChecker
 from repro.instrumentation import EvalStats
 from repro.meanfield.overall_model import MeanFieldModel
+from repro.models import MODEL_REGISTRY
 
 NESTED_PSI = (
     "E[>0.8](P[>0.9](infected U[0,15] (P[>0.8](tt U[0,0.5] infected))))"
@@ -164,3 +171,97 @@ def test_trajectory_solve_interpreted(benchmark, virus2):
     # The adaptive solver walks the same trajectory either way; the
     # compiled path wins per evaluation, not by taking fewer steps.
     assert stats.rhs_evaluations > 0
+
+
+# ----------------------------------------------------------------------
+# Cold paper queries on the small-K per-call path
+# ----------------------------------------------------------------------
+
+#: ``(label, model, command, formula, occupancy, theta)``: ``paper-cold``'s
+#: ``ES`` pool point (one long LSODA run, 3,429 drift calls on a 2-vCPU
+#: VM) and the F3a cSat (occupancy ODE, window-shift and Kolmogorov
+#: solves), each on a fresh model and checker.
+COLD_QUERIES = (
+    ("es_pool", "virus2", "check", "ES[>=0.1](infected)",
+     (0.8465, 0.1019, 0.0516), None),
+    ("f3a_csat", "virus1", "csat", "EP[<0.3](not_infected U[0,1] infected)",
+     (0.8, 0.15, 0.05), 20.0),
+)
+
+#: The counters asserted per query.  The long run's drift calls are not
+#: an ``EvalStats`` counter (it runs without the context's stats); the
+#: record stores them, unasserted, because their count depends on the
+#: machine's BLAS rounding (``tests/meanfield/test_small_k_bits.py`` pins
+#: them against a reference in-process instead).
+COLD_COUNTERS = {
+    "es_pool": {"rhs_evaluations": 0, "generator_evals": 0,
+                "solve_ivp_calls": 0},
+    "f3a_csat": {"rhs_evaluations": 610, "generator_evals": 269,
+                 "solve_ivp_calls": 4},
+}
+
+
+def _cold_query(model_name, command, formula, occupancy, theta):
+    """One query on a fresh model and checker; ``(answer, stats, drift
+    calls, seconds)``."""
+    start = time.perf_counter()
+    model = MODEL_REGISTRY[model_name]()
+    drift = model.drift
+    calls = [0]
+
+    def counted_drift(t, m):
+        calls[0] += 1
+        return drift(t, m)
+
+    model.drift = counted_drift
+    checker = MFModelChecker(model)
+    occ = np.array(occupancy)
+    ctx = checker.context(occ)
+    if command == "check":
+        verdict = checker.check_detailed(formula, occ, ctx=ctx)
+        answer = [verdict.holds, verdict.value]
+    else:
+        result = checker.conditional_sat(formula, occ, theta, ctx=ctx)
+        answer = [[float(a), float(b)] for a, b in result.intervals]
+    return answer, ctx.stats, calls[0], time.perf_counter() - start
+
+
+@pytest.mark.benchmark(group="cold-small-k")
+def test_cold_small_k_queries(benchmark):
+    """``ES`` pool and F3a cSat, cold: answers and counters asserted,
+    wall times recorded (advisory, not gated)."""
+
+    def run():
+        return {
+            label: _cold_query(*query) for label, *query in COLD_QUERIES
+        }
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    es_answer = results["es_pool"][0]
+    assert es_answer[0] is True
+    assert es_answer[1] == pytest.approx(1.0, abs=1e-9)
+    assert results["f3a_csat"][0] == [[0.0, 20.0]]
+    for label, (_, stats, _, _) in results.items():
+        got = {name: getattr(stats, name) for name in COLD_COUNTERS[label]}
+        assert got == COLD_COUNTERS[label], label
+
+    record(
+        benchmark,
+        **{f"{label}_s": elapsed for label, (*_, elapsed) in results.items()},
+    )
+    record_wall_times(
+        "cold_small_k_queries",
+        {label: elapsed for label, (*_, elapsed) in results.items()},
+        extra={
+            label: {
+                "answer": answer,
+                "drift_calls": calls,
+                "stats": {
+                    name: getattr(stats, name) for name in COLD_COUNTERS[label]
+                },
+            }
+            for label, (answer, stats, calls, _) in results.items()
+        },
+        path=COMPILED_PATH,
+    )

@@ -311,14 +311,15 @@ class EvaluationContext:
             cache_get = cache.get
 
             def q_of_t(t: float) -> np.ndarray:
-                key = round(float(t), _KEY_DECIMALS)
+                t = float(t)
+                key = round(t, _KEY_DECIMALS)
                 q = cache_get(key)
                 if q is not None:
                     stats.generator_cache_hits += 1
                     return q
                 stats.generator_cache_misses += 1
                 stats.generator_evals += 1
-                q = base(float(t))
+                q = base(t)
                 if len(cache) >= GENERATOR_CACHE_LIMIT:
                     cache.clear()
                 cache[key] = q

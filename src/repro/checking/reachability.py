@@ -103,7 +103,8 @@ class ProbabilityCurve:
                     f"curve evaluator returned shape {vals.shape}, expected "
                     f"({self.num_states},)"
                 )
-            vals = np.clip(vals, 0.0, 1.0)
+            # The method is ``np.clip`` without its dispatch wrapper.
+            vals = vals.clip(0.0, 1.0)
             self._cache[key] = vals
         return vals
 
@@ -144,7 +145,7 @@ class ProbabilityCurve:
                     f"expected ({len(missing)}, {self.num_states})"
                 )
             for k, row in zip(missing, block):
-                self._cache[k] = np.clip(row, 0.0, 1.0)
+                self._cache[k] = row.clip(0.0, 1.0)
         return np.vstack([self._cache[k] for k in keys])
 
     def grid(self, num: int = 200) -> "tuple[np.ndarray, np.ndarray]":

@@ -54,17 +54,6 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 
 
-def _as_flat_ode(
-    matrix_rhs: Callable[[float, np.ndarray], np.ndarray], k: int
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Adapt a matrix-valued RHS to the flat-vector signature of solve_ivp."""
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return matrix_rhs(t, y.reshape(k, k)).reshape(-1)
-
-    return rhs
-
-
 def solve_forward_kolmogorov(
     q_of_t: GeneratorFunction,
     t_start: float,
@@ -126,11 +115,14 @@ def solve_forward_kolmogorov(
         if dense:
             return lambda T: _check_window(T, 0.0) or np.eye(k)
         return np.eye(k)
-    def matrix_rhs(rel_t: float, pi: np.ndarray) -> np.ndarray:
-        return pi @ np.asarray(q_of_t(t_start + rel_t), dtype=float)
+    # Each right-hand side takes and returns solve_ivp's flat state, the
+    # ``(K, K)`` matrix in row-major order.
+    def rhs(rel_t: float, y: np.ndarray) -> np.ndarray:
+        q = np.asarray(q_of_t(t_start + rel_t), dtype=float)
+        return (y.reshape(k, k) @ q).reshape(-1)
 
     sol = robust_solve_ivp(
-        _as_flat_ode(matrix_rhs, k),
+        rhs,
         (0.0, duration),
         np.eye(k).reshape(-1),
         method=method,
@@ -197,11 +189,12 @@ def solve_backward_kolmogorov(
     if t_end == t_start:
         return np.eye(k)
 
-    def matrix_rhs(t: float, pi: np.ndarray) -> np.ndarray:
-        return -np.asarray(q_of_t(t), dtype=float) @ pi
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        q = np.asarray(q_of_t(t), dtype=float)
+        return (-q @ y.reshape(k, k)).reshape(-1)
 
     sol = robust_solve_ivp(
-        _as_flat_ode(matrix_rhs, k),
+        rhs,
         (t_end, t_start),
         np.eye(k).reshape(-1),
         method=method,
@@ -355,14 +348,16 @@ class TransitionMatrixPropagator:
     def _solve(self):
         k = self._k
         T = self.window
+        q_of_t = self.q_of_t
 
-        def matrix_rhs(t: float, pi: np.ndarray) -> np.ndarray:
-            q_left = np.asarray(self.q_of_t(t), dtype=float)
-            q_right = np.asarray(self.q_of_t(t + T), dtype=float)
-            return -q_left @ pi + pi @ q_right
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            pi = y.reshape(k, k)
+            q_left = np.asarray(q_of_t(t), dtype=float)
+            q_right = np.asarray(q_of_t(t + T), dtype=float)
+            return (-q_left @ pi + pi @ q_right).reshape(-1)
 
         sol = robust_solve_ivp(
-            _as_flat_ode(matrix_rhs, k),
+            rhs,
             (self.t0, self.horizon),
             self.initial.reshape(-1),
             method="RK45",

@@ -368,7 +368,7 @@ def robust_solve_ivp(
             if rhs_calls[0] % RHS_CHECK_INTERVAL == 0:
                 budget.checkpoint(f"{label} rhs")
         dy = np.asarray(_rhs(t, y), dtype=float)
-        if not np.all(np.isfinite(dy)):
+        if not np.isfinite(dy).all():
             raise FloatingPointError(
                 f"right-hand side returned non-finite values at t={t:g}"
             )

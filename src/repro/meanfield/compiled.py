@@ -36,6 +36,7 @@ assert agreement to 1e-12 for every bundled model.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
@@ -182,16 +183,24 @@ class CompiledGenerator:
         negatives are clamped to zero, and the diagonal closes the rows.
         """
         m = np.asarray(m, dtype=float)
-        q = self._base_matrix().copy()
+        base = self._base
+        if base is None:
+            base = self._base_matrix()
+        k = self._k
+        q = base.copy()
+        flat = q.reshape(-1)
         for src, dst, fn, _ in self._dynamic:
             value = float(fn(m, t))
-            if not np.isfinite(value) or value < -1e-9:
+            if not math.isfinite(value) or value < -1e-9:
                 raise InvalidRateError(
                     f"rate evaluated to {value} at m={m!r}, t={t}"
                 )
             if value > 0.0:
-                q[src, dst] += value
-        np.fill_diagonal(q, -q.sum(axis=1))
+                flat[src * k + dst] += value
+        # The diagonal is every (K + 1)-th flat entry: the slots
+        # ``np.fill_diagonal`` writes, and ``np.add.reduce`` is the
+        # reduction ``q.sum(axis=1)`` runs, so the bits are the same.
+        flat[:: k + 1] = -np.add.reduce(q, 1)
         return q
 
     def batch(self, occupancies: np.ndarray, t=0.0) -> np.ndarray:

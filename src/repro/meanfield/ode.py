@@ -10,6 +10,7 @@ state of the previous segment as the new initial condition.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -29,6 +30,19 @@ DriftFunction = Callable[[float, np.ndarray], np.ndarray]
 #: (Fig. 3 boundaries like t = 14.5412) are read off these solutions.
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
+
+
+def renormalize(m: np.ndarray) -> np.ndarray:
+    """``m`` with negative entries clamped to zero, rescaled to sum to one.
+
+    Raises :class:`~repro.exceptions.NumericalError` when no mass is left.
+    """
+    # ``np.maximum`` is the ufunc ``np.clip(m, 0.0, None)`` calls.
+    m = np.maximum(m, 0.0)
+    total = m.sum()
+    if total <= 0.0:
+        raise NumericalError("occupancy vector collapsed to zero mass")
+    return m / total
 
 
 class _Segment:
@@ -117,7 +131,7 @@ class OccupancyTrajectory:
         self._segments: List[_Segment] = []
         # Segment start times, for binary-search lookup in __call__ /
         # eval_many; entry i is self._segments[i].t_start.
-        self._starts = np.empty(0)
+        self._starts: List[float] = []
         self._end_state = self._initial.copy()
         self._end_time = 0.0
         if horizon > 0.0:
@@ -169,7 +183,7 @@ class OccupancyTrajectory:
             trace=self._trace,
         )
         self._segments.append(_Segment(self._end_time, target, sol.sol))
-        self._starts = np.append(self._starts, self._end_time)
+        self._starts.append(self._end_time)
         self._end_time = target
         self._end_state = sol.y[:, -1].copy()
 
@@ -186,13 +200,6 @@ class OccupancyTrajectory:
         # query) but never past the configured ceiling.
         self._extend_to(min(max(t * 1.25, t + 1.0), self._max_horizon))
 
-    def _segment_for(self, t: float) -> _Segment:
-        """The segment containing ``t``, by binary search over starts."""
-        idx = int(np.searchsorted(self._starts, t, side="right")) - 1
-        if idx < 0:
-            idx = 0
-        return self._segments[idx]
-
     def __call__(self, t: float) -> np.ndarray:
         """Occupancy vector at time ``t`` (lazily extending the solve)."""
         t = float(t)
@@ -200,8 +207,11 @@ class OccupancyTrajectory:
             raise ModelError(f"occupancy requested at negative time {t}")
         if t == 0.0:
             return self._normalized(self._initial.copy())
-        self._ensure_covered(t)
-        seg = self._segment_for(t)
+        if not t <= self._end_time:  # NaN too: extending rejects it
+            self._ensure_covered(t)
+        # The segment containing ``t``: ``bisect_right`` on the starts is
+        # ``np.searchsorted(..., side="right")`` without the array call.
+        seg = self._segments[max(bisect_right(self._starts, t) - 1, 0)]
         return self._normalized(
             seg.interpolant(min(max(t, seg.t_start), seg.t_end))
         )
@@ -243,11 +253,7 @@ class OccupancyTrajectory:
         m = np.asarray(m, dtype=float)
         if not self._renormalize:
             return m
-        m = np.clip(m, 0.0, None)
-        total = m.sum()
-        if total <= 0.0:
-            raise NumericalError("occupancy vector collapsed to zero mass")
-        return m / total
+        return renormalize(m)
 
     def _normalized_many(self, values: np.ndarray) -> np.ndarray:
         """Vectorized renormalization of a ``(n, K)`` block, in place."""

@@ -77,6 +77,12 @@ class MeanFieldModel:
         self._rtol = rtol
         self._atol = atol
         self._use_compiled = bool(compiled)
+        # What :meth:`drift` calls, bound on its first call: the dense
+        # assembler ``Q(m, t)`` (compiled for small K, the interpreted
+        # oracle when ``compiled=False``), or, for large K, the compiled
+        # flow-balance drift.
+        self._dense_generator = None
+        self._flow_drift = None
 
     @property
     def local(self) -> LocalModel:
@@ -106,15 +112,29 @@ class MeanFieldModel:
         like ``m3/m1`` are meaningless, and occupancy fractions can never
         be negative in the limit system anyway.
         """
-        m = np.clip(np.asarray(m, dtype=float), 0.0, None)
-        if self._use_compiled:
-            compiled = self._local.compiled_generator()
-            if compiled.num_states >= DRIFT_ACTION_MIN_K:
-                # Large-K models: flow-balance action over transitions,
-                # no (K, K) assembly per right-hand-side evaluation.
-                return compiled.drift(m, t)
-            return m @ compiled(m, t)
-        return m @ self._local.generator(m, t)
+        # ``np.clip(m, 0.0, None)`` is this ``np.maximum`` behind a
+        # Python wrapper; the drift's bits are pinned (docs/numerics.md).
+        m = np.maximum(np.asarray(m, dtype=float), 0.0)
+        generator = self._dense_generator
+        if generator is None and self._flow_drift is None:
+            self._bind_drift()
+            generator = self._dense_generator
+        if generator is not None:
+            return m @ generator(m, t)
+        return self._flow_drift(m, t)
+
+    def _bind_drift(self) -> None:
+        """Resolve, once per model, how :meth:`drift` evaluates."""
+        if not self._use_compiled:
+            self._dense_generator = self._local.generator
+            return
+        compiled = self._local.compiled_generator()
+        if compiled.num_states >= DRIFT_ACTION_MIN_K:
+            # Large-K models: flow-balance action over transitions, no
+            # (K, K) assembly per right-hand-side evaluation.
+            self._flow_drift = compiled.drift
+        else:
+            self._dense_generator = compiled
 
     def trajectory(
         self,

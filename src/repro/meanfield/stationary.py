@@ -24,7 +24,9 @@ from typing import List, Optional
 import numpy as np
 from scipy.optimize import root
 
-from repro.exceptions import SteadyStateError
+from repro.diagnostics import check_occupancy_residual, robust_solve_ivp
+from repro.exceptions import NumericalError, SteadyStateError
+from repro.meanfield.ode import renormalize
 from repro.meanfield.overall_model import MeanFieldModel, validate_occupancy
 
 #: Residual norm below which a candidate counts as a fixed point.
@@ -227,25 +229,39 @@ def stationary_from_long_run(
     charged by every solve attempt and checked during it, so a
     deadline ends a long run that has not settled.
     """
-    from repro.meanfield.ode import OccupancyTrajectory
-
-    trajectory = OccupancyTrajectory(
-        model.drift,
-        initial,
-        horizon=min(horizon, max_horizon),
-        rtol=rtol,
-        atol=atol,
-        method="LSODA",
-        max_horizon=max_horizon * 2,
-        # LSODA already switches stiffness regimes internally; fall back
-        # to the implicit Radau scheme if it still gives up.
-        fallbacks=("Radau",),
-        trace=trace,
-        budget=budget,
-    )
+    y = np.asarray(initial, dtype=float)
+    solved = 0.0
     t = min(horizon, max_horizon)
     while True:
-        m = trajectory(t)
+        if t > solved:
+            # Only the end state is read, so no dense output; the next
+            # doubling continues from the raw (unrenormalized) end state.
+            try:
+                sol = robust_solve_ivp(
+                    model.drift,
+                    (solved, t),
+                    y,
+                    method="LSODA",
+                    rtol=rtol,
+                    atol=atol,
+                    # LSODA already switches stiffness regimes internally;
+                    # fall back to the implicit Radau scheme if it still
+                    # gives up.
+                    fallbacks=("Radau",),
+                    label="occupancy ODE",
+                    trace=trace,
+                    budget=budget,
+                )
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"occupancy ODE solve failed on [{solved}, {t}]: {exc}"
+                ) from exc
+            y = sol.y[:, -1].copy()
+            check_occupancy_residual(
+                y, label=f"occupancy endpoint t={t:g}", trace=trace
+            )
+            solved = t
+        m = renormalize(y)
         residual = float(np.linalg.norm(_drift(model, m)))
         if residual < drift_tol:
             if trace is not None:

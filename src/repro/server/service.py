@@ -228,7 +228,6 @@ class _RequestSpec:
         "model_hash",
         "options",
         "signature",
-        "occupancy",
         "occ_key",
         "formula",
         "theta",
@@ -253,9 +252,9 @@ class _RequestSpec:
         self.model_hash = model_hash_
         self.options = options
         self.signature = options.signature()
-        self.occupancy = occupancy
         # Rounded so float formatting noise ("0.8" vs "0.80000000000001"
-        # from a lossy client) cannot split cached responses.
+        # from a lossy client) cannot split cached responses; the answer
+        # is computed at this rounded vector (``_compute_admitted``).
         self.occ_key = tuple(round(float(x), 12) for x in occupancy)
         self.formula = formula
         self.theta = theta
@@ -855,9 +854,13 @@ class CheckingService:
                     max_solves=spec.max_solves,
                 )
             )
+            # Compute at the occupancy the response key names, so every
+            # request that shares this key gets the answer it would get
+            # alone, whichever of them arrived first.
+            occupancy = np.array(spec.occ_key)
             ctx = EvaluationContext(
                 entry.model,
-                spec.occupancy,
+                occupancy,
                 entry.options,
                 stats=entry.stats,
                 budget=budget,
@@ -871,11 +874,12 @@ class CheckingService:
                 # counters (the parent's copies are frozen while
                 # entry.lock is held, so a wholesale copy-back is
                 # exact).
-                return self._execute(spec, entry, ctx), entry.stats.as_dict()
+                core = self._execute(spec, entry, ctx, occupancy)
+                return core, entry.stats.as_dict()
 
             try:
                 (core, counters), isolated = self.supervisor.run(
-                    job, deadline=spec.deadline, trace=ctx.trace
+                    job, deadline=spec.deadline
                 )
             except ReproError as exc:
                 status, response = self._error_response(exc)
@@ -921,9 +925,14 @@ class CheckingService:
         return entry, True
 
     def _execute(
-        self, spec: _RequestSpec, entry: _CacheEntry, ctx: EvaluationContext
+        self,
+        spec: _RequestSpec,
+        entry: _CacheEntry,
+        ctx: EvaluationContext,
+        occupancy: np.ndarray,
     ) -> dict:
-        """The actual checking work — returns the cacheable response core."""
+        """The actual checking work at ``occupancy`` (the key's rounded
+        vector) — returns the cacheable response core."""
         core: dict = {
             "status": "ok",
             "command": spec.command,
@@ -932,7 +941,7 @@ class CheckingService:
         }
         if spec.command == "check":
             verdict = entry.checker.check_detailed(
-                spec.formula, spec.occupancy, ctx=ctx
+                spec.formula, occupancy, ctx=ctx
             )
             core["verdict"] = {
                 "holds": verdict.holds,
@@ -944,12 +953,12 @@ class CheckingService:
             )
         elif spec.command == "value":
             core["value"] = float(
-                entry.checker.value(spec.formula, spec.occupancy, ctx=ctx)
+                entry.checker.value(spec.formula, occupancy, ctx=ctx)
             )
             core["exit_code"] = EXIT_SATISFIED
         else:  # csat
             result = entry.checker.conditional_sat(
-                spec.formula, spec.occupancy, spec.theta, ctx=ctx
+                spec.formula, occupancy, spec.theta, ctx=ctx
             )
             core["theta"] = spec.theta
             core["intervals"] = [

@@ -7,8 +7,8 @@ blast radius to one query: with ``ServerConfig(isolate="process")`` the
 service runs each computation in a **forked worker process** and the
 parent only ever touches the worker through a pipe, so a dead worker
 answers its own query with exit code 5 (and a :class:`WorkerCrash`
-record in the diagnostic trace) while the server, its warm entries and
-every concurrent request carry on.
+record in :attr:`QuerySupervisor.crashes`) while the server, its warm
+entries and every concurrent request carry on.
 
 The design reuses the three patterns that made
 :func:`repro.parallel.run_batches` fault-tolerant:
@@ -67,8 +67,7 @@ _REAP_GRACE = 5.0
 
 @dataclass
 class WorkerCrash:
-    """One supervised-worker death, recorded on the supervisor and noted
-    into the diagnostic trace of the query it killed."""
+    """One supervised-worker death, recorded on the supervisor."""
 
     pid: Optional[int]
     exitcode: Optional[int]
@@ -263,7 +262,6 @@ class QuerySupervisor:
         fn: Callable[[], Any],
         *,
         deadline: Optional[float] = None,
-        trace=None,
     ) -> Tuple[Any, bool]:
         """Execute ``fn`` under the configured isolation.
 
@@ -294,12 +292,12 @@ class QuerySupervisor:
             self.stats.service_supervised += 1
             if restarting:
                 self.stats.service_worker_restarts += 1
-        return self._run_in_process(fn, timeout, trace), True
+        return self._run_in_process(fn, timeout), True
 
     # -- process mode --------------------------------------------------
 
     def _run_in_process(
-        self, fn: Callable[[], Any], timeout: Optional[float], trace
+        self, fn: Callable[[], Any], timeout: Optional[float]
     ) -> Any:
         """Forked-worker execution with crash detection and reaping."""
         context = multiprocessing.get_context("fork")
@@ -335,7 +333,6 @@ class QuerySupervisor:
                 exitcode=worker.exitcode,
                 elapsed=elapsed,
                 reason=reason,
-                trace=trace,
             )
             raise WorkerCrashError(
                 crash.describe(), pid=worker.pid, exitcode=worker.exitcode
@@ -399,7 +396,6 @@ class QuerySupervisor:
         exitcode: Optional[int],
         elapsed: float,
         reason: str,
-        trace,
     ) -> WorkerCrash:
         with self._lock:
             self._consecutive_crashes += 1
@@ -428,15 +424,4 @@ class QuerySupervisor:
             self.stats.service_worker_crashes += 1
             if tripped:
                 self.stats.service_crash_breaker_trips += 1
-        if trace is not None:
-            try:
-                trace.note(crash.describe())
-                if tripped:
-                    trace.note(
-                        f"crash-loop breaker tripped after {consecutive} "
-                        f"consecutive crashes; executing in-process for "
-                        f"{self.backoff_cap:g}s"
-                    )
-            except Exception:  # pragma: no cover - trace is best-effort
-                pass
         return crash

@@ -229,6 +229,44 @@ class TestColdWarm:
         assert s == 200
         assert r["cache"]["hit"] is True
 
+    @pytest.mark.parametrize("noisy_first", [True, False])
+    def test_answer_is_a_function_of_its_key(self, noisy_first):
+        """Two occupancies that round to one response key get the answer
+        computed at the rounded vector, in either order: the answer a
+        fresh service gives the exact point.  Computed at the first
+        request's own digits, the noisy point answered 6.26682319034974
+        to both."""
+        exact = [0.8, 0.15, 0.05]
+        noisy = [0.8 + 4e-13, 0.15 - 4e-13, 0.05]
+
+        def csat(occupancy):
+            return check_request(
+                command="csat",
+                formula="E[>0.15](infected)",
+                theta=20.0,
+                occupancy=occupancy,
+            )
+
+        fresh = CheckingService(ServerConfig())
+        try:
+            _, reference = fresh.handle(csat(exact))
+        finally:
+            fresh.close()
+        order = [noisy, exact] if noisy_first else [exact, noisy]
+        svc = CheckingService(ServerConfig())
+        try:
+            (s1, first), (s2, second) = (
+                svc.handle(csat(occ)) for occ in order
+            )
+        finally:
+            svc.close()
+        assert s1 == s2 == 200
+        assert first["cache"]["hit"] is False
+        assert second["cache"]["hit"] is True
+        assert first["intervals"] == second["intervals"]
+        assert first["intervals"] == reference["intervals"]
+        assert reference["intervals"][0][1] == pytest.approx(6.2668, abs=1e-4)
+
 
 class TestRegistryModels:
     """A service builds each registry model once and shares it."""

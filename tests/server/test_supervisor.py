@@ -136,16 +136,17 @@ class TestCrashHandling:
         assert exit_code_for(excinfo.value) == EXIT_BUDGET_EXCEEDED
 
     def test_crash_noted_in_trace(self):
-        notes = []
-
-        class Trace:
-            def note(self, message):
-                notes.append(message)
-
+        """A crash is recorded on the supervisor, where ``/stats`` reads
+        it; the error raised to the caller carries the same description."""
         sup = self.fast_supervisor()
-        with pytest.raises(WorkerCrashError):
-            sup.run(_suicide, trace=Trace())
-        assert any("WorkerCrash" in n for n in notes)
+        with pytest.raises(WorkerCrashError) as excinfo:
+            sup.run(_suicide)
+        crash = sup.crashes[-1]
+        assert crash.exitcode == -signal.SIGKILL
+        assert crash.consecutive == 1
+        assert "WorkerCrash" in crash.describe()
+        assert "SIGKILL" in crash.describe()
+        assert str(excinfo.value) == crash.describe()
 
     def test_crash_degrades_then_recovers(self):
         sup = self.fast_supervisor()
