@@ -60,7 +60,6 @@ MIN_HISTORY = 3
 #: and fail the sweep under ``--strict``.
 FAULT_COUNTERS = (
     "service_worker_crashes",
-    "service_crash_breaker_trips",
     "service_spill_quarantined",
     "service_connection_timeouts",
     "service_client_disconnects",

@@ -188,14 +188,17 @@ COLD_QUERIES = (
      (0.8, 0.15, 0.05), 20.0),
 )
 
-#: The counters asserted per query.  The long run's drift calls are not
-#: an ``EvalStats`` counter (it runs without the context's stats); the
-#: record stores them, unasserted, because their count depends on the
-#: machine's BLAS rounding (``tests/meanfield/test_small_k_bits.py`` pins
-#: them against a reference in-process instead).
+#: The counters each record stores.
+COUNTER_NAMES = ("rhs_evaluations", "generator_evals", "solve_ivp_calls")
+
+#: The counter values asserted per query.  Every drift call counts into
+#: ``rhs_evaluations``, the long run's included, so both queries also
+#: assert it equal to the drift calls counted in the same process.  The
+#: ``ES`` pool has no constant for it: the long run's count depends on
+#: the machine's BLAS rounding (``tests/meanfield/test_small_k_bits.py``
+#: pins it against a reference in-process instead).
 COLD_COUNTERS = {
-    "es_pool": {"rhs_evaluations": 0, "generator_evals": 0,
-                "solve_ivp_calls": 0},
+    "es_pool": {"generator_evals": 0, "solve_ivp_calls": 1},
     "f3a_csat": {"rhs_evaluations": 610, "generator_evals": 269,
                  "solve_ivp_calls": 4},
 }
@@ -242,9 +245,10 @@ def test_cold_small_k_queries(benchmark):
     assert es_answer[0] is True
     assert es_answer[1] == pytest.approx(1.0, abs=1e-9)
     assert results["f3a_csat"][0] == [[0.0, 20.0]]
-    for label, (_, stats, _, _) in results.items():
+    for label, (_, stats, calls, _) in results.items():
         got = {name: getattr(stats, name) for name in COLD_COUNTERS[label]}
         assert got == COLD_COUNTERS[label], label
+        assert stats.rhs_evaluations == calls, label
 
     record(
         benchmark,
@@ -257,9 +261,7 @@ def test_cold_small_k_queries(benchmark):
             label: {
                 "answer": answer,
                 "drift_calls": calls,
-                "stats": {
-                    name: getattr(stats, name) for name in COLD_COUNTERS[label]
-                },
+                "stats": {name: getattr(stats, name) for name in COUNTER_NAMES},
             }
             for label, (answer, stats, calls, _) in results.items()
         },

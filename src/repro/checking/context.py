@@ -765,6 +765,7 @@ class EvaluationContext:
                 drift_tol=1e-7,
                 trace=self.trace,
                 budget=self.budget,
+                stats=self.stats,
             )
             try:
                 fp = find_fixed_point(self.model, coarse)

@@ -330,6 +330,7 @@ def robust_solve_ivp(
     label: str = "solve",
     trace: Optional[DiagnosticTrace] = None,
     budget: Optional[Budget] = None,
+    stats=None,
 ):
     """``solve_ivp`` with automatic stiff-method fallback.
 
@@ -350,6 +351,11 @@ def robust_solve_ivp(
     :class:`~repro.exceptions.BudgetExceededError` promptly (it is not
     a retryable failure and propagates through the fallback chain).
 
+    When ``stats`` (an :class:`~repro.instrumentation.EvalStats`) is
+    given, every right-hand-side call of every attempt counts into its
+    ``rhs_evaluations``; the occupancy-ODE solvers pass it, so the
+    drift calls of trajectories and long runs are counted here alone.
+
     Returns the successful ``scipy`` solution object.
     """
     record = SolveRecord(
@@ -367,6 +373,8 @@ def robust_solve_ivp(
             rhs_calls[0] += 1
             if rhs_calls[0] % RHS_CHECK_INTERVAL == 0:
                 budget.checkpoint(f"{label} rhs")
+        if stats is not None:
+            stats.rhs_evaluations += 1
         dy = np.asarray(_rhs(t, y), dtype=float)
         if not np.isfinite(dy).all():
             raise FloatingPointError(

@@ -166,8 +166,7 @@ class WorkerCrashError(CheckingError):
     Attributes
     ----------
     pid:
-        Process id of the dead worker, or ``None`` for thread-mode
-        stalls.
+        Process id of the dead (or reaped) worker.
     exitcode:
         The worker's exit code (negative = killed by that signal
         number), or ``None`` when the worker was reaped on timeout.
@@ -191,11 +190,12 @@ class WorkerCrashError(CheckingError):
 
 
 class WorkerError(CheckingError):
-    """A parallel worker's batch function raised.
+    """A parallel batch failed: its function raised, or its worker died
+    in every pool round of :func:`repro.parallel.run_batches`.
 
-    Wraps the original exception (as ``__cause__`` where available) with
-    the batch index and seed provenance, so a failure deep inside a
-    Monte-Carlo fleet can be reproduced deterministically in-process.
+    Carries the batch index and seed provenance (and chains the original
+    exception, where there is one), so a failure deep inside a
+    Monte-Carlo fleet can be reproduced deterministically.
 
     Attributes
     ----------

@@ -30,7 +30,8 @@ class EvalStats:
     Attributes
     ----------
     rhs_evaluations:
-        Occupancy-ODE drift evaluations (one per solver stage step).
+        Occupancy-ODE drift evaluations (one per solver stage step), on
+        the trajectory and on the steady-state long run.
     generator_evals:
         Generator assemblies ``Q(m̄(t))`` actually performed.
     generator_cache_hits / generator_cache_misses:
@@ -42,7 +43,8 @@ class EvalStats:
         and tolerances).
     solve_ivp_calls:
         Number of ``scipy.integrate.solve_ivp`` invocations (occupancy
-        extensions, Kolmogorov solves, window-shift propagations).
+        extensions, steady-state long-run doublings, Kolmogorov solves,
+        window-shift propagations).
     sim_events:
         Transition events fired by the finite-N Gillespie engines
         (:mod:`repro.meanfield.simulation`), across all replicas.
@@ -141,16 +143,9 @@ class EvalStats:
         Supervised query workers that died (killed, segfaulted,
         OOM-killed) or stalled past their wall-clock allowance; each
         crash answers its query with exit code 5 and leaves a
-        ``WorkerCrash`` record in the trace — the server and its warm
-        cache survive.
-    service_worker_restarts:
-        Fresh workers forked for queries that followed a crash (the
-        supervisor "restarting" after its cool-down window).
-    service_crash_breaker_trips:
-        Times the crash-loop breaker opened: after
-        ``crash_loop_threshold`` consecutive crashes the supervisor
-        degrades to in-process execution for a capped-backoff cool-down
-        instead of forking into a crash loop.
+        ``WorkerCrash`` record on the supervisor (``/stats`` under
+        ``supervisor.recent_crashes``) — the server and its cached
+        answers survive, and the next computation forks a fresh worker.
     service_spill_quarantined:
         Spill files whose checksum, format or key verification failed;
         each is renamed to ``*.corrupt`` and its key blacklisted so a
@@ -219,8 +214,6 @@ class EvalStats:
     service_spill_loads: int = 0
     service_supervised: int = 0
     service_worker_crashes: int = 0
-    service_worker_restarts: int = 0
-    service_crash_breaker_trips: int = 0
     service_spill_quarantined: int = 0
     service_spill_failures: int = 0
     service_client_disconnects: int = 0

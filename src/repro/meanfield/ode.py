@@ -109,15 +109,7 @@ class OccupancyTrajectory:
         budget=None,
     ):
         self._stats = stats
-        if stats is not None:
-
-            def counted_drift(t: float, m: np.ndarray, _f=drift) -> np.ndarray:
-                stats.rhs_evaluations += 1
-                return _f(t, m)
-
-            self._drift: DriftFunction = counted_drift
-        else:
-            self._drift = drift
+        self._drift = drift
         self._initial = np.asarray(initial, dtype=float).copy()
         self._rtol = rtol
         self._atol = atol
@@ -170,6 +162,7 @@ class OccupancyTrajectory:
                 label="occupancy ODE",
                 trace=self._trace,
                 budget=self._budget,
+                stats=self._stats,
             )
         except NumericalError as exc:
             raise NumericalError(

@@ -28,6 +28,7 @@ from repro.diagnostics import check_occupancy_residual, robust_solve_ivp
 from repro.exceptions import NumericalError, SteadyStateError
 from repro.meanfield.ode import renormalize
 from repro.meanfield.overall_model import MeanFieldModel, validate_occupancy
+from repro.resilience import check_limit
 
 #: Residual norm below which a candidate counts as a fixed point.
 RESIDUAL_TOL = 1e-9
@@ -213,6 +214,7 @@ def stationary_from_long_run(
     atol: float = 1e-10,
     trace=None,
     budget=None,
+    stats=None,
 ) -> np.ndarray:
     """Approximate ``m̃`` by integrating Equation (1) until the drift dies.
 
@@ -227,8 +229,17 @@ def stationary_from_long_run(
     does), so chasing tight ODE tolerances over huge horizons would be
     wasted work.  A ``budget`` (:class:`~repro.resilience.Budget`) is
     charged by every solve attempt and checked during it, so a
-    deadline ends a long run that has not settled.
+    deadline ends a long run that has not settled.  ``stats`` (an
+    :class:`~repro.instrumentation.EvalStats`) counts each doubling's
+    solve into ``solve_ivp_calls`` and its drift calls into
+    ``rhs_evaluations``.
+
+    ``horizon`` and ``max_horizon`` must be positive and finite
+    (:class:`~repro.exceptions.ModelError` otherwise): a zero horizon
+    never doubles, so the run would never end.
     """
+    check_limit("horizon", horizon)
+    check_limit("max_horizon", max_horizon)
     y = np.asarray(initial, dtype=float)
     solved = 0.0
     t = min(horizon, max_horizon)
@@ -236,6 +247,8 @@ def stationary_from_long_run(
         if t > solved:
             # Only the end state is read, so no dense output; the next
             # doubling continues from the raw (unrenormalized) end state.
+            if stats is not None:
+                stats.solve_ivp_calls += 1
             try:
                 sol = robust_solve_ivp(
                     model.drift,
@@ -251,6 +264,7 @@ def stationary_from_long_run(
                     label="occupancy ODE",
                     trace=trace,
                     budget=budget,
+                    stats=stats,
                 )
             except NumericalError as exc:
                 raise NumericalError(

@@ -17,19 +17,20 @@ collision-resistant derivation numpy recommends, replacing the ad-hoc
 ``workers=1`` and ``workers=8`` produce bitwise-identical results.
 
 That same property is what makes the executor *fault-tolerant*: a batch
-whose worker died (a crashed fork, an OOM kill) can simply be re-run —
-in a fresh pool with capped backoff, and in-process on the final attempt
-— and the overall result is still bitwise identical to a serial run.
-:func:`run_batches` therefore uses future-based dispatch instead of
-``pool.map``: dead workers surface as retryable broken-pool events,
-hung workers are bounded by the optional :class:`~repro.resilience.Budget`
-deadline (stragglers are terminated, and a
-:class:`~repro.exceptions.BudgetExceededError` with a completed/total
-progress report is raised instead of hanging), and exceptions raised *by*
-the batch function are wrapped in
+whose worker died (a crashed fork, an OOM kill) can simply be re-run in
+a fresh pool with capped backoff, and the overall result is still
+bitwise identical to a serial run.  :func:`run_batches` therefore uses
+future-based dispatch instead of ``pool.map``: dead workers surface as
+retryable broken-pool events, hung workers are bounded by the optional
+:class:`~repro.resilience.Budget` deadline (stragglers are terminated,
+and a :class:`~repro.exceptions.BudgetExceededError` with a
+completed/total progress report is raised instead of hanging), and
+exceptions raised *by* the batch function are wrapped in
 :class:`~repro.exceptions.WorkerError` carrying the batch index and seed
 provenance (deterministic failures are not retried — they would fail
-identically).
+identically).  A batch that loses its worker in every pool round is
+reported the same way and never run in the caller: a batch that kills
+one process kills whichever process runs it next.
 
 Models hold compiled closures and user callables that cannot be pickled,
 so the pool uses the ``fork`` start method and passes the work function
@@ -72,8 +73,8 @@ _PAYLOAD_LOCK = threading.Lock()
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 0.5
 
-#: Default number of pool retry rounds before the surviving batches are
-#: re-run in-process (which cannot lose a worker).
+#: Default number of fresh-pool rounds for batches whose worker died,
+#: after which a batch still unfinished raises :class:`WorkerError`.
 DEFAULT_MAX_RETRIES = 2
 
 
@@ -131,13 +132,14 @@ def seed_provenance(args: Tuple[Any, ...]) -> "str | None":
     return None
 
 
-def _wrap_worker_failure(
-    exc: BaseException, index: int, args: Tuple[Any, ...]
+def _batch_error(
+    what: str, index: int, args: Tuple[Any, ...]
 ) -> WorkerError:
+    """``WorkerError`` for batch ``index``: ``what`` plus seed provenance."""
     provenance = seed_provenance(args)
     suffix = f" [{provenance}]" if provenance else ""
     return WorkerError(
-        f"batch {index} failed with {type(exc).__name__}: {exc}{suffix}",
+        f"batch {index} {what}{suffix}",
         batch_index=index,
         seed_provenance=provenance,
     )
@@ -148,7 +150,7 @@ def _run_in_process(
     arg_tuples: Sequence[Tuple[Any, ...]],
     budget: Optional[Budget],
 ) -> List[Any]:
-    """Serial execution path (also the bitwise-identical final fallback)."""
+    """Serial execution path (``workers=1``, no ``fork``, busy slot)."""
     results = []
     for index, args in enumerate(arg_tuples):
         if budget is not None:
@@ -196,12 +198,14 @@ def run_batches(
         Maximum number of worker processes.  ``1`` (or an unavailable
         ``fork`` start method) runs everything in the current process.
     max_retries:
-        Pool rounds attempted when worker processes die (the pool
+        Fresh-pool rounds attempted when worker processes die (the pool
         reports ``BrokenProcessPool``); the failed batches — and only
         those — are re-dispatched to a fresh pool after a capped
-        backoff, and re-run in-process once the rounds are exhausted.
-        Because batch seeding is worker-independent, retried results
-        are bitwise identical to an undisturbed run.
+        backoff.  Because batch seeding is worker-independent, retried
+        results are bitwise identical to an undisturbed run.  A batch
+        still unfinished after the last round raises
+        :class:`~repro.exceptions.WorkerError`; it is never re-run in
+        the calling process.
     budget:
         Optional :class:`~repro.resilience.Budget`.  Its deadline bounds
         how long the caller waits on workers: when it expires with
@@ -227,7 +231,10 @@ def run_batches(
         When ``fn`` itself raises in a worker: deterministic failures
         are not retried (they would fail identically); the wrapper
         carries the batch index and seed provenance and chains the
-        original exception.
+        original exception.  Also when a batch loses its worker in
+        every pool round; the last retry round runs one batch at a time,
+        so the error names the batch whose worker died there (with
+        ``max_retries=0``, the lowest batch left unfinished).
     BudgetExceededError
         When the budget deadline expires before all batches complete.
     """
@@ -253,7 +260,7 @@ def run_batches(
         _PAYLOAD = fn
         try:
             return _run_pool(
-                fn, arg_tuples, workers, max_retries, budget, stats, sleep
+                arg_tuples, workers, max_retries, budget, stats, sleep
             )
         finally:
             _PAYLOAD = None
@@ -262,7 +269,6 @@ def run_batches(
 
 
 def _run_pool(
-    fn: Callable,
     arg_tuples: List[Tuple[Any, ...]],
     workers: int,
     max_retries: int,
@@ -285,8 +291,13 @@ def _run_pool(
                 stats.worker_retries += len(pending)
             if budget is not None:
                 budget.advance("worker_retries", len(pending))
+        # The last retry round runs its batches one at a time, in index
+        # order, so a worker that dies there was running the lowest
+        # batch left unfinished: the one the error below names.
+        last_retry = round_index > 0 and round_index == max_retries
         pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)), mp_context=context
+            max_workers=1 if last_retry else min(workers, len(pending)),
+            mp_context=context,
         )
         try:
             futures = {
@@ -325,8 +336,10 @@ def _run_pool(
                         # fn raised deterministically: retrying would
                         # fail identically, so wrap and surface now.
                         _terminate_workers(pool)
-                        raise _wrap_worker_failure(
-                            exc, index, arg_tuples[index]
+                        raise _batch_error(
+                            f"failed with {type(exc).__name__}: {exc}",
+                            index,
+                            arg_tuples[index],
                         ) from exc
                     done[index] = True
                     if budget is not None:
@@ -336,22 +349,11 @@ def _run_pool(
         pending = [i for i in range(n) if not done[i]]
         if not pending:
             return results
-    # Pool rounds exhausted: finish the survivors in-process.  Batch
-    # seeding is worker-independent, so this is bitwise-reproducible.
-    if stats is not None:
-        stats.worker_retries += len(pending)
-    if budget is not None:
-        budget.advance("worker_retries", len(pending))
-    for index in pending:
-        if budget is not None:
-            budget.checkpoint(f"in-process retry of batch {index}")
-        try:
-            results[index] = fn(*arg_tuples[index])
-        except BudgetExceededError:
-            raise
-        except Exception as exc:
-            raise _wrap_worker_failure(exc, index, arg_tuples[index]) from exc
-        done[index] = True
-        if budget is not None:
-            budget.advance("batches_completed")
-    return results
+    # Every round lost these batches.  Whatever killed their workers
+    # would kill the caller too, so report rather than run them here.
+    index = pending[0]
+    raise _batch_error(
+        f"lost its worker in each of {max_retries + 1} pool rounds",
+        index,
+        arg_tuples[index],
+    )

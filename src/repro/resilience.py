@@ -84,9 +84,8 @@ def capped_backoff(attempt: int, base: float, cap: float) -> float:
 
     ``base * 2**attempt`` clamped to ``cap`` — the schedule
     :func:`repro.parallel.run_batches` sleeps between broken-pool retry
-    rounds and the :mod:`repro.server.supervisor` uses to size its
-    in-process cool-down window after a worker crash.  ``attempt`` is
-    zero-based (the first retry waits ``base``).
+    rounds, and the ceiling :func:`full_jitter_backoff` draws under.
+    ``attempt`` is zero-based (the first retry waits ``base``).
     """
     if attempt < 0:
         raise ModelError(f"attempt must be non-negative, got {attempt}")

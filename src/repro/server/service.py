@@ -167,13 +167,6 @@ class ServerConfig:
         a forked worker so a segfault/OOM kills one query — answered
         with exit code 5 — instead of the server).
         See :class:`repro.server.supervisor.QuerySupervisor`.
-    worker_grace:
-        Extra wall-clock seconds a supervised worker gets beyond its
-        query's deadline before the parent reaps it.
-    crash_loop_threshold:
-        Consecutive supervised-worker crashes after which the
-        crash-loop breaker trips and queries degrade to in-process
-        execution for a cool-down window.
     drain_deadline:
         Seconds :meth:`CheckingService.drain` waits for in-flight
         requests during graceful shutdown; also advertised to rejected
@@ -193,8 +186,6 @@ class ServerConfig:
     queue_timeout: float = 30.0
     max_batch_items: int = 256
     isolate: str = "none"
-    worker_grace: float = 5.0
-    crash_loop_threshold: int = 3
     drain_deadline: float = 30.0
     connection_timeout: Optional[float] = 60.0
 
@@ -204,11 +195,9 @@ class ServerConfig:
             "max_responses_per_entry",
             "max_concurrent",
             "max_batch_items",
-            "crash_loop_threshold",
         ):
             check_limit(name, getattr(self, name), integer=True)
-        for name in ("worker_grace", "drain_deadline"):
-            check_limit(name, getattr(self, name))
+        check_limit("drain_deadline", self.drain_deadline)
         check_limit("queue_timeout", self.queue_timeout, nonnegative=True)
         for name in ("default_deadline", "connection_timeout"):
             check_limit(name, getattr(self, name), optional=True)
@@ -324,10 +313,7 @@ class CheckingService:
         #: again (the file itself was renamed to ``*.corrupt``).
         self._quarantined: set = set()
         self.supervisor = QuerySupervisor(
-            self.config.isolate,
-            worker_grace=self.config.worker_grace,
-            crash_loop_threshold=self.config.crash_loop_threshold,
-            stats=self.stats,
+            self.config.isolate, stats=self.stats
         )
 
     # ------------------------------------------------------------------
@@ -868,12 +854,11 @@ class CheckingService:
 
             def job():
                 # Runs in-process or in a forked worker, depending on
-                # the isolation mode and breaker state.  The fork
-                # boundary strands everything the child computes, so
-                # the job ships back the response core and the entry
-                # counters (the parent's copies are frozen while
-                # entry.lock is held, so a wholesale copy-back is
-                # exact).
+                # the isolation mode.  The fork boundary strands
+                # everything the child computes, so the job ships back
+                # the response core and the entry counters (the
+                # parent's copies are frozen while entry.lock is held,
+                # so a wholesale copy-back is exact).
                 core = self._execute(spec, entry, ctx, occupancy)
                 return core, entry.stats.as_dict()
 

@@ -2,36 +2,30 @@
 
 A native-code crash — a segfault deep in scipy, an OOM kill while a
 dense propagator cell is assembled — takes out the *whole* serving
-process and every warm cache entry with it.  This module confines that
+process and every cached answer with it.  This module confines that
 blast radius to one query: with ``ServerConfig(isolate="process")`` the
 service runs each computation in a **forked worker process** and the
 parent only ever touches the worker through a pipe, so a dead worker
 answers its own query with exit code 5 (and a :class:`WorkerCrash`
-record in :attr:`QuerySupervisor.crashes`) while the server, its warm
-entries and every concurrent request carry on.
+record in :attr:`QuerySupervisor.crashes`) while the server, its cached
+answers and every concurrent request carry on.
 
-The design reuses the three patterns that made
-:func:`repro.parallel.run_batches` fault-tolerant:
+Every computation forks a fresh worker, which inherits the parent's
+memory snapshot by copy-on-write: the query closure captures the
+entry's model, checker and the query's evaluation context, none of
+which need cross a pickle boundary; only the *result* (a plain response
+core plus the entry's counters) crosses back through the pipe.
 
-- **fork inheritance, not pickling** — the query closure captures the
-  entry's model, checker and the query's evaluation context, none of
-  which need cross a pickle boundary.  Each supervised query forks a
-  fresh worker, which inherits the parent's memory snapshot by
-  copy-on-write; only the *result* (a plain response core plus the
-  entry's counters) crosses back through the pipe.
-- **crash detection with restart under capped backoff** — a worker that
-  dies without delivering (or outlives its wall-clock allowance and is
-  reaped) is recorded as a :class:`WorkerCrash`; the *next* supervised
-  query forks a fresh worker ("restart"), but only after a
-  capped-exponential cool-down window (:func:`repro.resilience.capped_backoff`)
-  during which queries run in-process — the supervisor never sleeps in
-  the serving path, it degrades instead.
-- **in-process fallback** — after ``crash_loop_threshold`` consecutive
-  crashes the crash-loop breaker trips: isolation is suspended for a
-  full ``backoff_cap`` window and queries run in-process (exactly the
-  ``workers=1`` path), trading isolation for availability the same way
-  the parallel executor finishes surviving batches in-process when its
-  pool keeps breaking.
+A worker that dies without delivering, or outlives its wall-clock
+allowance and is reaped, answers only its own query, with
+:class:`~repro.exceptions.WorkerCrashError`.  Nothing it was running is
+ever re-run in the server: an MF-CSL answer is a pure function of the
+occupancy and the formula, so a computation that killed one worker
+kills whichever process runs it next.  The next computation forks a
+fresh worker as usual, so a client retrying a one-off kill
+(``ServerClient`` retries ``WorkerCrashError``) succeeds on a fresh
+fork, and a query that always kills its worker costs one worker per
+attempt.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import (
@@ -52,7 +46,7 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.parallel import fork_available
-from repro.resilience import capped_backoff
+from repro.resilience import check_limit
 
 #: Recognized isolation modes (``ServerConfig.isolate``).
 ISOLATION_MODES = ("none", "process")
@@ -73,8 +67,6 @@ class WorkerCrash:
     exitcode: Optional[int]
     elapsed: float
     reason: str
-    mode: str = "process"
-    consecutive: int = 1
 
     def describe(self) -> str:
         signal_part = ""
@@ -84,10 +76,9 @@ class WorkerCrash:
             except ValueError:
                 signal_part = ""
         return (
-            f"WorkerCrash: {self.mode} worker pid={self.pid} "
+            f"WorkerCrash: process worker pid={self.pid} "
             f"exitcode={self.exitcode}{signal_part} after "
-            f"{self.elapsed:.3f}s — {self.reason} "
-            f"[consecutive={self.consecutive}]"
+            f"{self.elapsed:.3f}s — {self.reason}"
         )
 
 
@@ -142,28 +133,15 @@ class QuerySupervisor:
         Extra wall-clock seconds a worker is allowed beyond the query's
         own deadline before the parent reaps it — covers fork/pickle
         overhead and the budget's own (cooperative, hence slightly
-        late) enforcement inside the worker.
-    default_timeout:
-        Wall-clock allowance for queries that carry no deadline;
-        ``None`` leaves them unbounded.
-    crash_loop_threshold:
-        Consecutive crashes after which the breaker trips and isolation
-        is suspended for a full ``backoff_cap`` window.
-    backoff_base / backoff_cap:
-        The capped-exponential schedule sizing the in-process cool-down
-        window after each crash (1 crash → ``base``, then doubling up
-        to ``cap``).
+        late) enforcement inside the worker.  A worker whose query
+        carries no deadline is never reaped.
     stats:
         Optional :class:`~repro.instrumentation.EvalStats`; receives the
-        ``service_supervised`` / ``service_worker_crashes`` /
-        ``service_worker_restarts`` / ``service_crash_breaker_trips``
-        counters.
-    clock / sleep:
-        Injectable time sources for deterministic tests.
+        ``service_supervised`` and ``service_worker_crashes`` counters.
 
     Thread safety: :meth:`run` may be called from many service threads
-    at once — each call owns its private worker; only the crash
-    bookkeeping is shared and lock-guarded.
+    at once — each call owns its private worker; only the crash records,
+    the active pids and the counters are shared and lock-guarded.
     """
 
     def __init__(
@@ -171,47 +149,17 @@ class QuerySupervisor:
         mode: str = "none",
         *,
         worker_grace: float = 5.0,
-        default_timeout: Optional[float] = None,
-        crash_loop_threshold: int = 3,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
         stats=None,
-        clock: Callable[[], float] = time.monotonic,
     ):
         if mode not in ISOLATION_MODES:
             raise ModelError(
                 f"isolate must be one of {list(ISOLATION_MODES)}, "
                 f"got {mode!r}"
             )
-        if worker_grace <= 0:
-            raise ModelError(
-                f"worker_grace must be positive, got {worker_grace}"
-            )
-        if default_timeout is not None and default_timeout <= 0:
-            raise ModelError(
-                f"default_timeout must be positive, got {default_timeout}"
-            )
-        if crash_loop_threshold < 1:
-            raise ModelError(
-                f"crash_loop_threshold must be >= 1, "
-                f"got {crash_loop_threshold}"
-            )
-        if backoff_base <= 0 or backoff_cap < backoff_base:
-            raise ModelError(
-                f"need 0 < backoff_base <= backoff_cap, got "
-                f"base={backoff_base}, cap={backoff_cap}"
-            )
         self.mode = mode
-        self.worker_grace = float(worker_grace)
-        self.default_timeout = default_timeout
-        self.crash_loop_threshold = int(crash_loop_threshold)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
+        self.worker_grace = float(check_limit("worker_grace", worker_grace))
         self.stats = stats
-        self._clock = clock
         self._lock = threading.Lock()
-        self._consecutive_crashes = 0
-        self._degraded_until: Optional[float] = None
         #: Recent crash records, newest last (bounded).
         self.crashes: "deque[WorkerCrash]" = deque(maxlen=64)
         #: pids of currently-running workers (chaos tests kill these).
@@ -226,29 +174,11 @@ class QuerySupervisor:
         with self._lock:
             return sorted(self._active_pids)
 
-    def degraded(self) -> bool:
-        """Whether isolation is currently suspended (cool-down/breaker)."""
-        with self._lock:
-            return self._degraded_now()
-
-    def _degraded_now(self) -> bool:
-        """Caller holds the lock."""
-        if self._degraded_until is None:
-            return False
-        if self._clock() < self._degraded_until:
-            return True
-        # Window elapsed: the next supervised query probes a worker
-        # again (half-open breaker).
-        self._degraded_until = None
-        return False
-
     def snapshot(self) -> dict:
         """Plain-data view for ``/stats``."""
         with self._lock:
             return {
                 "mode": self.mode,
-                "degraded": self._degraded_now(),
-                "consecutive_crashes": self._consecutive_crashes,
                 "active_workers": len(self._active_pids),
                 "recent_crashes": [c.describe() for c in self.crashes],
             }
@@ -272,31 +202,17 @@ class QuerySupervisor:
         unchanged regardless of where it ran; a dead or reaped worker
         raises :class:`~repro.exceptions.WorkerCrashError` instead.
         """
-        timeout = (
-            self.default_timeout
-            if deadline is None
-            else float(deadline) + self.worker_grace
-        )
         if self.mode != "process" or not fork_available():
             return fn(), False
-        with self._lock:
-            if self._degraded_now():
-                restarting = False
-                isolate = False
-            else:
-                restarting = self._consecutive_crashes > 0
-                isolate = True
-        if not isolate:
-            return fn(), False
         if self.stats is not None:
-            self.stats.service_supervised += 1
-            if restarting:
-                self.stats.service_worker_restarts += 1
-        return self._run_in_process(fn, timeout), True
+            with self._lock:
+                self.stats.service_supervised += 1
+        timeout = (
+            None if deadline is None else float(deadline) + self.worker_grace
+        )
+        return self._run_in_worker(fn, timeout), True
 
-    # -- process mode --------------------------------------------------
-
-    def _run_in_process(
+    def _run_in_worker(
         self, fn: Callable[[], Any], timeout: Optional[float]
     ) -> Any:
         """Forked-worker execution with crash detection and reaping."""
@@ -305,7 +221,7 @@ class QuerySupervisor:
         worker = context.Process(
             target=_worker_main, args=(child_conn, fn), daemon=True
         )
-        start = self._clock()
+        start = time.monotonic()
         worker.start()
         child_conn.close()
         with self._lock:
@@ -320,7 +236,6 @@ class QuerySupervisor:
             parent_conn.close()
             self._reap(worker)
         if message is None:
-            elapsed = self._clock() - start
             if timed_out:
                 reason = (
                     f"worker exceeded its {timeout:g}s wall-clock "
@@ -328,16 +243,19 @@ class QuerySupervisor:
                 )
             else:
                 reason = "worker died before delivering a result"
-            crash = self._record_crash(
+            crash = WorkerCrash(
                 pid=worker.pid,
                 exitcode=worker.exitcode,
-                elapsed=elapsed,
+                elapsed=time.monotonic() - start,
                 reason=reason,
             )
+            with self._lock:
+                self.crashes.append(crash)
+                if self.stats is not None:
+                    self.stats.service_worker_crashes += 1
             raise WorkerCrashError(
                 crash.describe(), pid=worker.pid, exitcode=worker.exitcode
             )
-        self._record_success()
         kind, value = message
         if kind == "error":
             raise value
@@ -369,7 +287,7 @@ class QuerySupervisor:
                 except (EOFError, OSError):
                     pass
                 return None, False
-            if end is not None and self._clock() >= end:
+            if end is not None and time.monotonic() >= end:
                 worker.kill()
                 worker.join(_REAP_GRACE)
                 return None, True
@@ -380,48 +298,3 @@ class QuerySupervisor:
         if worker.is_alive():  # pragma: no cover - defensive
             worker.kill()
             worker.join(_REAP_GRACE)
-
-    # ------------------------------------------------------------------
-    # Crash bookkeeping
-    # ------------------------------------------------------------------
-
-    def _record_success(self) -> None:
-        with self._lock:
-            self._consecutive_crashes = 0
-
-    def _record_crash(
-        self,
-        *,
-        pid: Optional[int],
-        exitcode: Optional[int],
-        elapsed: float,
-        reason: str,
-    ) -> WorkerCrash:
-        with self._lock:
-            self._consecutive_crashes += 1
-            consecutive = self._consecutive_crashes
-            tripped = consecutive >= self.crash_loop_threshold
-            # Restart under capped backoff: queries inside the window
-            # run in-process instead of forking into a crash loop; a
-            # tripped breaker opens the full cap at once.
-            window = (
-                self.backoff_cap
-                if tripped
-                else capped_backoff(
-                    consecutive - 1, self.backoff_base, self.backoff_cap
-                )
-            )
-            self._degraded_until = self._clock() + window
-            crash = WorkerCrash(
-                pid=pid,
-                exitcode=exitcode,
-                elapsed=float(elapsed),
-                reason=reason,
-                consecutive=consecutive,
-            )
-            self.crashes.append(crash)
-        if self.stats is not None:
-            self.stats.service_worker_crashes += 1
-            if tripped:
-                self.stats.service_crash_breaker_trips += 1
-        return crash

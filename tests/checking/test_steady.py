@@ -43,6 +43,25 @@ class TestSteadyStateProbability:
         assert p == pytest.approx(0.0, abs=1e-9)
 
 
+class TestLongRunCounters:
+    def test_long_run_work_reaches_the_context_stats(self, virus2):
+        """The steady-state long run counts its drift calls and its
+        solve into the context's counters, as the trajectory does."""
+        calls, drift = [0], virus2.drift
+
+        def counted(t, m):
+            calls[0] += 1
+            return drift(t, m)
+
+        virus2.drift = counted
+        ctx = EvaluationContext(virus2, np.array([0.85, 0.1, 0.05]))
+        ctx.steady_state()
+        assert calls[0] > 0
+        assert ctx.stats.rhs_evaluations == calls[0]
+        assert ctx.stats.solve_ivp_calls == 1
+        assert ctx.stats.generator_evals == 0
+
+
 class TestSteadySatStates:
     def test_all_or_nothing(self, ctx1):
         bound_holds = Bound(">", 0.5)

@@ -1,9 +1,11 @@
 """Tests for mean-field fixed points (Equation (2))."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.exceptions import SteadyStateError
+from repro.exceptions import ModelError, SteadyStateError
 from repro.meanfield import MeanFieldModel
 from repro.meanfield.local_model import LocalModelBuilder
 from repro.meanfield.stationary import (
@@ -24,6 +26,40 @@ class TestVirusFixedPoint:
     def test_long_run_agrees(self, virus1):
         m = stationary_from_long_run(virus1, np.array([0.8, 0.15, 0.05]))
         assert np.allclose(m, [1.0, 0.0, 0.0], atol=1e-5)
+
+
+class TestLongRunHorizons:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"horizon": 0.0},
+            {"horizon": float("nan")},
+            {"max_horizon": 0.0},
+            {"max_horizon": float("inf")},
+        ],
+    )
+    def test_rejects_a_horizon_it_cannot_double(self, virus1, kwargs):
+        """A zero horizon never doubles, so the run would never end.
+        The call runs on a thread joined with a timeout, so a regression
+        fails here instead of hanging the suite."""
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(
+                    stationary_from_long_run(
+                        virus1, np.array([0.8, 0.15, 0.05]), **kwargs
+                    )
+                )
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(10.0)
+        assert not thread.is_alive(), "the long run did not return"
+        assert isinstance(outcome[0], ModelError)
+        assert "horizon" in str(outcome[0])
 
 
 class TestSisFixedPoints:

@@ -4,18 +4,21 @@ Every test here breaks something on purpose — SIGKILLs a supervised
 query worker mid-computation, corrupts a spill file, SIGTERMs a server
 with a batch in flight — and asserts the blast radius stays confined to
 the documented boundary: one query, one spill file, zero lost in-flight
-work.  The ``server-chaos`` CI job runs exactly this file
-(``pytest -m chaos``).
+work.  The tier-1 suite runs this file with everything else; the
+``server-chaos`` CI job runs it again on its own under ``-X dev``, with
+leaked sockets and pipes turned into errors.
 """
 
 import hashlib
 import json
 import os
 import pickle
+import random
 import re
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import urllib.error
@@ -27,6 +30,7 @@ import pytest
 from repro.checking.global_ import MFModelChecker
 from repro.exceptions import EXIT_BUDGET_EXCEEDED, EXIT_SATISFIED
 from repro.parallel import fork_available
+from repro.server.client import ServerClient
 from repro.server.service import _SPILL_MAGIC, CheckingService, ServerConfig
 
 pytestmark = pytest.mark.chaos
@@ -38,6 +42,29 @@ needs_fork = pytest.mark.skipif(
 FORMULA = "EP[<0.3](not_infected U[0,1] infected)"
 FORMULA_B = "EP[<0.6](not_infected U[0,1] infected)"
 OCCUPANCY = [0.8, 0.15, 0.05]
+
+
+#: ``mfcsl serve --isolate process`` with every ``check`` killing the
+#: process that computes it (``value`` requests still compute).
+_KILLING_SERVER = textwrap.dedent(
+    """
+    import os, signal, sys
+    from repro.checking.global_ import MFModelChecker
+    from repro.cli import main
+
+    def die(self, *args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    MFModelChecker.check_detailed = die
+    sys.exit(main(["serve", "--port", "0", "--isolate", "process"]))
+    """
+)
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    return env
 
 
 def check_request(**overrides):
@@ -137,8 +164,8 @@ class TestWorkerKill:
         raise AssertionError("no supervised worker appeared")
 
     def test_crashed_query_succeeds_on_retry(self, monkeypatch):
-        """After a crash the breaker degrades to in-process execution,
-        so retrying the same query immediately succeeds."""
+        """A one-off kill fails one attempt; retrying the same query
+        right away forks a fresh worker, which answers it."""
         service = CheckingService(
             ServerConfig(isolate="process", max_concurrent=2)
         )
@@ -170,8 +197,56 @@ class TestWorkerKill:
             assert status == 200
             assert body["exit_code"] in (0, 1)
             assert service.stats.service_worker_crashes == 1
+            assert service.stats.service_supervised == 2
         finally:
             service.close()
+
+    def test_query_killing_every_worker_leaves_server_serving(self):
+        """A query that kills whichever process computes it costs one
+        worker per attempt: the client's retries end in 503
+        ``WorkerCrashError``, and the server stays ready, keeps its
+        cached answers and stops cleanly on SIGTERM."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILLING_SERVER],
+            stdout=subprocess.PIPE,
+            env=_src_env(),
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"http://\S+", line)
+            assert match, f"no listening line, got {line!r}"
+            url = match.group(0)
+            warm = check_request(command="value")
+            with ServerClient(
+                url, timeout=60, retries=3, rng=random.Random(1)
+            ) as client:
+                assert client.query(warm)[0] == 200
+
+                status, body = client.query(check_request())
+                assert status == 503
+                assert body["error_class"] == "WorkerCrashError"
+                assert body["exit_code"] == EXIT_BUDGET_EXCEEDED
+
+                with urllib.request.urlopen(url + "/health") as resp:
+                    assert json.loads(resp.read())["state"] == "ready"
+                stats = client.stats()
+                assert len(stats["supervisor"]["recent_crashes"]) == 4
+                assert stats["service"]["service_worker_crashes"] == 4
+                status, body = client.query(warm)
+                assert status == 200
+                assert body["cache"]["hit"] is True
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+            try:
+                code = proc.wait(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=30)
+                proc.stdout.close()
+        assert code == 0
 
 
 # ----------------------------------------------------------------------
@@ -334,10 +409,6 @@ class TestSpillCorruption:
 
 class TestGracefulDrain:
     def start_server(self, cache_dir, *extra):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(
-            Path(__file__).resolve().parents[2] / "src"
-        )
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -353,7 +424,7 @@ class TestGracefulDrain:
                 *extra,
             ],
             stdout=subprocess.PIPE,
-            env=env,
+            env=_src_env(),
             text=True,
         )
         line = proc.stdout.readline()
@@ -464,12 +535,13 @@ class TestIsolatedSemantics:
             requests = [
                 check_request(),
                 check_request(formula=FORMULA_B),
-                check_request(command="value", formula="Pr(true U[0,1] infected)"),
+                check_request(command="value"),
             ]
             for request in requests:
                 s1, b1 = inline.handle(request)
                 s2, b2 = forked.handle(request)
                 assert s1 == s2
+                assert s1 == 200
                 for field in ("verdict", "value", "exit_code"):
                     assert b1.get(field) == b2.get(field), field
             assert forked.stats.service_supervised == len(requests)

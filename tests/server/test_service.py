@@ -890,7 +890,6 @@ class TestConfigValidation:
         [
             {"max_entries": 0},
             {"max_batch_items": 0},
-            {"crash_loop_threshold": 0},
             {"max_responses_per_entry": 0},
             {"default_deadline": -1.0},
             {"max_concurrent": 0},
@@ -899,7 +898,6 @@ class TestConfigValidation:
             {"isolate": "thread"},
             {"queue_timeout": float("nan")},
             {"drain_deadline": float("nan")},
-            {"worker_grace": float("inf")},
             {"connection_timeout": float("nan")},
             {"max_concurrent": "4"},
         ],

@@ -2,8 +2,12 @@
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,34 @@ from repro.resilience import Budget
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
+)
+
+#: Runs a batch that SIGKILLs whichever process runs it, under
+#: ``workers=2``; prints the ``WorkerError`` and exits 0 if the caller
+#: survives to catch it.  The other batches take 20 ms, so batch 0 is
+#: still running on the second worker whenever batch 1 breaks a
+#: two-worker pool.
+_KILLER_BATCH = textwrap.dedent(
+    """
+    import os, signal, sys, time
+    import numpy as np
+    from repro.exceptions import WorkerError
+    from repro.parallel import run_batches, spawn_seeds
+
+    def work(index, seed):
+        if index == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.02)
+        return float(np.random.default_rng(seed).random(100).sum())
+
+    args = list(enumerate(spawn_seeds(11, 6)))
+    try:
+        run_batches(work, args, workers=2, sleep=lambda s: None)
+    except WorkerError as exc:
+        print(exc.batch_index, exc)
+        sys.exit(0)
+    sys.exit(1)
+    """
 )
 
 
@@ -172,21 +204,28 @@ class TestWorkerFaults:
         serial = run_batches(self._seeded_work, args, workers=1)
         assert survived == serial
 
-    def test_retries_exhausted_finishes_in_process(self, tmp_path):
-        main_pid = os.getpid()
-
-        def work(index, seed):
-            if index == 1 and os.getpid() != main_pid:
-                # Every pool round loses this batch's worker; only the
-                # final in-process pass can complete it.
-                os.kill(os.getpid(), signal.SIGKILL)
-            return self._seeded_work(index, seed)
-
-        args = self._args()
-        survived = run_batches(
-            work, args, workers=2, max_retries=1, sleep=lambda s: None
+    def test_worker_killing_batch_raises_worker_error(self):
+        """A batch that kills every process it runs in loses its worker
+        in each pool round; ``run_batches`` then reports that batch, not
+        one that merely shared its broken pool, as a ``WorkerError``
+        instead of running it in the caller, which survives (a
+        subprocess, so a regression cannot kill the suite)."""
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
         )
-        assert survived == run_batches(self._seeded_work, args, workers=1)
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLER_BATCH],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        index, message = proc.stdout.strip().split(" ", 1)
+        assert index == "1"
+        assert "lost its worker in each of 3 pool rounds" in message
+        assert "SeedSequence" in message
 
     def test_hung_worker_bounded_by_deadline(self):
         def work(index, seed):
