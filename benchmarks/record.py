@@ -53,14 +53,13 @@ REGRESSION_RATIO = 1.5
 MIN_HISTORY = 3
 
 #: Fault counters that must stay zero during a benchmark run.  Benches
-#: record their ``service_*`` stats alongside wall-times; a crash,
-#: quarantined spill or drain rejection *during a benchmark* means the
+#: record their ``service_*`` stats alongside wall-times; a worker crash,
+#: dropped connection or drain rejection *during a benchmark* means the
 #: measured timings are not what they claim to be, so — unlike the
 #: wall-time flags, which are advisory — these flag deterministically
 #: and fail the sweep under ``--strict``.
 FAULT_COUNTERS = (
     "service_worker_crashes",
-    "service_spill_quarantined",
     "service_connection_timeouts",
     "service_client_disconnects",
     "service_drain_rejections",
@@ -206,7 +205,7 @@ def check_fault_counters(
     Benchmarks that run against the serving layer store the service's
     ``service_*`` counters under a ``stats`` key.  Wall-times are noisy;
     fault counters are not: a benchmark during which a worker crashed or
-    a spill file was quarantined did not measure the workload it claims
+    a drain rejected requests did not measure the workload it claims
     to, whatever its timings say.  Unknown/absent counters are ignored
     so histories written before a counter existed stay green.
     """

@@ -94,7 +94,7 @@ class CheckOptions:
         Matrix representation of the transient pipeline.  ``"dense"``
         is the classical path (dense ``(K, K)`` generators and
         propagators); ``"sparse"`` assembles CSR generators and serves
-        transient queries through Krylov/uniformization *actions*
+        transient queries through Al-Mohy–Higham Taylor *actions*
         (:class:`repro.ctmc.propagators.SparseActionPropagator`) that
         never form a dense propagator unless explicitly asked for a full
         matrix.  ``"auto"`` (default) picks sparse when the local model
@@ -151,9 +151,11 @@ class CheckOptions:
         engine's built-in bound when set); exceeding it triggers the
         degradation ladder instead of more refinement.
     max_memory_mb:
-        Memory guard: any single estimated allocation (propagator cell
-        caches) above this raises ``BudgetExceededError`` instead of
-        being attempted.
+        Memory guard: any single estimated allocation above this raises
+        ``BudgetExceededError`` instead of being attempted.  Screened:
+        the evaluation context's dense Kolmogorov solves and window-shift
+        solves, dense generator assembly, and the sparse action engine's
+        cell cache and densified propagators.
     formula_optimizations:
         ``"all"`` (default) or ``"none"``.  ``"all"`` rewrites
         vacuously bounded operators (``⩾ 0``, ``⩽ 1``, ``< 0``, ``> 1``)
@@ -239,11 +241,11 @@ class CheckOptions:
         :data:`SIGNATURE_EXCLUDED_FIELDS`, identical across processes
         and interpreter restarts (every field is plain data after
         ``__post_init__`` normalization — no ``id()``/hash-randomized
-        values).  The serving cache keys warm engine state by
+        values).  The server keys its stored responses by
         ``(model hash, options signature)``: two requests with equal
-        signatures may share compiled generators, propagator cells and
-        transient matrices; requests differing only in excluded fields
-        (per-request deadlines and solve caps) share them too.
+        signatures share one entry and the responses it stores;
+        requests differing only in excluded fields (per-request
+        deadlines and solve caps) share them too.
         """
         parts = []
         for f in sorted(fields(self), key=lambda f: f.name):

@@ -29,7 +29,7 @@ List the models and their atomic propositions::
 Run the checking server and query it (warm cross-request cache;
 see docs/serving.md)::
 
-    mfcsl serve --port 8349 --cache-dir /tmp/mfcsl-cache &
+    mfcsl serve --port 8349 &
     mfcsl query --url http://127.0.0.1:8349 \
         --occupancy 0.8,0.15,0.05 "EP[<0.3](not_infected U[0,1] infected)"
 """
@@ -283,7 +283,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServerConfig(
         max_entries=args.max_entries,
-        cache_dir=args.cache_dir,
         default_deadline=args.default_deadline,
         max_concurrent=args.max_concurrent,
         queue_timeout=args.queue_timeout,
@@ -302,7 +301,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # SIGTERM (and a second Ctrl-C path below) triggers a *graceful*
     # stop: new requests answer 503 + Retry-After, in-flight ones get
-    # the drain deadline to finish, warm entries spill to --cache-dir.
+    # the drain deadline to finish.
     # The drain must run off the serve_forever thread — shutdown() from
     # that thread deadlocks by design of ThreadingHTTPServer.
     drain_threads: list = []
@@ -331,8 +330,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.server_close()
         # The drain thread is a daemon: exiting before it finishes would
-        # kill its spill midway, so wait for it (its deadline bounds the
-        # drain; the spill itself runs to completion).
+        # cut in-flight responses short, so wait for it (its deadline
+        # bounds the drain).
         for thread in drain_threads:
             thread.join()
         server.service.close()
@@ -688,12 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="LRU bound on warm (model, options) cache entries",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="disk-spill directory; evicted entries' responses are "
-        "written here and revived after restarts (omit to disable spill)",
     )
     p_serve.add_argument(
         "--default-deadline",

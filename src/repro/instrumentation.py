@@ -127,14 +127,11 @@ class EvalStats:
         Requests whose ``(model hash, options signature)`` entry had to
         be created cold (no entry with stored responses existed).
     service_cache_evictions:
-        Cache entries dropped by the LRU bound (spilled to disk first
-        when a cache directory is set).
+        Cache entries dropped, with their stored responses, by the LRU
+        bound.
     service_rejections:
         Requests refused by admission control (worker pool saturated
         beyond the queue timeout).
-    service_spill_saves / service_spill_loads:
-        Cache entries written to / revived from the disk-spill
-        directory (stored responses surviving process restarts).
     service_supervised:
         Queries executed under worker isolation
         (:class:`repro.server.supervisor.QuerySupervisor`,
@@ -146,16 +143,6 @@ class EvalStats:
         ``WorkerCrash`` record on the supervisor (``/stats`` under
         ``supervisor.recent_crashes``) — the server and its cached
         answers survive, and the next computation forks a fresh worker.
-    service_spill_quarantined:
-        Spill files whose checksum, format or key verification failed;
-        each is renamed to ``*.corrupt`` and its key blacklisted so a
-        corrupt file is read at most once, never re-probed per cold
-        request.
-    service_spill_failures:
-        Spill writes that raised (a full disk, an unwritable or
-        non-directory ``cache_dir``, an unpicklable payload).  The
-        entry's stored responses are lost but serving continues — spill
-        is an optimization, never a correctness dependency.
     service_client_disconnects:
         Responses that could not be written because the client hung up
         mid-response (``BrokenPipeError``/``ConnectionResetError``);
@@ -210,12 +197,8 @@ class EvalStats:
     service_cache_misses: int = 0
     service_cache_evictions: int = 0
     service_rejections: int = 0
-    service_spill_saves: int = 0
-    service_spill_loads: int = 0
     service_supervised: int = 0
     service_worker_crashes: int = 0
-    service_spill_quarantined: int = 0
-    service_spill_failures: int = 0
     service_client_disconnects: int = 0
     service_connection_timeouts: int = 0
     service_drain_rejections: int = 0

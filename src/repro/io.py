@@ -252,8 +252,8 @@ def model_hash(
     SHA-256 hashes the bytes, so two structurally identical models —
     loaded from differently-formatted files, or one built in code and
     one loaded from disk — hash equal, and the hash is stable across
-    processes (a requirement for disk-spilled cache state to be
-    rediscovered after a restart).
+    processes, so a response's ``model_hash`` names the same model
+    whichever server instance answered it.
 
     Models with opaque callable rates cannot be serialized; for those,
     ``fallback`` (e.g. a registry name like ``"builtin:diurnal"``) is

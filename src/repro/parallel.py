@@ -73,9 +73,10 @@ _PAYLOAD_LOCK = threading.Lock()
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 0.5
 
-#: Default number of fresh-pool rounds for batches whose worker died,
-#: after which a batch still unfinished raises :class:`WorkerError`.
-DEFAULT_MAX_RETRIES = 2
+#: Fresh-pool rounds for batches whose worker died, after the first
+#: round: three pool rounds in all, the last on one worker.  A batch
+#: still unfinished after them raises :class:`WorkerError`.
+_MAX_RETRIES = 2
 
 
 def fork_available() -> bool:
@@ -178,12 +179,20 @@ def run_batches(
     arg_tuples: Sequence[Tuple[Any, ...]],
     workers: int = 1,
     *,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     budget: Optional[Budget] = None,
     stats=None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> List[Any]:
     """Run ``fn(*args)`` for every tuple, optionally across forked processes.
+
+    When worker processes die (the pool reports ``BrokenProcessPool``),
+    the failed batches — and only those — are re-dispatched to a fresh
+    pool after a capped backoff, for up to two more pool rounds; the
+    last of them runs on one worker.  Because batch seeding is
+    worker-independent, retried results are bitwise identical to an
+    undisturbed run.  A batch still unfinished after the last round
+    raises :class:`~repro.exceptions.WorkerError`; it is never re-run
+    in the calling process.
 
     Parameters
     ----------
@@ -197,15 +206,6 @@ def run_batches(
     workers:
         Maximum number of worker processes.  ``1`` (or an unavailable
         ``fork`` start method) runs everything in the current process.
-    max_retries:
-        Fresh-pool rounds attempted when worker processes die (the pool
-        reports ``BrokenProcessPool``); the failed batches — and only
-        those — are re-dispatched to a fresh pool after a capped
-        backoff.  Because batch seeding is worker-independent, retried
-        results are bitwise identical to an undisturbed run.  A batch
-        still unfinished after the last round raises
-        :class:`~repro.exceptions.WorkerError`; it is never re-run in
-        the calling process.
     budget:
         Optional :class:`~repro.resilience.Budget`.  Its deadline bounds
         how long the caller waits on workers: when it expires with
@@ -232,17 +232,14 @@ def run_batches(
         are not retried (they would fail identically); the wrapper
         carries the batch index and seed provenance and chains the
         original exception.  Also when a batch loses its worker in
-        every pool round; the last retry round runs one batch at a time,
-        so the error names the batch whose worker died there (with
-        ``max_retries=0``, the lowest batch left unfinished).
+        every pool round; the last round runs one batch at a time, so
+        the error names the batch whose worker died there.
     BudgetExceededError
         When the budget deadline expires before all batches complete.
     """
     workers = int(workers)
     if workers < 1:
         raise ModelError(f"workers must be >= 1, got {workers}")
-    if max_retries < 0:
-        raise ModelError(f"max_retries must be >= 0, got {max_retries}")
     arg_tuples = list(arg_tuples)
     if workers == 1 or len(arg_tuples) <= 1 or not fork_available():
         return _run_in_process(fn, arg_tuples, budget)
@@ -259,9 +256,7 @@ def run_batches(
             return _run_in_process(fn, arg_tuples, budget)
         _PAYLOAD = fn
         try:
-            return _run_pool(
-                arg_tuples, workers, max_retries, budget, stats, sleep
-            )
+            return _run_pool(arg_tuples, workers, budget, stats, sleep)
         finally:
             _PAYLOAD = None
     finally:
@@ -271,7 +266,6 @@ def run_batches(
 def _run_pool(
     arg_tuples: List[Tuple[Any, ...]],
     workers: int,
-    max_retries: int,
     budget: Optional[Budget],
     stats,
     sleep: Callable[[float], None],
@@ -282,7 +276,7 @@ def _run_pool(
     done = [False] * n
     pending = list(range(n))
     context = multiprocessing.get_context("fork")
-    for round_index in range(max_retries + 1):
+    for round_index in range(_MAX_RETRIES + 1):
         if round_index > 0:
             # A fresh pool after worker deaths: capped exponential
             # backoff so a crash-looping environment is not hammered.
@@ -291,12 +285,12 @@ def _run_pool(
                 stats.worker_retries += len(pending)
             if budget is not None:
                 budget.advance("worker_retries", len(pending))
-        # The last retry round runs its batches one at a time, in index
-        # order, so a worker that dies there was running the lowest
-        # batch left unfinished: the one the error below names.
-        last_retry = round_index > 0 and round_index == max_retries
+        # The last round runs its batches one at a time, in index order,
+        # so a worker that dies there was running the lowest batch left
+        # unfinished: the one the error below names.
+        last_round = round_index == _MAX_RETRIES
         pool = ProcessPoolExecutor(
-            max_workers=1 if last_retry else min(workers, len(pending)),
+            max_workers=1 if last_round else min(workers, len(pending)),
             mp_context=context,
         )
         try:
@@ -353,7 +347,7 @@ def _run_pool(
     # would kill the caller too, so report rather than run them here.
     index = pending[0]
     raise _batch_error(
-        f"lost its worker in each of {max_retries + 1} pool rounds",
+        f"lost its worker in each of {_MAX_RETRIES + 1} pool rounds",
         index,
         arg_tuples[index],
     )

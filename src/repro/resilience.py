@@ -131,7 +131,9 @@ class Budget:
         evaluation context; kept here for the progress report).
     max_memory_mb:
         Upper bound on any single allocation estimate passed to
-        :meth:`check_memory` (propagator cell caches).
+        :meth:`check_memory`: dense Kolmogorov and window-shift solves,
+        dense generator assembly, and the sparse action engine's cell
+        cache and densified propagators.
     clock:
         Monotonic time source; injectable so tests can force expiry
         deterministically at a chosen checkpoint.

@@ -7,11 +7,11 @@ registry model once and keeps an LRU cache of finished responses keyed
 by ``(model hash, options signature)``.  Each computation builds its
 own evaluation context and budget from its request, so no computation
 depends on earlier traffic.  One computation runs per entry at a time
-(so identical concurrent requests compute once), admission control
-bounds concurrent computations, and disk spill lets stored responses
-survive restarts.  :mod:`repro.server.http` serves it over HTTP/JSON
-(``mfcsl serve``) and :mod:`repro.server.client` talks to it
-(``mfcsl query``).  See docs/serving.md.
+(so identical concurrent requests compute once), and admission
+control bounds concurrent computations.  Answers live in memory only:
+a restarted server answers cold.  :mod:`repro.server.http` serves it
+over HTTP/JSON (``mfcsl serve``) and :mod:`repro.server.client` talks
+to it (``mfcsl query``).  See docs/serving.md.
 """
 
 from repro.server.service import (

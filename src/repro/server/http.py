@@ -23,7 +23,7 @@ cannot do for itself:
   flips the service to ``draining`` (new requests answer 503 with a
   ``Retry-After`` header), waits out in-flight requests under the drain
   deadline, lets their responses flush, then stops the accept loop and
-  closes the service (spilling every warm entry).
+  closes the service, which drops every entry.
 
 Endpoints
 ---------
@@ -280,10 +280,9 @@ class CheckingHTTPServer(ThreadingHTTPServer):
         New requests answer 503 + ``Retry-After`` the moment this is
         called; in-flight requests get up to ``timeout`` (default
         ``ServerConfig.drain_deadline``) to finish and flush their
-        responses; then the accept loop stops and the service closes,
-        spilling every warm entry to the cache directory.  Returns
-        whether the drain fully quiesced (``False`` means stragglers
-        were cut off at the deadline).
+        responses; then the accept loop stops and the service closes.
+        Returns whether the drain fully quiesced (``False`` means
+        stragglers were cut off at the deadline).
         """
         if timeout is None:
             timeout = self.service.config.drain_deadline

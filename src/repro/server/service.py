@@ -12,17 +12,18 @@ changes a computation.  The HTTP layer (:mod:`repro.server.http`) is a
 thin adapter: every behaviour worth testing lives here and is exercised
 directly, without sockets, by ``tests/server/``.
 
-The fault-tolerance layer (docs/serving.md, "Operations") adds four
+The fault-tolerance layer (docs/serving.md, "Operations") adds three
 more guarantees on top: supervised query execution
 (``ServerConfig(isolate="process")`` runs each computation in a forked
 worker, so a segfault/OOM answers one query with exit code 5 instead of
 killing the server — :mod:`repro.server.supervisor`), a graceful
 lifecycle (``starting → ready → draining → closed``, with
 :meth:`CheckingService.drain` letting in-flight requests finish while
-new ones get 503 + Retry-After), checksummed disk spill (corrupt files
-are quarantined to ``*.corrupt`` and never re-probed), and
-client/transport hardening in :mod:`repro.server.http` and
-:mod:`repro.server.client`.
+new ones get 503 + Retry-After), and client/transport hardening in
+:mod:`repro.server.http` and :mod:`repro.server.client`.  Answers live
+in memory only: an answer is a function of the model, the options, the
+occupancy and the formula, so a restarted server recomputes what it
+lost.
 
 Three mechanisms keep a shared long-running process safe:
 
@@ -44,9 +45,8 @@ Three mechanisms keep a shared long-running process safe:
   so a deadline is anchored when the computation starts.
 - **Bounded memory** — an entry holds at most
   ``max_responses_per_entry`` responses and the entry count is
-  LRU-bounded by ``max_entries``; evicted entries are spilled to disk
-  (when a cache directory is configured) and revived on the next cold
-  request for the same key, so stored responses survive restarts.  No
+  LRU-bounded by ``max_entries``; an evicted entry's responses are
+  dropped, and the next request for its key starts a cold entry.  No
   evaluation context outlives its request.
 
 Locking discipline: ``self._lock`` (service-level) protects the entry
@@ -61,14 +61,11 @@ one atomic ``dict.setdefault``, and never replaced or removed.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import threading
 import time
 import traceback
 from collections import OrderedDict
-from dataclasses import dataclass, fields as dataclass_fields, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -114,19 +111,6 @@ _VALID_COMMANDS = ("check", "value", "csat")
 
 _MISSING = object()
 
-_SPILL_FORMAT = "repro-server-spill"
-#: Bumped whenever the payload (including the shape of the cached
-#: response cores) changes, so a file written under another layout is
-#: quarantined instead of loaded as stale answers.  Version-4 files of
-#: earlier releases also carry a ``transients`` map; the reader ignores
-#: it.
-_SPILL_VERSION = 4
-
-#: Spill file layout: magic, 32-byte sha256 of the pickled payload,
-#: payload.  The checksum is verified *before* unpickling, so a
-#: truncated or bit-flipped file can never feed garbage to ``pickle``.
-_SPILL_MAGIC = b"mfcsl-spill\n"
-
 #: The service lifecycle: ``starting`` (constructed, transport not yet
 #: accepting), ``ready`` (serving), ``draining`` (graceful shutdown in
 #: progress — new requests get 503 + Retry-After while in-flight ones
@@ -144,9 +128,6 @@ class ServerConfig:
         LRU bound on warm ``(model hash, options signature)`` entries.
     max_responses_per_entry:
         LRU bound on finished responses cached within one entry.
-    cache_dir:
-        Directory for disk spill; ``None`` disables spill entirely
-        (evicted entries are simply dropped).
     default_deadline:
         Deadline applied to requests that do not set one; ``None``
         leaves them unbounded.
@@ -180,7 +161,6 @@ class ServerConfig:
 
     max_entries: int = 32
     max_responses_per_entry: int = 256
-    cache_dir: Optional[str] = None
     default_deadline: Optional[float] = None
     max_concurrent: int = 4
     queue_timeout: float = 30.0
@@ -304,14 +284,8 @@ class CheckingService:
         self._registry_models: Dict[str, Tuple[Any, str]] = {}
         self._slots = threading.BoundedSemaphore(self.config.max_concurrent)
         self._closed = False
-        #: Set once the first ``close()`` has finished spilling; later
-        #: ``close()`` calls wait on it so none returns mid-spill.
-        self._close_done = threading.Event()
         self._state = "starting"
         self._active = 0
-        #: Entry keys whose spill file failed verification; never probed
-        #: again (the file itself was renamed to ``*.corrupt``).
-        self._quarantined: set = set()
         self.supervisor = QuerySupervisor(
             self.config.isolate, stats=self.stats
         )
@@ -344,8 +318,7 @@ class CheckingService:
         Flips to ``draining`` and blocks until every in-flight request
         has finished or ``timeout`` (default ``config.drain_deadline``)
         expires.  Returns whether the service fully quiesced; either
-        way the caller proceeds to :meth:`close`, which spills the
-        responses stored by then.
+        way the caller proceeds to :meth:`close`.
         """
         if timeout is None:
             timeout = self.config.drain_deadline
@@ -561,10 +534,6 @@ class CheckingService:
                 "cache": {"hits": hits, "items": len(results)},
             },
         )
-
-    # ``check_batch`` is the documented public name; ``handle_batch``
-    # mirrors ``handle`` for the HTTP layer.
-    check_batch = handle_batch
 
     # -- validation ----------------------------------------------------
 
@@ -825,8 +794,7 @@ class CheckingService:
         entry, cold = self._entry_for(spec)
         with entry.lock:
             # While this request waited for the lock, an identical one
-            # may have stored the answer, or the entry may have been
-            # revived from a spill that holds it: probe before computing.
+            # may have stored the answer: probe before computing.
             with self._lock:
                 core = self._probe(entry, spec)
             if core is not None:
@@ -893,19 +861,15 @@ class CheckingService:
             if entry is not None:
                 self._entries.move_to_end(spec.entry_key)
                 return entry, False
-        # Build outside the service lock: constructing a checker and
-        # probing the spill directory must not stall cache hits on
-        # unrelated entries.
+        # Build outside the service lock: constructing a checker must
+        # not stall cache hits on unrelated entries.
         entry = _CacheEntry(spec.model, spec.options, spec.entry_key)
-        loaded = self._load_spill(entry)
         with self._lock:
             existing = self._entries.get(spec.entry_key)
             if existing is not None:
                 self._entries.move_to_end(spec.entry_key)
                 return existing, False
             self.stats.service_cache_misses += 1
-            if loaded:
-                self.stats.service_spill_loads += 1
             self._entries[spec.entry_key] = entry
         return entry, True
 
@@ -992,143 +956,21 @@ class CheckingService:
         return HTTP_STATUS_BY_EXIT_CODE.get(code, 500), response
 
     # ------------------------------------------------------------------
-    # Cache limits, eviction and disk spill
+    # Cache limits
     # ------------------------------------------------------------------
 
     def _enforce_limits(self, keep: tuple) -> None:
-        """Evict LRU entries beyond ``max_entries``.
+        """Evict LRU entries beyond ``max_entries``, dropping their
+        responses.
 
         ``keep`` (the entry just used) is never evicted — evicting the
         answers a request just stored would defeat the cache.
         """
-        evicted = []
         with self._lock:
             while len(self._entries) > self.config.max_entries:
                 key = next(k for k in self._entries if k != keep)
-                evicted.append(self._entries.pop(key))
-            self.stats.service_cache_evictions += len(evicted)
-        for entry in evicted:
-            self._spill_entry(entry)
-
-    def _spill_path(self, key: Tuple[str, str]) -> Optional[Path]:
-        if self.config.cache_dir is None:
-            return None
-        digest = hashlib.sha256(
-            f"{key[0]}|{key[1]}".encode("utf-8")
-        ).hexdigest()
-        return Path(self.config.cache_dir) / f"entry-{digest[:32]}.pkl"
-
-    def _spill_entry(self, entry: _CacheEntry) -> None:
-        """Write an entry's stored responses to the spill directory.
-
-        Failures are counted (``service_spill_failures``) and otherwise
-        swallowed: spill is an optimization, never a correctness
-        dependency.
-        """
-        path = self._spill_path(entry.key)
-        if path is None:
-            return
-        # Taking the entry lock lets an in-flight computation store its
-        # response first.
-        with entry.lock:
-            payload = {
-                "format": _SPILL_FORMAT,
-                "version": _SPILL_VERSION,
-                "model_hash": entry.key[0],
-                "options_signature": entry.key[1],
-                "responses": dict(entry.responses),
-            }
-        try:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(blob).digest()
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(_SPILL_MAGIC)
-                fh.write(digest)
-                fh.write(blob)
-            tmp.replace(path)
-        except Exception:
-            with self._lock:
-                self.stats.service_spill_failures += 1
-            return
-        with self._lock:
-            self.stats.service_spill_saves += 1
-            # A fresh, verified write supersedes any earlier corruption
-            # verdict for this key.
-            self._quarantined.discard(entry.key)
-
-    def _load_spill(self, entry: _CacheEntry) -> bool:
-        """Revive a cold entry from the spill directory (best-effort).
-
-        A file that fails verification — unreadable, bad header, wrong
-        checksum, undecodable payload, key mismatch — is *quarantined*:
-        renamed to ``*.corrupt`` and its key blacklisted in memory, so
-        a corrupt spill is read at most once instead of being re-probed
-        (and re-deserialized) on every cold request for its key.
-        """
-        path = self._spill_path(entry.key)
-        if path is None:
-            return False
-        with self._lock:
-            if entry.key in self._quarantined:
-                return False
-        if not path.exists():
-            return False
-        payload = self._read_spill(path, entry.key)
-        if payload is None:
-            return False
-        responses = payload.get("responses")
-        if isinstance(responses, dict):
-            entry.responses.update(responses)
-            entry.trim_responses(self.config.max_responses_per_entry)
-        return True
-
-    def _read_spill(self, path: Path, key: tuple) -> Optional[dict]:
-        """Checksum-verified spill read; any failure quarantines ``path``."""
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except Exception:
-            self._quarantine(path, key)
-            return None
-        header_len = len(_SPILL_MAGIC) + hashlib.sha256().digest_size
-        if len(raw) < header_len or not raw.startswith(_SPILL_MAGIC):
-            self._quarantine(path, key)
-            return None
-        digest = raw[len(_SPILL_MAGIC):header_len]
-        blob = raw[header_len:]
-        if hashlib.sha256(blob).digest() != digest:
-            self._quarantine(path, key)
-            return None
-        try:
-            payload = pickle.loads(blob)
-        except Exception:
-            self._quarantine(path, key)
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != _SPILL_FORMAT
-            or payload.get("version") != _SPILL_VERSION
-            or payload.get("model_hash") != key[0]
-            or payload.get("options_signature") != key[1]
-        ):
-            self._quarantine(path, key)
-            return None
-        return payload
-
-    def _quarantine(self, path: Path, key: tuple) -> None:
-        """Blacklist a failed spill and rename it out of the probe path."""
-        with self._lock:
-            if key not in self._quarantined:
-                self._quarantined.add(key)
-                self.stats.service_spill_quarantined += 1
-        try:
-            path.rename(path.with_name(path.name + ".corrupt"))
-        except Exception:
-            # The rename is cosmetic (keeps the evidence around for a
-            # human); the in-memory blacklist is what stops re-probes.
-            pass
+                del self._entries[key]
+                self.stats.service_cache_evictions += 1
 
     # ------------------------------------------------------------------
     # Introspection and shutdown
@@ -1158,42 +1000,18 @@ class CheckingService:
                 "service": service,
                 "supervisor": self.supervisor.snapshot(),
                 "entries": entries,
-                "config": {
-                    "max_entries": self.config.max_entries,
-                    "max_concurrent": self.config.max_concurrent,
-                    "queue_timeout": self.config.queue_timeout,
-                    "default_deadline": self.config.default_deadline,
-                    "cache_dir": self.config.cache_dir,
-                    "isolate": self.config.isolate,
-                    "drain_deadline": self.config.drain_deadline,
-                    "connection_timeout": self.config.connection_timeout,
-                },
+                "config": asdict(self.config),
             }
 
     def close(self) -> None:
-        """Spill every entry's responses and refuse further requests.
+        """Drop every entry and refuse further requests.
 
         Terminal: unlike ``draining`` (a transient 503 — retry
         elsewhere), a closed service answers 400, because there is no
         point retrying against it.  Graceful shutdown is
         :meth:`drain` followed by ``close()``.
-
-        Safe to call from several threads: every call returns only
-        after the spill begun by the first one has finished, so a
-        process may exit as soon as any ``close()`` returns.
         """
         with self._lock:
-            first = not self._closed
-            if first:
-                self._closed = True
-                self._state = "closed"
-                entries = list(self._entries.values())
-                self._entries.clear()
-        if not first:
-            self._close_done.wait()
-            return
-        try:
-            for entry in entries:
-                self._spill_entry(entry)
-        finally:
-            self._close_done.set()
+            self._closed = True
+            self._state = "closed"
+            self._entries.clear()

@@ -219,11 +219,6 @@ class TestBatchAnswers:
             body["results"][0]["verdict"] == body["results"][1]["verdict"]
         )
 
-    def test_check_batch_is_the_public_alias(self, service):
-        status, body = service.check_batch({"queries": [_request()]})
-        assert status == 200
-        assert body["exit_codes"] == [0]
-
     def test_batch_counters(self, service):
         service.handle_batch({"queries": [_request(), _request()]})
         assert service.stats.service_batch_requests == 1

@@ -1,18 +1,15 @@
 """Chaos suite: fault injection against the serving stack.
 
 Every test here breaks something on purpose — SIGKILLs a supervised
-query worker mid-computation, corrupts a spill file, SIGTERMs a server
-with a batch in flight — and asserts the blast radius stays confined to
-the documented boundary: one query, one spill file, zero lost in-flight
-work.  The tier-1 suite runs this file with everything else; the
+query worker mid-computation, SIGTERMs a server with a batch in flight —
+and asserts the blast radius stays confined to the documented boundary:
+one query, zero lost in-flight work.  The tier-1 suite runs this file with everything else; the
 ``server-chaos`` CI job runs it again on its own under ``-X dev``, with
 leaked sockets and pipes turned into errors.
 """
 
-import hashlib
 import json
 import os
-import pickle
 import random
 import re
 import signal
@@ -31,7 +28,7 @@ from repro.checking.global_ import MFModelChecker
 from repro.exceptions import EXIT_BUDGET_EXCEEDED, EXIT_SATISFIED
 from repro.parallel import fork_available
 from repro.server.client import ServerClient
-from repro.server.service import _SPILL_MAGIC, CheckingService, ServerConfig
+from repro.server.service import CheckingService, ServerConfig
 
 pytestmark = pytest.mark.chaos
 
@@ -250,165 +247,12 @@ class TestWorkerKill:
 
 
 # ----------------------------------------------------------------------
-# Scenario 2: a corrupted spill file is quarantined, read at most once
-# ----------------------------------------------------------------------
-
-
-class TestSpillCorruption:
-    def corrupt(self, path: Path) -> None:
-        raw = bytearray(path.read_bytes())
-        # Flip bits in the payload region (past the magic + checksum).
-        for offset in range(50, min(80, len(raw))):
-            raw[offset] ^= 0xFF
-        path.write_bytes(bytes(raw))
-
-    def spill_one_entry(self, cache_dir) -> dict:
-        """Run one query against a spilling service; return its body."""
-        service = CheckingService(ServerConfig(cache_dir=str(cache_dir)))
-        status, body = service.handle(check_request())
-        assert status == 200
-        service.close()  # spills the warm entry
-        return body
-
-    def test_corrupt_spill_is_quarantined_and_recomputed(self, tmp_path):
-        clean_body = self.spill_one_entry(tmp_path)
-        (spill_file,) = list(tmp_path.glob("entry-*.pkl"))
-        self.corrupt(spill_file)
-
-        service = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        try:
-            status, body = service.handle(check_request())
-            # The poisoned file never reaches the answer: the query
-            # recomputes and matches the pre-corruption verdict.
-            assert status == 200
-            assert body["cache"]["hit"] is False
-            assert body["verdict"] == clean_body["verdict"]
-            assert service.stats.service_spill_quarantined == 1
-            assert service.stats.service_spill_loads == 0
-            # The evidence is set aside, not deleted — and the probe
-            # path is clear of it.
-            assert not spill_file.exists()
-            assert spill_file.with_name(
-                spill_file.name + ".corrupt"
-            ).exists()
-        finally:
-            service.close()
-
-    def test_corrupt_spill_read_at_most_once(self, tmp_path, monkeypatch):
-        """Regression: a known-bad spill used to be re-read (and
-        re-deserialized) on every cold probe of its key; now the first
-        failure blacklists the key in memory."""
-        self.spill_one_entry(tmp_path)
-        (spill_file,) = list(tmp_path.glob("entry-*.pkl"))
-        self.corrupt(spill_file)
-
-        reads = []
-        real_read = CheckingService._read_spill
-
-        def counting_read(self, path, key):
-            reads.append(path)
-            return real_read(self, path, key)
-
-        monkeypatch.setattr(CheckingService, "_read_spill", counting_read)
-
-        service = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        try:
-            status, _ = service.handle(check_request())
-            assert status == 200
-            assert len(reads) == 1
-
-            # Drop the warm entry without spilling, simulating an
-            # eviction — the next request probes cold again...
-            with service._lock:
-                service._entries.clear()
-            status, _ = service.handle(check_request())
-            assert status == 200
-            # ...but the quarantined key is never re-read from disk.
-            assert len(reads) == 1
-            assert service.stats.service_spill_quarantined == 1
-        finally:
-            service.close()
-
-    @pytest.mark.parametrize(
-        "vandalize",
-        [
-            lambda p: p.write_bytes(b""),  # truncated to nothing
-            lambda p: p.write_bytes(b"not a spill file at all"),
-            lambda p: p.write_bytes(p.read_bytes()[:40]),  # cut mid-header
-        ],
-    )
-    def test_unreadable_spill_variants_quarantine(self, tmp_path, vandalize):
-        self.spill_one_entry(tmp_path)
-        (spill_file,) = list(tmp_path.glob("entry-*.pkl"))
-        vandalize(spill_file)
-        service = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        try:
-            status, body = service.handle(check_request())
-            assert status == 200
-            assert body["status"] == "ok"
-            assert service.stats.service_spill_quarantined == 1
-        finally:
-            service.close()
-
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_older_spill_is_quarantined_and_recomputed(
-        self, tmp_path, version
-    ):
-        """A checksummed spill of an older format carries transient-cache
-        keys no query can hit (version 2) or response cores of another
-        verdict shape (version 3); it is set aside instead of loaded."""
-        clean_body = self.spill_one_entry(tmp_path)
-        (spill_file,) = list(tmp_path.glob("entry-*.pkl"))
-        header = len(_SPILL_MAGIC) + hashlib.sha256().digest_size
-        payload = pickle.loads(spill_file.read_bytes()[header:])
-        payload["version"] = version
-        blob = pickle.dumps(payload)
-        spill_file.write_bytes(
-            _SPILL_MAGIC + hashlib.sha256(blob).digest() + blob
-        )
-
-        service = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        try:
-            status, body = service.handle(check_request())
-            assert status == 200
-            assert body["cache"]["hit"] is False
-            assert body["verdict"] == clean_body["verdict"]
-            assert service.stats.service_spill_quarantined == 1
-            assert service.stats.service_spill_loads == 0
-        finally:
-            service.close()
-
-    def test_good_respill_lifts_quarantine(self, tmp_path):
-        """A fresh, verified spill supersedes the corruption verdict:
-        the next service generation revives warm state again."""
-        self.spill_one_entry(tmp_path)
-        (spill_file,) = list(tmp_path.glob("entry-*.pkl"))
-        self.corrupt(spill_file)
-
-        service = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        status, _ = service.handle(check_request())
-        assert status == 200
-        assert service.stats.service_spill_quarantined == 1
-        service.close()  # re-spills the recomputed warm entry
-
-        revived = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        try:
-            status, body = revived.handle(check_request())
-            assert status == 200
-            assert body["cache"]["hit"] is True
-            assert revived.stats.service_spill_loads == 1
-            assert revived.stats.service_spill_quarantined == 0
-        finally:
-            revived.close()
-
-
-# ----------------------------------------------------------------------
-# Scenario 3: SIGTERM with a batch in flight drains gracefully
+# Scenario 2: SIGTERM with a batch in flight drains gracefully
 # ----------------------------------------------------------------------
 
 
 class TestGracefulDrain:
-    def start_server(self, cache_dir, *extra):
+    def start_server(self, *extra):
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -417,8 +261,6 @@ class TestGracefulDrain:
                 "serve",
                 "--port",
                 "0",
-                "--cache-dir",
-                str(cache_dir),
                 "--drain-deadline",
                 "30",
                 *extra,
@@ -445,12 +287,12 @@ class TestGracefulDrain:
         except urllib.error.HTTPError as exc:
             return exc.code, json.loads(exc.read())
 
-    def test_sigterm_drains_batch_and_restart_serves_warm(self, tmp_path):
+    def test_sigterm_drains_batch_and_restart_answers_cold(self):
         """SIGTERM lands while an 8-query batch is in flight: the batch
-        finishes (no dropped items), the server exits cleanly after
-        spilling, and a restarted server answers the same queries warm
-        from the shutdown spill."""
-        proc, url = self.start_server(tmp_path)
+        finishes (no dropped items), the server exits cleanly, and a
+        restarted server, which keeps nothing from its predecessor,
+        recomputes the same answer cold."""
+        proc, url = self.start_server()
         try:
             queries = [
                 check_request(
@@ -481,19 +323,19 @@ class TestGracefulDrain:
             )
 
             assert proc.wait(timeout=60) == 0
-            assert list(tmp_path.glob("entry-*.pkl")), "nothing spilled"
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
             proc.stdout.close()
 
-        # Generation two: the drain-time spill must serve warm answers.
-        proc2, url2 = self.start_server(tmp_path)
+        # Generation two starts empty and recomputes the batch's answer.
+        proc2, url2 = self.start_server()
         try:
-            status, body = self.post(url2, "/query", queries[0])
+            status, cold = self.post(url2, "/query", queries[0])
             assert status == 200
-            assert body["cache"]["hit"] is True
+            assert cold["cache"] == {"hit": False, "cold_entry": True}
+            assert cold["verdict"] == body["results"][0]["verdict"]
         finally:
             proc2.send_signal(signal.SIGTERM)
             code = proc2.wait(timeout=60)

@@ -148,7 +148,7 @@ class TestServeSubprocess:
     """End-to-end smoke of ``mfcsl serve`` — the CI server-smoke job."""
 
     @pytest.fixture
-    def serve_process(self, tmp_path):
+    def serve_process(self):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -160,8 +160,6 @@ class TestServeSubprocess:
                 "serve",
                 "--port",
                 "0",
-                "--cache-dir",
-                str(tmp_path / "spill"),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

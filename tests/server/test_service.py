@@ -6,11 +6,10 @@ tests exercise the entry-lock and admission-control paths for real by
 slowing the underlying computation down with a monkeypatched checker.
 """
 
-import hashlib
-import pickle
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.exceptions import (
 from repro.io import model_hash
 from repro.models import MODEL_REGISTRY, SETTING_1, virus_model
 from repro.server.service import (
-    _SPILL_MAGIC,
     HTTP_STATUS_REJECTED,
     CheckingService,
     ServerConfig,
@@ -722,141 +720,26 @@ class TestAdmission:
 
 
 class TestEvictionAndSpill:
-    def test_lru_eviction_beyond_max_entries(self, tmp_path):
-        svc = CheckingService(
-            ServerConfig(max_entries=1, cache_dir=str(tmp_path))
-        )
-        try:
-            svc.handle(check_request(model="virus1"))
-            svc.handle(check_request(model="virus2"))
-            assert svc.stats.service_cache_evictions == 1
-            assert svc.stats.service_spill_saves == 1
-            assert len(list(tmp_path.glob("entry-*.pkl"))) == 1
-        finally:
-            svc.close()
-
-    def test_eviction_without_cache_dir_just_drops(self):
+    def test_lru_eviction_beyond_max_entries(self):
+        """An evicted entry's responses are dropped: the next request
+        for its key starts a cold entry and computes again."""
         svc = CheckingService(ServerConfig(max_entries=1))
         try:
             svc.handle(check_request(model="virus1"))
             svc.handle(check_request(model="virus2"))
             assert svc.stats.service_cache_evictions == 1
-            assert svc.stats.service_spill_saves == 0
+            status, body = svc.handle(check_request(model="virus1"))
+            assert status == 200
+            assert body["cache"] == {"hit": False, "cold_entry": True}
         finally:
             svc.close()
 
-    def test_version_4_spill_with_transients_still_loads(self, tmp_path):
-        """Earlier releases wrote version-4 spills that also carried a
-        ``transients`` map (exported transient matrices per occupancy);
-        the reader ignores the map and serves the stored response."""
-        svc1 = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        _, cold = svc1.handle(check_request())
-        svc1.close()
-        (spill_file,) = tmp_path.glob("entry-*.pkl")
-        header = len(_SPILL_MAGIC) + hashlib.sha256().digest_size
-        payload = pickle.loads(spill_file.read_bytes()[header:])
-        assert payload["version"] == 4
-        assert "transients" not in payload
-
-        occupancy = check_request()["occupancy"]
-        checker = MFModelChecker(virus_model(SETTING_1))
-        ctx = checker.context(occupancy)
-        checker.check(FORMULA, ctx.initial, ctx=ctx)
-        transients = dict(ctx._transient_cache)
-        assert transients
-        payload["transients"] = {
-            tuple(round(x, 12) for x in occupancy): transients
-        }
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        spill_file.write_bytes(
-            _SPILL_MAGIC + hashlib.sha256(blob).digest() + blob
-        )
-
-        svc2 = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        try:
-            status, warm = svc2.handle(check_request())
-            assert status == 200
-            assert warm["cache"]["hit"] is True
-            assert warm["verdict"] == cold["verdict"]
-            assert svc2.stats.service_spill_loads == 1
-            assert svc2.stats.service_spill_quarantined == 0
-        finally:
-            svc2.close()
-
-    def test_spilled_entry_revives_across_service_instances(self, tmp_path):
-        """Warm state survives a restart: a new service process finds
-        the spilled entry and serves the response without recomputing."""
-        svc1 = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        _, cold = svc1.handle(check_request())
-        svc1.close()  # spills every warm entry
-        assert svc1.stats.service_spill_saves == 1
-
-        svc2 = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        try:
-            status, warm = svc2.handle(check_request())
-            assert status == 200
-            assert svc2.stats.service_spill_loads == 1
-            assert warm["cache"]["hit"] is True
-            assert warm["verdict"] == cold["verdict"]
-        finally:
-            svc2.close()
-
-    def test_closed_service_refuses_requests(self, tmp_path):
-        svc = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
+    def test_closed_service_refuses_requests(self):
+        svc = CheckingService()
         svc.close()
         status, body = svc.handle(check_request())
         assert status == 400
         assert "shut down" in body["message"]
-
-    def test_failed_spill_is_counted(self, tmp_path):
-        """A cache_dir that is a regular file makes every spill fail;
-        the failure shows in /stats instead of vanishing."""
-        not_a_dir = tmp_path / "cache"
-        not_a_dir.write_text("occupied")
-        svc = CheckingService(ServerConfig(cache_dir=str(not_a_dir)))
-        status, _ = svc.handle(check_request())
-        assert status == 200
-        svc.close()
-        assert svc.stats.service_spill_failures == 1
-        assert svc.stats.service_spill_saves == 0
-        assert svc.stats_payload()["service"]["service_spill_failures"] == 1
-
-    def test_second_close_waits_for_the_first_spill(self, tmp_path):
-        """Regression: a concurrent close() used to return at once while
-        the first caller was still spilling, letting ``mfcsl serve``
-        exit 0 with the drain thread's spill cut off."""
-        svc = CheckingService(ServerConfig(cache_dir=str(tmp_path)))
-        svc.handle(check_request())
-        spilling = threading.Event()
-        release = threading.Event()
-        spilled = threading.Event()
-        original = svc._spill_entry
-
-        def blocking_spill(entry):
-            spilling.set()
-            release.wait(10.0)
-            original(entry)
-            spilled.set()
-
-        svc._spill_entry = blocking_spill
-        first = threading.Thread(target=svc.close)
-        first.start()
-        assert spilling.wait(10.0)
-        second_saw_spill_done = []
-
-        def second_close():
-            svc.close()
-            second_saw_spill_done.append(spilled.is_set())
-
-        second = threading.Thread(target=second_close)
-        second.start()
-        second.join(0.2)  # a non-waiting close() returns well within this
-        release.set()
-        first.join(10.0)
-        second.join(10.0)
-        assert not first.is_alive() and not second.is_alive()
-        assert second_saw_spill_done == [True]
-        assert svc.stats.service_spill_saves == 1
 
 
 class TestStatsPayload:
@@ -875,7 +758,7 @@ class TestStatsPayload:
         assert entry["model_hash"].startswith("sha256:")
         assert entry["responses"] == 1
         assert entry["stats"]["solve_ivp_calls"] > 0
-        assert payload["config"]["max_entries"] == 32
+        assert payload["config"] == asdict(ServerConfig())
 
     def test_stats_delta_reported_on_computes_only(self, service):
         _, cold = service.handle(check_request())

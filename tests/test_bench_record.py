@@ -189,10 +189,10 @@ class TestCheckFaultCounters:
         record_wall_times(
             "bench",
             {"cold": 1.0},
-            extra={"stats": {"service_spill_quarantined": 2}},
+            extra={"stats": {"service_worker_crashes": 2}},
             path=path,
         )
         flags = check_all_regressions(tmp_path)
         assert len(flags) == 1
         assert "BENCH_server.json" in flags[0]
-        assert "service_spill_quarantined" in flags[0]
+        assert "service_worker_crashes" in flags[0]

@@ -557,7 +557,15 @@ class TestServeQueryParser:
         assert args.port == 8349
         assert args.max_entries == 32
         assert args.max_concurrent == 4
-        assert args.cache_dir is None
+
+    def test_serve_rejects_cache_dir(self, capsys):
+        """Answers live in memory only; there is no spill directory."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--cache-dir", "x"])
+        assert excinfo.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
 
     def test_query_defaults(self):
         from repro.cli import build_parser
