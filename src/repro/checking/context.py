@@ -14,28 +14,24 @@ Caching layers (see ``docs/performance.md``):
 - :meth:`generator_function` memoizes ``t -> Q(m̄(t))`` so the many ODE
   solves sharing one trajectory never assemble the same generator twice;
 - :meth:`transient_matrix` caches Kolmogorov solutions ``Π(t', t'+T)``
-  keyed by (generator-transform signature, window, solver and residual
-  tolerances), so nested untils and repeated global-operator checks stop
-  re-solving identical problems; a miss is served by the sparse action
-  engine on the sparse backend and otherwise by the forward Kolmogorov
-  ODE chain;
-- :meth:`at_time` and :meth:`steady_context` derive child contexts that
-  share whatever parent state remains sound (the steady-state result
-  always; the trajectory and generator memo whenever the model has no
-  explicit time dependence, by the semigroup property of the flow);
+  keyed by (generator-transform signature, window), so nested untils
+  and repeated global-operator checks stop re-solving identical
+  problems; a miss is served by the sparse action engine on the sparse
+  backend and otherwise by the forward Kolmogorov ODE chain;
+- :meth:`steady_context` derives the child context anchored at the
+  stationary point, sharing the steady-state result;
 - on the sparse backend (``options.matrix_backend``, resolved by
   :attr:`matrix_backend`), :meth:`sparse_generator_function` memoizes
   CSR assemblies of ``Q(m̄(t))`` and :meth:`action_engine` keeps one
   :class:`~repro.ctmc.propagators.SparseActionPropagator` per
-  transformed chain, shared — with a time offset — across contexts
-  derived via :meth:`at_time` whenever the trajectory itself is shared,
-  and invalidated together with the other solve caches;
-  :meth:`transient_apply` then answers
-  vector-propagation queries through Krylov actions without ever
-  forming a dense ``(K, K)`` matrix (docs/performance.md, "Backend
-  selection").
+  transformed chain, invalidated together with the other solve caches;
+  :meth:`transient_apply` then answers vector-propagation queries
+  through the engine's Taylor actions without ever forming a dense
+  ``(K, K)`` matrix (docs/performance.md, "Backend selection").
 
-All contexts derived from one root share a single
+A context is built once from a model, an occupancy and options, and is
+never moved to another time origin or re-optioned.  A context and its
+steady-state child share a single
 :class:`~repro.instrumentation.EvalStats` as :attr:`stats`, so counters
 aggregate over a logical checking run.
 """
@@ -76,51 +72,6 @@ SPARSE_AUTO_MIN_K = 256
 SPARSE_AUTO_MAX_DENSITY = 0.05
 
 
-class ContextAction:
-    """Context-relative view of a shared :class:`SparseActionPropagator`.
-
-    The engine lives on root-trajectory ("absolute") time so
-    ``at_time`` children can share one exponent cache; this handle
-    translates the owning context's relative times before delegating.
-    """
-
-    __slots__ = ("engine", "offset")
-
-    def __init__(self, engine: SparseActionPropagator, offset: float):
-        self.engine = engine
-        self.offset = float(offset)
-
-    def ensure(
-        self, t_lo: float, t_hi: float, window: Optional[float] = None
-    ) -> None:
-        """Defect-validate the grid over context-relative ``[t_lo, t_hi]``."""
-        self.engine.ensure(
-            self.offset + float(t_lo),
-            self.offset + float(t_hi),
-            window=window,
-        )
-
-    def apply(
-        self, v: np.ndarray, t_start: float, duration: float,
-        side: str = "left",
-    ) -> np.ndarray:
-        """``v @ Π`` (left) or ``Π @ v`` (right) over a relative window."""
-        a = self.offset + float(t_start)
-        return self.engine.apply(v, a, a + float(duration), side=side)
-
-    def apply_many(
-        self, ts, duration: float, v: np.ndarray, side: str = "left"
-    ) -> np.ndarray:
-        """Batched window actions — first axis indexes ``ts``."""
-        ts = np.asarray(ts, dtype=float) + self.offset
-        return self.engine.apply_many(ts, float(duration), v, side=side)
-
-    def propagate(self, t_start: float, duration: float) -> np.ndarray:
-        """Dense ``Π(t_start, t_start + duration)`` (memory-guarded)."""
-        a = self.offset + float(t_start)
-        return self.engine.propagate(a, a + float(duration))
-
-
 class EvaluationContext:
     """Everything needed to evaluate CSL formulas from one occupancy vector.
 
@@ -136,19 +87,19 @@ class EvaluationContext:
     stats:
         Instrumentation counters to record into; a fresh
         :class:`~repro.instrumentation.EvalStats` is created when omitted.
-        Derived contexts pass the parent's so counts aggregate.
+        :meth:`steady_context` passes the parent's so counts aggregate.
     trace:
         Structured numerical diagnostics (solver fallback chains,
         simplex residual checks, ``sparse -> ode`` downgrades); a fresh
         :class:`~repro.diagnostics.DiagnosticTrace` feeding ``stats`` is
-        created when omitted.  Shared with derived contexts, like
+        created when omitted.  Shared with the steady context, like
         ``stats``.
     budget:
         Execution budget enforced cooperatively by every expensive path
         reachable from this context (solver attempts, propagator
         refinements, statistical-checker batches).  Built from the
         budget fields of ``options`` when omitted (``None`` when none of
-        them are set).  Shared with derived contexts so one deadline
+        them are set).  Shared with the steady context so one deadline
         covers the whole logical checking run.
     """
 
@@ -162,18 +113,19 @@ class EvaluationContext:
         budget: Optional[Budget] = None,
     ):
         self.model = model
-        # Autonomy is a property of the model, not the context: hoisted
-        # once so the at_time hot path skips the attribute chain.
-        self._autonomous = not model.local.has_time_dependent_rates
-        self.options = options or CheckOptions()
+        self._options = options or CheckOptions()
         self.initial = validate_occupancy(initial, model.num_states)
         self.stats = stats if stats is not None else EvalStats()
         self.trace = (
             trace if trace is not None else DiagnosticTrace(stats=self.stats)
         )
         self.budget = (
-            budget if budget is not None else Budget.from_options(self.options)
+            budget if budget is not None else Budget.from_options(self._options)
         )
+        self._resolved_backend: Optional[str] = None
+        # Hoisted so the evaluation hot paths test one attribute.
+        self._optimized = self._options.formula_optimizations == "all"
+        self._local_checker = None
         self._trajectory = None
         self._generator_fn: Optional[Callable[[float], np.ndarray]] = None
         self._generator_batch_fn: Optional[
@@ -183,14 +135,10 @@ class EvaluationContext:
         self._sparse_generator_fn = None
         self._sparse_generator_cache: dict = {}
         self._transient_cache: dict = {}
-        # Sparse action engines keyed by transform signature, shared
-        # (with a time offset) along at_time chains that share the
-        # trajectory.
+        # Sparse action engines keyed by transform signature.
         self._action_engines: dict = {}
-        self._propagator_offset: float = 0.0
-        # One-slot box for the stationary point, shared with contexts
-        # derived from this one (the steady state is a property of the
-        # basin, not of the particular point on the trajectory).
+        # One-slot box for the stationary point, shared with the steady
+        # context derived from this one.
         self._steady_box: dict = {"value": None}
         self._steady_context: Optional["EvaluationContext"] = None
 
@@ -198,35 +146,12 @@ class EvaluationContext:
 
     @property
     def options(self) -> CheckOptions:
-        """Numerical options; assigning re-hoists the hot-path fields.
+        """Numerical options, fixed at construction (read-only).
 
-        ``transient_matrix`` builds a cache key per query and the curve
-        inner loops read tolerances per evaluation; the setter copies
-        those fields onto flat attributes once per (re)assignment so
-        the hot paths skip the frozen-dataclass attribute chain — and
-        stale hoists can never outlive an options change (the
-        resolved backend is invalidated for the same reason).
+        Every cache of the context was filled under these options, so a
+        context is never re-optioned: build a new one instead.
         """
         return self._options
-
-    @options.setter
-    def options(self, value: CheckOptions) -> None:
-        self._options = value
-        self._residual_tol = value.residual_tol
-        # Pre-built tail of the transient-matrix cache key: every
-        # tolerance that shapes the answer, so the hot path concatenates
-        # this tuple instead of assembling three fields per query.
-        self._key_tail = (
-            value.ode_rtol,
-            value.ode_atol,
-            value.residual_tol,
-        )
-        self._resolved_backend: Optional[str] = None
-        # Hoisted so the evaluation hot paths test one attribute.
-        self._optimized = value.formula_optimizations == "all"
-        # The shared local checker memoizes against the options it was
-        # built under; changing options invalidates it.
-        self._local_checker = None
 
     @property
     def num_states(self) -> int:
@@ -404,8 +329,7 @@ class EvaluationContext:
             context's base generator — e.g. ``("absorbing", frozenset)``
             or ``("goal", partition)``.  Two calls with equal signatures
             **must** describe the same generator function; the cache key
-            is (signature, t_start, duration, ``ode_rtol``, ``ode_atol``,
-            ``residual_tol``) — see :meth:`_transient_key`.
+            is (signature, t_start, duration) — see :meth:`_transient_key`.
         q_of_t:
             The transformed generator function, used only on a miss.
 
@@ -424,17 +348,14 @@ class EvaluationContext:
     ) -> tuple:
         """The transient-cache key of one window.
 
-        Every tolerance that shapes the answer — including the residual
-        self-verification bound — is part of the key (the hoisted
-        ``_key_tail``, see the ``options`` setter): a matrix solved
-        under loose settings must never be served after the options
-        were tightened.
+        The tolerances that shape the answer are fixed with the
+        context's options, so the window alone tells entries apart.
         """
         return (
             signature,
             round(float(t_start), _KEY_DECIMALS),
             round(float(duration), _KEY_DECIMALS),
-        ) + self._key_tail
+        )
 
     def _cached_transient(
         self,
@@ -504,17 +425,17 @@ class EvaluationContext:
         :class:`~repro.exceptions.NumericalError` so the window falls
         back to the ODE chain.
         """
-        handle = self.action_engine(signature)
-        if handle is None:
+        engine = self.action_engine(signature)
+        if engine is None:
             raise NumericalError(
                 f"sparse rung: no sparse transform for signature "
                 f"{signature!r}"
             )
-        pi = handle.propagate(t_start, duration)
+        pi = engine.propagate(t_start, t_start + duration)
         check_transient_residual(
             pi,
             label=f"Pi({t_start:g}, {t_start + duration:g}) [sparse]",
-            tol=self._residual_tol,
+            tol=self.options.residual_tol,
             trace=self.trace,
         )
         return pi
@@ -589,14 +510,12 @@ class EvaluationContext:
 
     def action_engine(
         self, signature: Hashable
-    ) -> "Optional[ContextAction]":
-        """The shared sparse action engine for the chain ``signature``.
+    ) -> Optional[SparseActionPropagator]:
+        """The sparse action engine for the chain ``signature``.
 
         One :class:`~repro.ctmc.propagators.SparseActionPropagator` is
-        kept per transform signature.  Derived contexts whose trajectory
-        is shared (autonomous :meth:`at_time` children) see the *same*
-        engines through a time-offset view, so cells built while
-        checking one evaluation time are reused at every other.  Returns
+        kept per transform signature, so every window of that chain
+        checked in this context shares one exponent cache.  Returns
         ``None`` when the signature has no sparse transform
         (goal-literal chains, ad-hoc generator functions); callers then
         fall back to the dense pipeline.
@@ -606,21 +525,13 @@ class EvaluationContext:
             q_sparse = self._sparse_for_signature(signature)
             if q_sparse is None:
                 return None
-            offset = self._propagator_offset
-            if offset:
-
-                def q_abs(t: float, _q=q_sparse, _o=offset):
-                    return _q(t - _o)
-
-            else:
-                q_abs = q_sparse
             engine_kwargs = {}
             if self.options.max_refinements is not None:
                 engine_kwargs["max_refinements"] = (
                     self.options.max_refinements
                 )
             engine = SparseActionPropagator(
-                q_abs,
+                q_sparse,
                 tol=self.options.propagator_tol,
                 trace=self.trace,
                 stats=self.stats,
@@ -629,7 +540,7 @@ class EvaluationContext:
             )
             self.stats.propagator_engines += 1
             self._action_engines[signature] = engine
-        return ContextAction(engine, self._propagator_offset)
+        return engine
 
     def transient_apply(
         self,
@@ -645,8 +556,8 @@ class EvaluationContext:
         The vector-propagation face of :meth:`transient_matrix`: on the
         dense backend it multiplies through the cached matrix (repeated
         calls share one solve); on the sparse backend, chains with a
-        sparse transform are served by the shared :meth:`action_engine`
-        through Krylov actions and **no dense ``(K', K')`` array is
+        sparse transform are served by the context's :meth:`action_engine`
+        through Taylor actions and **no dense ``(K', K')`` array is
         ever formed**.  A sparse-engine
         :class:`~repro.exceptions.NumericalError` (grid refinement cap)
         is recorded as one ``sparse -> ode`` downgrade and the window is
@@ -658,8 +569,8 @@ class EvaluationContext:
         vector = np.asarray(vector, dtype=float)
         solve = self._transient_ladder
         if self.matrix_backend == "sparse":
-            handle = self.action_engine(signature)
-            if handle is not None and (
+            engine = self.action_engine(signature)
+            if engine is not None and (
                 self._transient_key(signature, t_start, duration)
                 not in self._transient_cache
             ):
@@ -668,9 +579,10 @@ class EvaluationContext:
                         f"transient_apply @ {float(t_start):g}"
                         f"+{float(duration):g}"
                     )
+                start = float(t_start)
                 try:
-                    return handle.apply(
-                        vector, float(t_start), float(duration), side=side
+                    return engine.apply(
+                        vector, start, start + float(duration), side=side
                     )
                 except NumericalError as exc:
                     self.trace.downgrade("sparse", "ode", str(exc))
@@ -725,12 +637,11 @@ class EvaluationContext:
         checker with its memos and every cached action-engine cell
         (keeps the trajectory).  Engines are cleared *in place* — each
         engine's internal cell/sliver caches are emptied rather than
-        merely dropping the lookup dict — so contexts sharing them
-        through :meth:`at_time`, and :class:`ContextAction` handles
-        captured before the clear, are invalidated together; they also
-        share the trajectory the engines were built from.  The engines
-        themselves stay registered, so existing handles keep working and
-        simply rebuild their grids on the next query."""
+        merely dropping the lookup dict — so an engine captured from
+        :meth:`action_engine` before the clear never serves stale
+        cells.  The engines themselves stay registered, so
+        :meth:`action_engine` keeps returning them and they simply
+        rebuild their grids on the next query."""
         self._generator_cache.clear()
         self._sparse_generator_cache.clear()
         self._transient_cache.clear()
@@ -748,9 +659,8 @@ class EvaluationContext:
         Found by long-run integration from ``initial`` (which selects the
         right basin of attraction when several fixed points exist) and
         polished by Newton iteration on ``m̃ Q(m̃) = 0``.  Cached, and
-        shared with contexts derived via :meth:`at_time` /
-        :meth:`steady_context` — every point of one trajectory lies in
-        the same basin.
+        shared with the :meth:`steady_context` — the stationary point
+        lies in the same basin.
 
         Raises
         ------
@@ -804,44 +714,3 @@ class EvaluationContext:
             child._steady_box = self._steady_box
             self._steady_context = child
         return self._steady_context
-
-    # ------------------------------------------------------------------
-
-    def at_time(self, t: float) -> "EvaluationContext":
-        """A new context whose time origin is shifted to trajectory time ``t``.
-
-        Used when a quantity defined "from the current state" must be
-        evaluated at a later moment of the same run and no incremental
-        algorithm applies.  The child shares the parent's steady-state
-        result (basin-invariant along a trajectory) and stats; when the
-        model has no explicit time dependence it additionally reuses the
-        parent's already-solved trajectory (shifted — the semigroup
-        property of the autonomous flow) and its generator memo instead
-        of re-solving everything from scratch.
-        """
-        t = float(t)
-        if t == 0.0:
-            return self
-        child = EvaluationContext(
-            self.model,
-            self.occupancy(t),
-            self.options,
-            stats=self.stats,
-            trace=self.trace,
-            budget=self.budget,
-        )
-        child._steady_box = self._steady_box
-        if self._autonomous:
-            child._trajectory = self.trajectory.shifted(t)
-            parent_fn = self.generator_function()
-
-            def shifted_q(s: float, _offset=t) -> np.ndarray:
-                return parent_fn(_offset + s)
-
-            child._generator_fn = shifted_q
-            # Same trajectory, same inhomogeneous chain: the child can
-            # serve its windows from the parent's action-engine cells,
-            # just shifted in global time.
-            child._action_engines = self._action_engines
-            child._propagator_offset = self._propagator_offset + t
-        return child

@@ -446,18 +446,18 @@ class SimpleUntilCurve(ProbabilityCurve):
         k = ctx.num_states
         all_states = frozenset(range(k))
         absorbed2 = (all_states - gamma1) | gamma2
-        handle_b = ctx.action_engine(("absorbing", absorbed2))
-        handle_a = None
+        engine_b = ctx.action_engine(("absorbing", absorbed2))
+        engine_a = None
         if t1 > 0.0:
-            handle_a = ctx.action_engine(("absorbing", all_states - gamma1))
-            if handle_a is None:
+            engine_a = ctx.action_engine(("absorbing", all_states - gamma1))
+            if engine_a is None:
                 return False
-        if handle_b is None:
+        if engine_b is None:
             return False
         try:
-            handle_b.ensure(t1, theta + t2, window=t2 - t1)
-            if handle_a is not None:
-                handle_a.ensure(0.0, theta + t1, window=t1)
+            engine_b.ensure(t1, theta + t2, window=t2 - t1)
+            if engine_a is not None:
+                engine_a.ensure(0.0, theta + t1, window=t1)
         except NumericalError as exc:
             ctx.trace.note(
                 f"sparse until curve: action grid failed ({exc}); "
@@ -474,8 +474,10 @@ class SimpleUntilCurve(ProbabilityCurve):
             strict_mask = np.zeros(k)
             strict_mask[gamma1_cols] = 1.0
 
+        # Each window end is its start plus the window length, never
+        # ``t + t2``: the two can differ in the last bit.
         def _finish(reach: np.ndarray, t: float) -> np.ndarray:
-            if handle_a is None:
+            if engine_a is None:
                 if strict_mask is not None:
                     return reach * strict_mask
                 return reach
@@ -483,15 +485,16 @@ class SimpleUntilCurve(ProbabilityCurve):
                 return np.zeros(k)
             masked = np.zeros(k)
             masked[gamma1_cols] = reach[gamma1_cols]
-            return handle_a.apply(masked, t, t1, side="right")
+            return engine_a.apply(masked, t, t + t1, side="right")
 
         def evaluator(t: float) -> np.ndarray:
-            reach = handle_b.apply(indicator2, t + t1, t2 - t1, side="right")
+            a = t + t1
+            reach = engine_b.apply(indicator2, a, a + (t2 - t1), side="right")
             return _finish(reach, t)
 
         def batch_evaluator(ts: np.ndarray) -> np.ndarray:
             ts = np.asarray(ts, dtype=float)
-            reaches = handle_b.apply_many(
+            reaches = engine_b.apply_many(
                 ts + t1, t2 - t1, indicator2, side="right"
             )
             return np.vstack(

@@ -1321,10 +1321,10 @@ class SparseActionPropagator:
         """Drop every cached exponent cell and sliver *in place*.
 
         Sparse counterpart of :meth:`PropagatorEngine.clear_caches`:
-        grid geometry resets and every holder of the engine (shared
-        ``at_time`` contexts, captured
-        :class:`~repro.checking.context.ContextAction` handles) sees the
-        invalidation instead of stale exponents.
+        grid geometry resets and every holder of the engine (its
+        evaluation context, a caller that captured it from
+        :meth:`~repro.checking.context.EvaluationContext.action_engine`)
+        sees the invalidation instead of stale exponents.
         """
         self._cells.clear()
         self._slivers.clear()

@@ -10,7 +10,7 @@ instead of asserted.
 
 An :class:`EvalStats` instance hangs off every
 :class:`~repro.checking.context.EvaluationContext` as ``ctx.stats`` and
-is shared with child contexts (``at_time``/``steady_context``), so the
+is shared with its steady-state child (``steady_context``), so the
 counters aggregate over one logical checking run.  The benchmark suite
 records ``stats.as_dict()`` into ``benchmark.extra_info``.
 

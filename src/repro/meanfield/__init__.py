@@ -23,7 +23,7 @@ Implements Definitions 1–2 and Equations (1)–(2) of the paper:
 
 from repro.meanfield.compiled import CompiledGenerator
 from repro.meanfield.local_model import LocalModel, LocalModelBuilder, Transition
-from repro.meanfield.ode import OccupancyTrajectory, ShiftedTrajectory
+from repro.meanfield.ode import OccupancyTrajectory
 from repro.meanfield.overall_model import MeanFieldModel, validate_occupancy
 from repro.meanfield.stationary import (
     FixedPoint,
@@ -44,7 +44,6 @@ __all__ = [
     "LocalModelBuilder",
     "Transition",
     "OccupancyTrajectory",
-    "ShiftedTrajectory",
     "MeanFieldModel",
     "validate_occupancy",
     "FixedPoint",

@@ -381,7 +381,7 @@ class CompiledExpression:
     debugging and cache keys.
     """
 
-    __slots__ = ("source", "_func", "max_index", "time_dependent")
+    __slots__ = ("source", "_func", "max_index")
 
     def __init__(self, expr: Expression):
         self.source = _emit(expr)
@@ -391,7 +391,6 @@ class CompiledExpression:
             (node.index for node in _walk(expr) if isinstance(node, Occupancy)),
             default=-1,
         )
-        self.time_dependent = depends_on_time(expr)
 
     def __call__(self, m, t=0.0):
         return self._func(m, t)
@@ -418,10 +417,3 @@ def is_constant(expr: Expression) -> bool:
     if isinstance(expr, Const):
         return True
     return all(is_constant(child) for child in expr.children())
-
-
-def depends_on_time(expr: Expression) -> bool:
-    """``True`` iff the expression references global time explicitly."""
-    if isinstance(expr, Time):
-        return True
-    return any(depends_on_time(child) for child in expr.children())

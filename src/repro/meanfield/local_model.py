@@ -195,19 +195,6 @@ class LocalModel:
         """
         return all(tr.constant for tr in self._transitions)
 
-    @property
-    def has_time_dependent_rates(self) -> bool:
-        """``True`` unless every rate is provably independent of global time.
-
-        Conservative: unknown ``f(m, t)`` callables count as
-        time-dependent.  When ``False``, the occupancy flow is autonomous
-        and time-shifted contexts may share a single trajectory solve
-        (the semigroup shortcut in ``EvaluationContext.at_time``).
-        """
-        from repro.meanfield.rates import is_time_dependent_rate
-
-        return any(is_time_dependent_rate(tr.rate) for tr in self._transitions)
-
     def generator(self, m: np.ndarray, t: float = 0.0) -> np.ndarray:
         """The generator ``Q(m̄)`` in force at occupancy ``m`` and time ``t``.
 

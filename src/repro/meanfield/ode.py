@@ -270,66 +270,3 @@ class OccupancyTrajectory:
             raise ModelError(f"grid needs at least 2 points, got {num}")
         times = np.linspace(float(t_start), float(t_end), int(num))
         return times, self.eval_many(times)
-
-    def shifted(self, offset: float) -> "ShiftedTrajectory":
-        """A view of this trajectory with the time origin moved to ``offset``.
-
-        Because the occupancy flow is deterministic, the trajectory
-        started from ``m̄(offset)`` *is* this trajectory shifted — no new
-        ODE solve is needed (semigroup property).  The view shares this
-        trajectory's segments, so extensions benefit both.
-        """
-        return ShiftedTrajectory(self, offset)
-
-
-class ShiftedTrajectory:
-    """Time-shifted view onto a parent :class:`OccupancyTrajectory`.
-
-    ``view(s) == parent(offset + s)``.  Used by
-    :meth:`~repro.checking.context.EvaluationContext.at_time` so that a
-    context re-anchored later on the same run reuses the already-solved
-    occupancy flow instead of re-integrating from scratch.
-    """
-
-    def __init__(self, parent: OccupancyTrajectory, offset: float):
-        offset = float(offset)
-        if offset < 0.0:
-            raise ModelError(f"shift offset must be non-negative, got {offset}")
-        self._parent = parent
-        self._offset = offset
-
-    @property
-    def initial(self) -> np.ndarray:
-        """``m̄(offset)`` — the view's time-0 occupancy (a copy)."""
-        return self._parent(self._offset)
-
-    @property
-    def horizon(self) -> float:
-        """Largest *shifted* time solved so far (never negative)."""
-        return max(self._parent.horizon - self._offset, 0.0)
-
-    def __call__(self, t: float) -> np.ndarray:
-        t = float(t)
-        if t < 0.0:
-            raise ModelError(f"occupancy requested at negative time {t}")
-        return self._parent(self._offset + t)
-
-    def eval_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        # Validate *before* shifting: a negative view time with a large
-        # offset would otherwise silently alias parent(offset + t).
-        if ts.size and float(ts.min()) < 0.0:
-            raise ModelError(
-                f"occupancy requested at negative time {float(ts.min())}"
-            )
-        return self._parent.eval_many(ts + self._offset)
-
-    def grid(self, t_end: float, num: int = 200, t_start: float = 0.0) -> "tuple[np.ndarray, np.ndarray]":
-        if num < 2:
-            raise ModelError(f"grid needs at least 2 points, got {num}")
-        times = np.linspace(float(t_start), float(t_end), int(num))
-        return times, self.eval_many(times)
-
-    def shifted(self, offset: float) -> "ShiftedTrajectory":
-        """Compose shifts (stays a single view onto the root trajectory)."""
-        return ShiftedTrajectory(self._parent, self._offset + float(offset))

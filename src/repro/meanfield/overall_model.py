@@ -94,11 +94,6 @@ class MeanFieldModel:
         """Dimension ``K`` of the occupancy vector."""
         return self._local.num_states
 
-    @property
-    def uses_compiled(self) -> bool:
-        """Whether this model routes through the compiled assembler."""
-        return self._use_compiled
-
     # ------------------------------------------------------------------
     # Dynamics (Theorem 1, Equation (1))
     # ------------------------------------------------------------------

@@ -148,7 +148,6 @@ class FamilyMember:
     def __init__(self, family: RateFamily, index: int):
         self.family = family
         self.index = index
-        self._time_independent = not family.time_dependent
 
     def __call__(self, m: np.ndarray, t=0.0):
         if np.ndim(t):
@@ -181,7 +180,6 @@ def normalize_rate(spec: RateSpec) -> RateFunction:
             def rate_m_only(m: np.ndarray, t: float, _f=spec) -> float:
                 return _f(m)
 
-            rate_m_only._time_independent = True
             rate_m_only.vectorized = bool(getattr(spec, "vectorized", False))
             return rate_m_only
         raise InvalidRateError(
@@ -196,7 +194,6 @@ def normalize_rate(spec: RateSpec) -> RateFunction:
     def constant_rate(m: np.ndarray, t: float, _v=value) -> float:
         return _v
 
-    constant_rate._time_independent = True
     return constant_rate
 
 
@@ -209,24 +206,6 @@ def is_constant_rate(spec: RateSpec) -> bool:
     if isinstance(spec, Expression):
         return is_constant(spec)
     return False
-
-
-def is_time_dependent_rate(rate: RateFunction) -> bool:
-    """Conservatively, may this *normalized* rate depend on global time?
-
-    ``False`` only when provably time-independent: constants, wrapped
-    ``f(m)`` callables, members of ``f(m)`` rate families, and
-    expressions without a ``Time`` node.  Unknown ``f(m, t)`` callables
-    answer ``True`` — callers use this to decide whether time-shift
-    cache sharing (the semigroup shortcut in
-    ``EvaluationContext.at_time``) is sound, so the conservative answer
-    is the safe one.
-    """
-    from repro.meanfield.expressions import Expression, depends_on_time
-
-    if isinstance(rate, Expression):
-        return depends_on_time(rate)
-    return not getattr(rate, "_time_independent", False)
 
 
 def evaluate_rate(rate: RateFunction, m: np.ndarray, t: float) -> float:

@@ -8,8 +8,8 @@ computer fleet where user behaviour follows a diurnal cycle —
 
 - the *attack* surface oscillates (machines are online during the day):
   the infection rate carries a factor ``1 + amplitude·sin(2πt/period)``;
-- the *helpdesk* only works during the day: the recovery rates carry the
-  complementary factor.
+- the *helpdesk* only works during the day: the recovery rate carries
+  the same day factor.
 
 Both ingredients go through the same ``rate(m, t)`` protocol as
 occupancy dependence, so every checker works unchanged; the tests verify
@@ -54,11 +54,6 @@ class DiurnalParameters:
 def day_factor(params: DiurnalParameters, t: float) -> float:
     """The daytime activity factor ``1 + a·sin(2πt/period)`` (>= 1-a > 0)."""
     return 1.0 + params.amplitude * np.sin(2.0 * np.pi * t / params.period)
-
-
-def night_factor(params: DiurnalParameters, t: float) -> float:
-    """The complementary factor ``1 − a·sin(2πt/period)``."""
-    return 1.0 - params.amplitude * np.sin(2.0 * np.pi * t / params.period)
 
 
 def diurnal_virus_model(

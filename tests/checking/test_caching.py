@@ -1,8 +1,8 @@
 """Solve-level caching in :class:`EvaluationContext` — correctness first.
 
 Caching must be invisible to the numerics: cached Π matrices are
-identical to uncached solves, derived contexts only share state that is
-sound to share, and the instrumentation counters actually count.
+identical to uncached solves, the steady context shares only the
+steady-state result, and the instrumentation counters actually count.
 """
 
 import numpy as np
@@ -14,8 +14,6 @@ from repro.checking.options import CheckOptions
 from repro.checking.transform import absorbing_generator_function
 from repro.ctmc.inhomogeneous import solve_forward_kolmogorov
 from repro.instrumentation import EvalStats
-from repro.meanfield.ode import ShiftedTrajectory
-from repro.models.diurnal import diurnal_virus_model
 from repro.models.load_balancing import deep_load_balancing_model
 
 INFECTED = frozenset({1, 2})
@@ -63,6 +61,9 @@ class TestTransientCache:
         np.testing.assert_array_equal(pi, fresh)
 
     def test_distinct_windows_and_tolerances_miss(self, ctx1):
+        """Distinct windows are distinct entries; the tolerances are
+        fixed with the context's options, so they need no key of their
+        own."""
         q_abs = absorbing_generator_function(
             ctx1.generator_function(), INFECTED
         )
@@ -70,45 +71,8 @@ class TestTransientCache:
         ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
         ctx1.transient_matrix(sig, q_abs, 0.0, 2.0)
         ctx1.transient_matrix(sig, q_abs, 1.0, 1.0)
-        ctx1.options = ctx1.options.with_(ode_rtol=1e-6)
-        ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
-        ctx1.options = ctx1.options.with_(ode_atol=1e-9)
-        ctx1.transient_matrix(sig, q_abs, 0.0, 1.0)
         assert ctx1.stats.transient_cache_hits == 0
-        assert ctx1.stats.transient_cache_misses == 5
-
-    def test_residual_tol_change_misses_cache(self, virus1, m_example1):
-        """Regression: the transient cache key must include the solver
-        tolerances in force — a matrix accepted under a loose
-        ``residual_tol`` must not be served after the user tightens it."""
-        ctx = EvaluationContext(virus1, m_example1)
-        q_abs = absorbing_generator_function(
-            ctx.generator_function(), INFECTED
-        )
-        sig = ("absorbing", INFECTED)
-        ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
-        ctx.options = ctx.options.with_(residual_tol=1e-9)
-        ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
-        assert ctx.stats.transient_cache_hits == 0
-        assert ctx.stats.transient_cache_misses == 2
-        # Restoring the original tolerance hits the first entry again.
-        ctx.options = ctx.options.with_(residual_tol=1e-6)
-        ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
-        assert ctx.stats.transient_cache_hits == 1
-
-    def test_fast_key_tail_tracks_option_updates(self, virus1, m_example1):
-        ctx = EvaluationContext(virus1, m_example1)
-        q_abs = absorbing_generator_function(
-            ctx.generator_function(), INFECTED
-        )
-        sig = ("absorbing", INFECTED)
-        ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
-        # Changing an option re-hoists the key tail: the same window
-        # must miss (new tolerances) instead of serving the stale matrix.
-        ctx.options = ctx.options.with_(ode_rtol=1e-6)
-        ctx.transient_matrix(sig, q_abs, 0.0, 1.0)
-        assert ctx.stats.transient_cache_hits == 0
-        assert ctx.stats.transient_cache_misses == 2
+        assert ctx1.stats.transient_cache_misses == 3
 
     def test_formula_result_unchanged_by_warm_cache(self, virus1, m_example1):
         """Checking the same formula twice on one context gives the exact
@@ -146,50 +110,6 @@ class TestTransientCache:
 
 
 class TestDerivedContexts:
-    def test_at_time_occupancies_match_parent(self, ctx1):
-        child = ctx1.at_time(1.5)
-        for s in (0.0, 0.3, 1.0, 2.5):
-            np.testing.assert_allclose(
-                child.occupancy(s),
-                ctx1.occupancy(1.5 + s),
-                rtol=0.0,
-                atol=1e-9,
-            )
-
-    def test_at_time_shares_trajectory_when_autonomous(self, ctx1):
-        child = ctx1.at_time(2.0)
-        assert isinstance(child.trajectory, ShiftedTrajectory)
-        assert child.stats is ctx1.stats
-
-    def test_at_time_shares_steady_state(self, ctx1):
-        steady = ctx1.steady_state()
-        child = ctx1.at_time(3.0)
-        solves_before = ctx1.stats.solve_ivp_calls
-        np.testing.assert_array_equal(child.steady_state(), steady)
-        # Served from the shared box: no new long-run integration.
-        assert ctx1.stats.solve_ivp_calls == solves_before
-
-    def test_at_time_generator_matches_parent_shift(self, ctx1):
-        child = ctx1.at_time(1.0)
-        np.testing.assert_array_equal(
-            child.generator_function()(0.5),
-            ctx1.generator_function()(1.5),
-        )
-
-    def test_time_dependent_model_does_not_share_trajectory(self):
-        model = diurnal_virus_model()
-        assert model.local.has_time_dependent_rates
-        m0 = np.full(model.num_states, 1.0 / model.num_states)
-        ctx = EvaluationContext(model, m0)
-        child = ctx.at_time(2.0)
-        # The child re-solves from its own origin with global time reset —
-        # sharing the parent's clock would change the diurnal phase.
-        assert not isinstance(child.trajectory, ShiftedTrajectory)
-        # Steady box and stats are still shared (basin and counters are
-        # clock-independent).
-        assert child._steady_box is ctx._steady_box
-        assert child.stats is ctx.stats
-
     def test_steady_context_reuses_steady_result(self, ctx1):
         steady = ctx1.steady_state()
         sc = ctx1.steady_context()
@@ -210,13 +130,6 @@ class TestVectorizedTrajectory:
     def test_eval_many_rejects_negative_times(self, ctx1):
         with pytest.raises(Exception):
             ctx1.occupancy_many(np.array([-0.5, 1.0]))
-
-    def test_shifted_trajectory_composes(self, ctx1):
-        traj = ctx1.trajectory
-        twice = traj.shifted(1.0).shifted(0.5)
-        np.testing.assert_allclose(
-            twice(0.25), traj(1.75), rtol=0.0, atol=1e-12
-        )
 
 
 class TestStats:
@@ -264,10 +177,9 @@ class TestStats:
 
 class TestEngineClearInPlace:
     """Regression: :meth:`EvaluationContext.clear_caches` must clear the
-    shared action engines *in place*.  It used to only drop the
-    context's lookup dicts — engine handles captured by ``at_time``
-    children (which share the engine dict) kept serving stale cells
-    after the parent's clear."""
+    action engines *in place*.  It used to only drop the context's
+    lookup dicts, so an engine captured from ``action_engine`` before
+    the clear kept serving stale cells."""
 
     def test_shared_engine_cells_are_cleared_in_place(
         self, virus1, m_example1
@@ -276,23 +188,16 @@ class TestEngineClearInPlace:
             virus1, m_example1, CheckOptions(matrix_backend="sparse")
         )
         sig = ("absorbing", INFECTED)
-        handle = ctx.action_engine(sig)
-        handle.propagate(0.0, 1.0)
-        engine = ctx._action_engines[sig]
+        engine = ctx.action_engine(sig)
+        expected = engine.propagate(0.5, 1.5)
         assert engine.num_cached_cells > 0
-
-        # A derived context captures a handle onto the *same* engine.
-        child = ctx.at_time(0.5)
-        child_handle = child.action_engine(sig)
-        assert child._action_engines is ctx._action_engines
-        expected = handle.propagate(0.5, 1.0)  # == child's Pi(0, 1)
 
         ctx.clear_caches()
         assert engine.num_cached_cells == 0
-        assert ctx._action_engines[sig] is engine  # still registered
+        assert ctx.action_engine(sig) is engine  # still registered
 
-        # The captured handle observes the invalidation and rebuilds;
+        # The captured engine observes the invalidation and rebuilds;
         # the rebuilt answer matches the pre-clear one.
-        rebuilt = child_handle.propagate(0.0, 1.0)
+        rebuilt = engine.propagate(0.5, 1.5)
         np.testing.assert_allclose(rebuilt, expected, atol=1e-9)
         assert engine.num_cached_cells > 0

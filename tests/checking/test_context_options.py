@@ -114,9 +114,10 @@ class TestEvaluationContext:
     def test_steady_context_cached(self, ctx1):
         assert ctx1.steady_context() is ctx1.steady_context()
 
-    def test_at_time_zero_is_self(self, ctx1):
-        assert ctx1.at_time(0.0) is ctx1
-
-    def test_at_time_shifts_origin(self, ctx1):
-        shifted = ctx1.at_time(3.0)
-        assert np.allclose(shifted.initial, ctx1.occupancy(3.0), atol=1e-9)
+    def test_options_are_fixed_at_construction(self, ctx1):
+        """Every cache of a context was filled under its options, so
+        assigning new ones is refused rather than left stale."""
+        options = ctx1.options
+        with pytest.raises(AttributeError):
+            ctx1.options = ctx1.options.with_(ode_rtol=1e-6)
+        assert ctx1.options is options

@@ -184,11 +184,8 @@ class TestMemoContents:
 class TestResets:
     @pytest.mark.parametrize(
         "reset",
-        [
-            lambda ctx: ctx.clear_caches(),
-            lambda ctx: setattr(ctx, "options", ctx.options),
-        ],
-        ids=["clear_caches", "options"],
+        [lambda ctx: ctx.clear_caches()],
+        ids=["clear_caches"],
     )
     def test_reset_forces_a_recompute(self, virus1, reset, simple_calls):
         checker = MFModelChecker(virus1)

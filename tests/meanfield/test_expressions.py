@@ -10,7 +10,6 @@ from repro.meanfield.expressions import (
     GuardedDiv,
     Occupancy,
     Time,
-    depends_on_time,
     from_dict,
     is_constant,
 )
@@ -120,10 +119,6 @@ class TestAnalysis:
         assert is_constant(Const(1.0) * 2.0 + 3.0)
         assert not is_constant(Occupancy(0) + 1.0)
         assert not is_constant(Time())
-
-    def test_depends_on_time(self):
-        assert depends_on_time(Const(1.0) + Time())
-        assert not depends_on_time(Occupancy(0) * 2.0)
 
 
 class TestAsModelRates:

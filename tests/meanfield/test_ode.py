@@ -94,37 +94,6 @@ class TestGrid:
             traj.grid(5.0, num=1)
 
 
-class TestShiftedTrajectory:
-    def test_negative_time_rejected_scalar(self, linear_drift):
-        _, drift = linear_drift
-        traj = OccupancyTrajectory(drift, np.array([0.8, 0.15, 0.05]), horizon=5.0)
-        view = traj.shifted(2.0)
-        with pytest.raises(ModelError):
-            view(-0.5)
-
-    def test_eval_many_rejects_negative_times(self, linear_drift):
-        """Regression: a negative view time used to be shifted *first*,
-        silently aliasing ``parent(offset + t)`` whenever the offset was
-        large enough to keep the shifted time non-negative."""
-        _, drift = linear_drift
-        traj = OccupancyTrajectory(drift, np.array([0.8, 0.15, 0.05]), horizon=5.0)
-        view = traj.shifted(2.0)
-        with pytest.raises(ModelError, match="negative time"):
-            view.eval_many(np.array([-0.5, 1.0]))
-
-    def test_eval_many_matches_parent(self, linear_drift):
-        _, drift = linear_drift
-        traj = OccupancyTrajectory(drift, np.array([0.8, 0.15, 0.05]), horizon=5.0)
-        view = traj.shifted(2.0)
-        ts = np.array([0.0, 0.5, 1.5])
-        assert np.allclose(view.eval_many(ts), traj.eval_many(ts + 2.0))
-
-    def test_empty_query_allowed(self, linear_drift):
-        _, drift = linear_drift
-        traj = OccupancyTrajectory(drift, np.array([0.8, 0.15, 0.05]), horizon=1.0)
-        assert traj.shifted(0.5).eval_many(np.array([])).shape == (0, 3)
-
-
 class TestFailurePaths:
     def test_zero_mass_rejected_scalar(self):
         """Renormalization must fail loudly when all mass is clipped away."""
