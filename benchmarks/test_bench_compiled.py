@@ -13,6 +13,10 @@ Quantifies the three layers added for performance (docs/performance.md):
   interpreted oracle;
 - two cold paper queries on the small-K per-call path, their answers and
   counters asserted and their wall times appended to
+  ``BENCH_compiled.json``;
+- scalar reads of a dense trajectory and window-shift solution through
+  :class:`repro.diagnostics.DenseSolution` vs the ``OdeSolution`` it
+  wraps, byte equality asserted and the cost per read appended to
   ``BENCH_compiled.json``.
 """
 
@@ -21,9 +25,16 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import M_EXAMPLE_2, record, record_stats
+from benchmarks.conftest import (
+    M_EXAMPLE_1,
+    M_EXAMPLE_2,
+    record,
+    record_stats,
+)
 from benchmarks.record import COMPILED_PATH, record_wall_times
 from repro.checking import EvaluationContext, MFModelChecker
+from repro.ctmc.inhomogeneous import TransitionMatrixPropagator
+from repro.diagnostics import robust_solve_ivp
 from repro.instrumentation import EvalStats
 from repro.meanfield.overall_model import MeanFieldModel
 from repro.models import MODEL_REGISTRY
@@ -264,6 +275,84 @@ def test_cold_small_k_queries(benchmark):
                 "stats": {name: getattr(stats, name) for name in COUNTER_NAMES},
             }
             for label, (answer, stats, calls, _) in results.items()
+        },
+        path=COMPILED_PATH,
+    )
+
+
+# ----------------------------------------------------------------------
+# Dense reads: the reader vs the OdeSolution it wraps
+# ----------------------------------------------------------------------
+
+#: Seeded scalar read times over ``[0, 20]`` and the timing repeats
+#: (best of); the reads are ``float`` times, as every consumer makes them.
+READ_TIMES = np.random.default_rng(3).uniform(0.0, 20.0, 3000).tolist()
+READ_REPEATS = 5
+
+
+def _seconds_per_read(read):
+    best = float("inf")
+    for _ in range(READ_REPEATS):
+        start = time.perf_counter()
+        for t in READ_TIMES:
+            read(t)
+        best = min(best, (time.perf_counter() - start) / len(READ_TIMES))
+    return best
+
+
+@pytest.mark.benchmark(group="dense-reads")
+def test_dense_reads(benchmark, virus1):
+    """One scalar read of a K = 3 trajectory (the context's tolerances)
+    and of a window-shift solution (Eq. (6), window 1): the reader's
+    bytes equal scipy's, and its cost per read is recorded (advisory,
+    not gated) next to the ``OdeSolution``'s, in one process."""
+    ctx = EvaluationContext(virus1, M_EXAMPLE_1)
+    options = ctx.options
+    readers = {
+        "trajectory": robust_solve_ivp(
+            virus1.drift,
+            (0.0, 20.0),
+            M_EXAMPLE_1,
+            rtol=options.ode_rtol * 1e-1,
+            atol=options.ode_atol * 1e-1,
+            dense_output=True,
+        ).sol,
+        "window_shift": TransitionMatrixPropagator(
+            ctx.generator_function(), window=1.0, t0=0.0, horizon=20.0
+        )._solution,
+    }
+    for reader in readers.values():
+        for t in READ_TIMES:
+            assert reader(t).tobytes() == reader.ode_solution(t).tobytes()
+
+    def run():
+        timings = {}
+        for name, reader in readers.items():
+            timings[f"{name}_reader"] = _seconds_per_read(reader)
+            timings[f"{name}_ode_solution"] = _seconds_per_read(
+                reader.ode_solution
+            )
+        return timings
+
+    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+    micros = {label: 1e6 * seconds for label, seconds in timings.items()}
+    speedups = {
+        name: timings[f"{name}_ode_solution"] / timings[f"{name}_reader"]
+        for name in readers
+    }
+    record(
+        benchmark,
+        **micros,
+        **{f"{name}_speedup": value for name, value in speedups.items()},
+    )
+    record_wall_times(
+        "dense_reads",
+        timings,
+        extra={
+            "us_per_read": micros,
+            "speedup": speedups,
+            "reads": len(READ_TIMES),
+            "repeats": READ_REPEATS,
         },
         path=COMPILED_PATH,
     )

@@ -31,15 +31,21 @@ of hoping:
   shared by every context derived from one checking run (like
   :class:`~repro.instrumentation.EvalStats`, which it also feeds).  The
   ``mfcsl check --diagnose`` CLI flag renders it via :meth:`format`.
+
+- :class:`DenseSolution` — the reader every dense solve hands out: a
+  scalar time is read with scipy's own arithmetic, without scipy's
+  per-call wrappers (docs/numerics.md §7).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import RkDenseOutput
 
 from repro.exceptions import NumericalError
 from repro.resilience import RHS_CHECK_INTERVAL, Budget
@@ -307,6 +313,67 @@ class DiagnosticTrace:
 
 
 # ----------------------------------------------------------------------
+# Dense reads: scipy's arithmetic without its per-call wrappers
+# ----------------------------------------------------------------------
+
+
+class DenseSolution:
+    """Callable ``t -> y(t)`` over a dense ``solve_ivp`` solution.
+
+    Gives the bits of the wrapped ``OdeSolution`` at every time.  A
+    scalar (``float`` or ``np.float64``) time is read without
+    ``OdeSolution.__call__``, ``np.searchsorted``,
+    ``DenseOutput.__call__`` and ``np.tile``: the step is found with
+    ``bisect`` on the solution's lookup side and clamped as
+    ``OdeSolution._call_single`` clamps it, and an ``RkDenseOutput``
+    step (RK45, RK23) is evaluated with ``RkDenseOutput._call_impl``'s
+    operations — the powers of ``x`` by successive multiplication, as
+    ``np.cumprod`` forms them, then ``h * np.dot(Q, p) + y_old``.  Any
+    other step is called directly; any other time (an array) goes to
+    the wrapped solution.  ``tests/meanfield/test_dense_reads.py`` pins
+    both against scipy, byte for byte.
+    """
+
+    __slots__ = ("ode_solution", "_ts", "_find", "_last", "_steps")
+
+    def __init__(self, ode_solution):
+        self.ode_solution = ode_solution
+        ts = ode_solution.ts
+        steps = ode_solution.interpolants
+        ascending = ts[-1] >= ts[0]
+        if not ascending:
+            # Index the reversed list as scipy indexes ``ts_sorted``.
+            ts, steps = ts[::-1], steps[::-1]
+        # scipy before ``alt_segment`` had no ``side`` and used these.
+        side = getattr(
+            ode_solution, "side", "left" if ascending else "right"
+        )
+        self._ts = ts.tolist()
+        self._find = bisect_left if side == "left" else bisect_right
+        self._last = len(steps) - 1
+        self._steps = steps
+
+    def __call__(self, t):
+        if not isinstance(t, float):
+            return self.ode_solution(t)
+        step = self._steps[
+            min(max(self._find(self._ts, t) - 1, 0), self._last)
+        ]
+        if type(step) is not RkDenseOutput:
+            return step(t)
+        h = step.h
+        x = (t - step.t_old) / h
+        power = x
+        powers = [x]
+        for _ in range(step.order):
+            power = power * x
+            powers.append(power)
+        y = h * np.dot(step.Q, np.array(powers))
+        y += step.y_old
+        return y
+
+
+# ----------------------------------------------------------------------
 # Graceful degradation: solve_ivp with a stiff-method fallback chain
 # ----------------------------------------------------------------------
 
@@ -356,7 +423,9 @@ def robust_solve_ivp(
     ``rhs_evaluations``; the occupancy-ODE solvers pass it, so the
     drift calls of trajectories and long runs are counted here alone.
 
-    Returns the successful ``scipy`` solution object.
+    Returns the successful ``scipy`` solution object; with
+    ``dense_output`` its ``sol`` is a :class:`DenseSolution` over
+    scipy's ``OdeSolution``.
     """
     record = SolveRecord(
         label=label, t_start=float(t_span[0]), t_end=float(t_span[1])
@@ -430,6 +499,8 @@ def robust_solve_ivp(
             f"{label} failed on [{record.t_start}, {record.t_end}] after "
             f"{len(record.attempts)} attempts ({history})"
         )
+    if dense_output:
+        sol.sol = DenseSolution(sol.sol)
     return sol
 
 
