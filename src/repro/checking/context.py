@@ -61,6 +61,11 @@ GENERATOR_CACHE_LIMIT = 200_000
 #: solver tolerance in use while still merging bit-wobbled duplicates.
 _KEY_DECIMALS = 12
 
+#: Extra time solved beyond the strictly-needed horizon of the occupancy
+#: ODE, so root refinement near the boundary never falls off the
+#: trajectory.
+HORIZON_MARGIN = 1.0
+
 #: ``matrix_backend="auto"`` resolves to sparse only for local models at
 #: least this large — below it dense BLAS wins and the dense pipeline
 #: stays bitwise-stable for the paper's small examples.
@@ -191,13 +196,11 @@ class EvaluationContext:
         if self._trajectory is None:
             self._trajectory = self.model.trajectory(
                 self.initial,
-                horizon=self.options.horizon_margin,
+                horizon=HORIZON_MARGIN,
                 rtol=self.options.ode_rtol * 1e-1,
                 atol=self.options.ode_atol * 1e-1,
                 stats=self.stats,
-                fallbacks=self.options.solver_fallbacks,
                 trace=self.trace,
-                residual_tol=self.options.residual_tol,
                 budget=self.budget,
             )
         return self._trajectory
@@ -435,7 +438,6 @@ class EvaluationContext:
         check_transient_residual(
             pi,
             label=f"Pi({t_start:g}, {t_start + duration:g}) [sparse]",
-            tol=self.options.residual_tol,
             trace=self.trace,
         )
         return pi
@@ -473,9 +475,7 @@ class EvaluationContext:
             duration,
             rtol=self.options.ode_rtol,
             atol=self.options.ode_atol,
-            fallbacks=self.options.solver_fallbacks,
             trace=self.trace,
-            residual_tol=self.options.residual_tol,
             monotone_columns=self._monotone_columns(signature),
             budget=self.budget,
         )

@@ -34,11 +34,11 @@ import math
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.checking.context import EvaluationContext
 from repro.checking.intervals import IntervalSet
 from repro.checking.local import LocalChecker
+from repro.checking.reachability import grid_crossings
 from repro.checking.steady import expected_steady_state_value
 from repro.exceptions import FormulaError, ModelError
 from repro.logic.ast import (
@@ -61,7 +61,6 @@ def threshold_intervals(
     bound: Bound,
     discontinuities: Sequence[float] = (),
     grid_points: int = 129,
-    xtol: float = 1e-10,
     g_many: "Callable[[np.ndarray], np.ndarray] | None" = None,
     within: Optional[IntervalSet] = None,
 ) -> IntervalSet:
@@ -69,8 +68,9 @@ def threshold_intervals(
 
     ``g`` must be continuous between the declared ``discontinuities``.
     Within each smooth segment the crossings of ``g − threshold`` are
-    bracketed on a uniform grid and refined with Brent's method; the truth
-    value of each resulting sub-interval is decided at its midpoint.
+    found by :func:`~repro.checking.reachability.grid_crossings` (a
+    uniform grid refined with Brent's method); the truth value of each
+    resulting sub-interval is decided at its midpoint.
 
     ``g_many``, when given, is a vectorized twin of ``g`` (``ts -> values``
     for a 1-D time array) used for the grid scans — typically backed by
@@ -98,7 +98,6 @@ def threshold_intervals(
                     bound,
                     discontinuities=discontinuities,
                     grid_points=grid_points,
-                    xtol=xtol,
                     g_many=g_many,
                 )
             )
@@ -113,30 +112,16 @@ def threshold_intervals(
     def offset(t: float) -> float:
         return g(t) - bound.threshold
 
+    offset_many = None
+    if g_many is not None:
+
+        def offset_many(ts: np.ndarray) -> np.ndarray:
+            return np.asarray(g_many(ts), dtype=float) - bound.threshold
+
     for a, b in zip(cuts, cuts[1:]):
-        eps = min(1e-9, (b - a) * 1e-6)
-        ts = np.linspace(a + eps, b - eps, max(int(grid_points), 3))
-        if g_many is not None:
-            vals = np.asarray(g_many(ts), dtype=float) - bound.threshold
-        else:
-            vals = np.array([offset(t) for t in ts])
-        for i in range(len(ts) - 1):
-            # A grid point sitting exactly on the threshold is itself a
-            # breakpoint — including at ``vals[i + 1]``, so a tangential
-            # touch is never classified by a midpoint spanning it, and
-            # Brent (which needs a sign change) is never asked to
-            # bracket a zero endpoint.
-            if vals[i] == 0.0:
-                breakpoints.append(float(ts[i]))
-            elif vals[i + 1] != 0.0 and vals[i] * vals[i + 1] < 0.0:
-                breakpoints.append(
-                    float(brentq(offset, ts[i], ts[i + 1], xtol=xtol))
-                )
-        if len(ts) and vals[-1] == 0.0:
-            # The final grid point of the segment is never a ``vals[i]``
-            # in the scan above; without this an exact zero there was
-            # silently dropped.
-            breakpoints.append(float(ts[-1]))
+        breakpoints.extend(
+            grid_crossings(offset, a, b, grid_points, offset_many)
+        )
     breakpoints = sorted(set(breakpoints))
     intervals = []
     for a, b in zip(breakpoints, breakpoints[1:]):
@@ -256,7 +241,6 @@ class _CsatEvaluator:
                 formula.bound,
                 discontinuities=sat.boundaries(),
                 grid_points=options.grid_points,
-                xtol=options.crossing_xtol,
                 g_many=g_many,
                 within=within,
             )
@@ -295,7 +279,6 @@ class _CsatEvaluator:
                 formula.bound,
                 discontinuities=curve.discontinuities,
                 grid_points=options.grid_points,
-                xtol=options.crossing_xtol,
                 g_many=g_many,
                 within=within,
             )

@@ -59,6 +59,11 @@ from repro.logic.ast import (
     Until,
 )
 
+#: Slack of the early-exit threshold decision: a verdict is taken from
+#: partial probability-mass bounds only when they clear the threshold
+#: by more than this.
+PROBABILITY_TOL = 1e-7
+
 
 class LocalChecker:
     """CSL model checker for the local model of one evaluation context."""
@@ -152,7 +157,6 @@ class LocalChecker:
             boundaries = curve.sat_boundaries(
                 formula.bound.threshold,
                 grid_points=self.ctx.options.grid_points,
-                xtol=self.ctx.options.crossing_xtol,
             )
             return PiecewiseSatSet.from_boundaries(
                 boundaries,
@@ -264,7 +268,7 @@ class LocalChecker:
         which replays the goal-chain segment products and stops as soon
         as the running lower/upper bounds on every state's path
         probability decide the comparison against the threshold.  The
-        decision margin is widened by ``probability_tol`` so a verdict
+        decision margin is widened by :data:`PROBABILITY_TOL` so a verdict
         is only taken early when the eager computation could not
         disagree with it.
         """
@@ -280,7 +284,7 @@ class LocalChecker:
             self.ctx, gamma1, gamma2, path.interval, theta=t
         )
         return solver.sat_states_bounded(
-            t, formula.bound, slack=self.ctx.options.probability_tol
+            t, formula.bound, slack=PROBABILITY_TOL
         )
 
     def _use_simple(

@@ -37,7 +37,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.checking.context import EvaluationContext
+from repro.checking.context import HORIZON_MARGIN, EvaluationContext
 from repro.diagnostics import robust_solve_ivp
 from repro.checking.reachability import ProbabilityCurve, _require_bounded
 from repro.checking.satsets import PiecewiseSatSet
@@ -94,7 +94,7 @@ class TimeVaryingUntil:
                 raise CheckingError(
                     f"{name} covers only up to {sat.t_end}, need {needed}"
                 )
-        ctx.trajectory(needed + ctx.options.horizon_margin)
+        ctx.trajectory(needed + HORIZON_MARGIN)
         self._q_of_t = ctx.generator_function()
         self._k = ctx.num_states
 
@@ -468,7 +468,6 @@ class TimeVaryingUntil:
                     rtol=rtol,
                     atol=atol,
                     dense_output=True,
-                    fallbacks=self.ctx.options.solver_fallbacks,
                     label="Appendix ODE (12)",
                     trace=self.ctx.trace,
                     budget=self.ctx.budget,

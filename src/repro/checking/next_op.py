@@ -26,12 +26,11 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from repro.checking.context import EvaluationContext
+from repro.checking.context import HORIZON_MARGIN, EvaluationContext
 from repro.checking.reachability import ProbabilityCurve, _require_bounded
 from repro.checking.satsets import PiecewiseSatSet
-from repro.exceptions import NumericalError
+from repro.diagnostics import robust_solve_ivp
 from repro.logic.ast import TimeInterval
 
 
@@ -93,18 +92,19 @@ def next_probabilities(
             return np.concatenate([d_surv, d_acc])
 
         ctx.stats.solve_ivp_calls += 1
-        sol = solve_ivp(
+        # A failed chain raises "next-operator integral failed on
+        # [u, v] after ..." from the label.
+        sol = robust_solve_ivp(
             rhs,
             (u, v),
             np.concatenate([survival, acc]),
             method="RK45",
             rtol=rtol,
             atol=atol,
+            label="next-operator integral",
+            trace=ctx.trace,
+            budget=ctx.budget,
         )
-        if not sol.success:
-            raise NumericalError(
-                f"next-operator integral failed on [{u}, {v}]: {sol.message}"
-            )
         survival = sol.y[:k, -1]
         acc = sol.y[k:, -1]
     return np.clip(acc, 0.0, 1.0)
@@ -124,7 +124,7 @@ def next_curve(
     discontinuities.
     """
     theta = float(theta)
-    ctx.trajectory(theta + interval.upper + ctx.options.horizon_margin)
+    ctx.trajectory(theta + interval.upper + HORIZON_MARGIN)
     discontinuities = []
     for e in operand_sat.boundaries():
         for shift in (interval.lower, interval.upper):

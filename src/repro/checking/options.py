@@ -1,14 +1,21 @@
 """Numerical options shared by all checkers.
 
-Every tolerance and grid size used anywhere in the checking pipeline is
-collected here so that (a) experiments are reproducible from a single
-record, and (b) accuracy/cost trade-offs can be studied systematically
-(bench A6).
+A field lives here only when some caller sets it: the ODE tolerances,
+the crossing-scan grid, the algorithm and backend choices, the until
+start convention and the execution budget.  Numerics that every caller
+leaves at one value are constants next to their readers: the stiff
+fallback chain and residual tolerance
+(:data:`repro.diagnostics.DEFAULT_FALLBACKS`,
+:data:`~repro.diagnostics.DEFAULT_RESIDUAL_TOL`), the trajectory's
+horizon margin (:data:`repro.checking.context.HORIZON_MARGIN`), the
+crossing tolerance (the ``xtol`` default of
+:func:`repro.checking.reachability.grid_crossings`) and the early-exit
+slack (:data:`repro.checking.local.PROBABILITY_TOL`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.exceptions import ModelError
 from repro.resilience import BUDGET_LIMITS, check_limit
@@ -30,12 +37,7 @@ _NUMERIC_FIELDS = {
     "ode_rtol": (False, False),
     "ode_atol": (False, False),
     "grid_points": (True, False),
-    "crossing_xtol": (False, False),
-    "probability_tol": (False, False),
     "propagator_tol": (False, False),
-    "horizon_margin": (False, True),
-    "workers": (True, False),
-    "residual_tol": (False, False),
 }
 
 #: The string-valued fields and the values each accepts.
@@ -48,9 +50,6 @@ _CHOICE_FIELDS = {
     "formula_optimizations": ("all", "none"),
 }
 
-#: ``solve_ivp`` methods :attr:`CheckOptions.solver_fallbacks` may name.
-_SOLVER_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
-
 
 @dataclass(frozen=True)
 class CheckOptions:
@@ -61,15 +60,14 @@ class CheckOptions:
     ode_rtol, ode_atol:
         Tolerances of every Kolmogorov / occupancy ODE solve.
     grid_points:
-        Number of samples used when scanning a probability curve for
-        threshold crossings (crossings are then refined by Brent's
-        method, so this only needs to separate distinct crossings).
-    crossing_xtol:
-        Absolute time tolerance of the threshold-crossing refinement.
-    probability_tol:
-        Slack used when comparing computed probabilities against formula
-        thresholds; values within this distance of the threshold are
-        resolved by the exact comparison but flagged in curve metadata.
+        Number of samples per smooth segment when scanning a curve for
+        threshold crossings; each sign change between neighbouring
+        samples is refined by Brent's method.  A window in which the
+        predicate flips and flips back between two samples is missed, so
+        a window narrower than the sample spacing (a 128th of the
+        segment at the default) can go unseen.  ROADMAP.md item 3 has a
+        reproducer: on ``diurnal``, a 0.056-wide cSat window over
+        θ = 40 appears only with ``grid_points=100001``.
     until_method:
         ``"auto"`` (simple algorithm when both operand sets are
         constant, nested otherwise) or ``"nested"`` to force the
@@ -104,10 +102,6 @@ class CheckOptions:
         Defect tolerance of the sparse action engine: its cell grid is
         refined until the Richardson defect over the probe windows is
         below this bound (see ``docs/performance.md`` §8).
-    horizon_margin:
-        Extra time beyond the strictly-needed horizon when solving the
-        occupancy ODE, so root refinement near the boundary never falls
-        off the trajectory.
     start_convention:
         Semantics of ``Φ1 U^[0,t2] Φ2`` for a start state satisfying
         ``Φ2`` but not ``Φ1``.  ``"standard"`` (default) follows the
@@ -118,22 +112,6 @@ class CheckOptions:
         yielding probability zero from ``Φ2 \\ Φ1`` states).  The two only
         differ when ``t1 = 0`` and the start state is in ``Φ2 \\ Φ1``;
         see EXPERIMENTS.md.
-    workers:
-        Worker processes for the Monte-Carlo engines (statistical
-        checking, finite-N ensembles).  ``1`` runs in-process.  Results
-        are bit-identical for every value — the reproducibility contract
-        of :mod:`repro.parallel` — so this is purely a speed knob.
-    solver_fallbacks:
-        Stiff ``solve_ivp`` methods retried (with tightened ``atol``)
-        when a primary explicit solve fails — see
-        :func:`repro.diagnostics.robust_solve_ivp`.  An empty tuple
-        disables graceful degradation: the first failure raises.
-    residual_tol:
-        Tolerance of the post-solve self-verification checks
-        (probability-simplex row sums, negativity, monotone absorbed
-        mass); violations beyond it are recorded as warnings in the
-        context's :class:`~repro.diagnostics.DiagnosticTrace` and
-        counted in ``EvalStats.residual_warnings``.
     deadline:
         Wall-clock seconds a checking run may take.  Enforced
         cooperatively through a :class:`~repro.resilience.Budget` on the
@@ -175,18 +153,12 @@ class CheckOptions:
     ode_rtol: float = 1e-8
     ode_atol: float = 1e-10
     grid_points: int = 129
-    crossing_xtol: float = 1e-10
-    probability_tol: float = 1e-7
     until_method: str = "auto"
     curve_method: str = "propagate"
     transient_method: str = "ode"
     matrix_backend: str = "auto"
     propagator_tol: float = 1e-6
-    horizon_margin: float = 1.0
     start_convention: str = "standard"
-    workers: int = 1
-    solver_fallbacks: "tuple[str, ...]" = ("Radau", "LSODA")
-    residual_tol: float = 1e-6
     deadline: "float | None" = None
     max_solves: "int | None" = None
     max_refinements: "int | None" = None
@@ -212,51 +184,24 @@ class CheckOptions:
                 raise ModelError(
                     f"{name} must be {'/'.join(choices)}, got {value!r}"
                 )
-        fallbacks = self.solver_fallbacks
-        if not isinstance(fallbacks, (list, tuple)) or not all(
-            isinstance(fb, str) for fb in fallbacks
-        ):
-            raise ModelError(
-                f"solver_fallbacks must be a list of method names, "
-                f"got {fallbacks!r}"
-            )
-        for fb in fallbacks:
-            if fb not in _SOLVER_METHODS:
-                raise ModelError(
-                    f"unknown solver fallback {fb!r}; choose from "
-                    f"{sorted(_SOLVER_METHODS)}"
-                )
-        # Store a hashable tuple: CheckOptions is frozen and used in
-        # cache keys.
-        object.__setattr__(self, "solver_fallbacks", tuple(fallbacks))
-
-    def with_(self, **changes) -> "CheckOptions":
-        """A copy with some fields replaced (frozen-dataclass helper)."""
-        return replace(self, **changes)
 
     def signature(self) -> str:
         """Stable canonical signature of every answer-shaping option.
 
         A deterministic ``name=value`` rendering of all fields except
         :data:`SIGNATURE_EXCLUDED_FIELDS`, identical across processes
-        and interpreter restarts (every field is plain data after
-        ``__post_init__`` normalization — no ``id()``/hash-randomized
-        values).  The server keys its stored responses by
-        ``(model hash, options signature)``: two requests with equal
-        signatures share one entry and the responses it stores;
-        requests differing only in excluded fields (per-request
-        deadlines and solve caps) share them too.
+        and interpreter restarts (every field is a plain number or
+        string — no ``id()``/hash-randomized values).  The server keys
+        its stored responses by ``(model hash, options signature)``:
+        two requests with equal signatures share one entry and the
+        responses it stores; requests differing only in excluded fields
+        (per-request deadlines and solve caps) share them too.
         """
         parts = []
         for f in sorted(fields(self), key=lambda f: f.name):
             if f.name in SIGNATURE_EXCLUDED_FIELDS:
                 continue
             value = getattr(self, f.name)
-            if isinstance(value, float):
-                rendered = repr(value)
-            elif isinstance(value, tuple):
-                rendered = ",".join(str(v) for v in value)
-            else:
-                rendered = str(value)
+            rendered = repr(value) if isinstance(value, float) else str(value)
             parts.append(f"{f.name}={rendered}")
         return ";".join(parts)

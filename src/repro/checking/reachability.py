@@ -13,22 +13,67 @@ Implements Section IV-B of the paper:
   re-solving from scratch at every ``t`` (cross-check / ablation A3);
 - :class:`ProbabilityCurve` — the generic curve wrapper shared with the
   nested algorithm: cached evaluation, grid sampling, and threshold
-  crossing refinement via Brent's method.
+  crossing refinement;
+- :func:`grid_crossings` — the one grid-and-Brent crossing scan, shared
+  by ``P⋈p`` satisfaction boundaries and cSat leaves
+  (:func:`repro.checking.csat.threshold_intervals`).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from repro.checking.context import EvaluationContext
+from repro.checking.context import HORIZON_MARGIN, EvaluationContext
 from repro.checking.transform import absorbing_generator_function
 from repro.ctmc.inhomogeneous import TransitionMatrixPropagator
 from repro.exceptions import CheckingError, UnsupportedFormulaError
 from repro.logic.ast import TimeInterval
+
+
+def grid_crossings(
+    offset: Callable[[float], float],
+    a: float,
+    b: float,
+    grid_points: int,
+    offset_many: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    xtol: float = 1e-10,
+) -> List[float]:
+    """Times in the segment ``[a, b]`` where ``offset`` reaches zero.
+
+    ``offset`` must be continuous on the segment.  It is sampled on a
+    uniform grid of ``grid_points`` times strictly inside the segment
+    (so a jump at either end is never evaluated), through the vectorized
+    ``offset_many`` when given.  A sample exactly at zero is a crossing;
+    each sign change between neighbouring samples is refined with
+    Brent's method on the scalar ``offset`` to ``xtol``, the one
+    crossing tolerance of the checkers.  A window in which the sign flips
+    and flips back between two samples is not seen.
+    """
+    eps = min(1e-9, (b - a) * 1e-6)
+    ts = np.linspace(a + eps, b - eps, max(int(grid_points), 3))
+    if offset_many is not None:
+        vals = offset_many(ts)
+    else:
+        vals = np.array([offset(t) for t in ts])
+    crossings: List[float] = []
+    for i in range(len(ts) - 1):
+        # A zero sample is a crossing in its own right — including a
+        # zero at ``vals[i + 1]``, whose product below is not negative —
+        # so a tangential touch is never bracketed, and Brent (which
+        # needs a sign change) never gets a zero endpoint.
+        if vals[i] == 0.0:
+            crossings.append(float(ts[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            crossings.append(
+                float(brentq(offset, ts[i], ts[i + 1], xtol=xtol))
+            )
+    # The last sample is never a ``vals[i]`` above.
+    if vals[-1] == 0.0:
+        crossings.append(float(ts[-1]))
+    return crossings
 
 
 def _require_bounded(interval: TimeInterval) -> None:
@@ -164,42 +209,30 @@ class ProbabilityCurve:
         state: int,
         threshold: float,
         grid_points: int = 129,
-        xtol: float = 1e-10,
     ) -> List[float]:
         """All times where ``value(t, state) − threshold`` changes sign.
 
-        Sign changes between grid samples inside a smooth segment are
-        refined with Brent's method; jumps at declared discontinuities are
-        reported as crossing times when the sign differs across them.
+        Each smooth segment is scanned by :func:`grid_crossings`; jumps
+        at declared discontinuities are reported as crossing times when
+        the sign differs across them.
         """
         crossings: List[float] = []
 
         def f(t: float) -> float:
             return self.value(t, state) - threshold
 
+        # values_many batches a whole segment scan through the curve's
+        # batch evaluator (sparse actions) when one exists; only Brent
+        # refinement evaluates one time at a time.
+        def f_many(ts: np.ndarray) -> np.ndarray:
+            return self.values_many(ts)[:, state] - threshold
+
         for a, b in self._segments():
             if self._budget is not None:
                 self._budget.checkpoint(
                     f"crossing scan [{a:g}, {b:g}] for state {state}"
                 )
-            # Sample strictly inside the segment to avoid evaluating on a
-            # jump point.  values_many batches the whole segment scan
-            # through the curve's batch evaluator (sparse actions) when
-            # one exists — the per-point loop only survives inside Brent
-            # refinement below.
-            eps = min(1e-9, (b - a) * 1e-6)
-            ts = np.linspace(a + eps, b - eps, max(int(grid_points), 3))
-            vals = self.values_many(ts)[:, state] - threshold
-            for i in range(len(ts) - 1):
-                va, vb = vals[i], vals[i + 1]
-                if va == 0.0:
-                    crossings.append(float(ts[i]))
-                elif va * vb < 0.0:
-                    crossings.append(
-                        float(brentq(f, ts[i], ts[i + 1], xtol=xtol))
-                    )
-            if vals[-1] == 0.0:
-                crossings.append(float(ts[-1]))
+            crossings.extend(grid_crossings(f, a, b, grid_points, f_many))
         # Jumps at discontinuities where the predicate flips.
         for d in self.discontinuities:
             before = f(max(self.t_start, d - 1e-9))
@@ -209,10 +242,7 @@ class ProbabilityCurve:
         return sorted(set(crossings))
 
     def sat_boundaries(
-        self,
-        threshold: float,
-        grid_points: int = 129,
-        xtol: float = 1e-10,
+        self, threshold: float, grid_points: int = 129
     ) -> List[float]:
         """Union of crossing times over all starting states.
 
@@ -222,9 +252,7 @@ class ProbabilityCurve:
         out: set = set()
         for s in range(self.num_states):
             out.update(
-                self.crossing_times(
-                    s, threshold, grid_points=grid_points, xtol=xtol
-                )
+                self.crossing_times(s, threshold, grid_points=grid_points)
             )
         return sorted(out)
 
@@ -328,7 +356,7 @@ class SimpleUntilCurve(ProbabilityCurve):
         t1, t2 = interval.lower, interval.upper
         theta = float(theta)
         # Make sure the trajectory covers everything we will touch.
-        ctx.trajectory(theta + t2 + ctx.options.horizon_margin)
+        ctx.trajectory(theta + t2 + HORIZON_MARGIN)
         gamma2_cols = sorted(gamma2)
 
         if ctx.matrix_backend == "sparse" and method == "propagate":
@@ -359,7 +387,6 @@ class SimpleUntilCurve(ProbabilityCurve):
                 initial=initial_b,
                 rtol=ctx.options.ode_rtol,
                 atol=ctx.options.ode_atol,
-                fallbacks=ctx.options.solver_fallbacks,
                 trace=ctx.trace,
                 budget=ctx.budget,
             )
@@ -380,7 +407,6 @@ class SimpleUntilCurve(ProbabilityCurve):
                     initial=initial_a,
                     rtol=ctx.options.ode_rtol,
                     atol=ctx.options.ode_atol,
-                    fallbacks=ctx.options.solver_fallbacks,
                     trace=ctx.trace,
                     budget=ctx.budget,
                 )

@@ -38,7 +38,7 @@ from typing import FrozenSet, Optional
 
 import numpy as np
 
-from repro.checking.context import EvaluationContext
+from repro.checking.context import HORIZON_MARGIN, EvaluationContext
 from repro.ctmc.paths import (
     Path,
     PathBatch,
@@ -263,8 +263,8 @@ class StatisticalChecker:
         and ``samples`` this fully determines the estimate; the worker
         count never does.
     workers:
-        Worker processes for the batched engine; defaults to
-        ``ctx.options.workers``.
+        Worker processes for the batched engine; ``1`` (default) runs
+        in-process.
     """
 
     def __init__(
@@ -274,7 +274,7 @@ class StatisticalChecker:
         seed: int = 0,
         method: str = "batched",
         batch_size: int = DEFAULT_MC_BATCH,
-        workers: Optional[int] = None,
+        workers: int = 1,
     ):
         if method not in ("batched", "serial"):
             raise ModelError(
@@ -285,9 +285,7 @@ class StatisticalChecker:
         self.seed = int(seed)
         self.method = method
         self.batch_size = int(batch_size)
-        self.workers = (
-            int(ctx.options.workers) if workers is None else int(workers)
-        )
+        self.workers = int(workers)
 
     def path_probability(
         self,
@@ -309,7 +307,7 @@ class StatisticalChecker:
         t1, t2, horizon, gamma1, gamma2, next_sat = self._resolve(path_formula)
 
         q_of_t = self.ctx.generator_function()
-        self.ctx.trajectory(horizon + self.ctx.options.horizon_margin)
+        self.ctx.trajectory(horizon + HORIZON_MARGIN)
         if rate_bound is None:
             rate_bound = estimate_rate_bound(q_of_t, horizon)
         rate_bound = float(rate_bound)

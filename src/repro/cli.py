@@ -112,7 +112,6 @@ def _build_checker(args: argparse.Namespace) -> MFModelChecker:
     budget = _budget_options(args)
     options = CheckOptions(
         start_convention=args.convention,
-        workers=getattr(args, "workers", 1),
         curve_method=getattr(args, "curve_method", "propagate"),
         matrix_backend=getattr(args, "matrix_backend", "auto"),
         propagator_tol=getattr(args, "propagator_tol", 1e-6),
@@ -236,26 +235,16 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
     model = _resolve_model(args)
     occupancy = _parse_occupancy(args.occupancy)
-    budget = _budget_options(args)
-    ctx = EvaluationContext(
-        model,
-        occupancy,
-        # The context builds its budget via Budget.from_options, so mc
-        # honors every limit flag, not just the deadline.
-        CheckOptions(
-            workers=args.workers,
-            deadline=budget.deadline,
-            max_solves=budget.max_solves,
-            max_refinements=budget.max_refinements,
-            max_memory_mb=budget.max_memory_mb,
-        ),
-    )
+    # The context builds its budget via Budget.from_options, so mc
+    # honors every limit flag, not just the deadline.
+    ctx = EvaluationContext(model, occupancy, _budget_options(args))
     checker = StatisticalChecker(
         ctx,
         samples=args.samples,
         seed=args.seed,
         method=args.method,
         batch_size=args.batch_size,
+        workers=args.workers,
     )
     formula = parse_path(args.formula)
     if args.state is not None:
@@ -527,13 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated occupancy vector, e.g. 0.8,0.15,0.05",
         )
         p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="worker processes for Monte-Carlo engines (results are "
-            "bitwise identical for every value)",
-        )
-        p.add_argument(
             "--deadline",
             type=float,
             default=None,
@@ -559,6 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="refuse any single estimated allocation above this "
             "(propagator cell caches); exceeded = exit code 5",
+        )
+
+    def add_workers(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="worker processes (results are bitwise identical for "
+            "every value)",
         )
 
     def add_common(p: argparse.ArgumentParser) -> None:
@@ -635,6 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="finite-N ensemble simulation vs the mean-field limit",
     )
     add_model_args(p_sim)
+    add_workers(p_sim)
     p_sim.add_argument(
         "-N", "--population", type=int, default=1000, help="objects per run"
     )
@@ -659,6 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mc", help="Monte-Carlo estimate of a path-formula probability"
     )
     add_model_args(p_mc)
+    add_workers(p_mc)
     p_mc.add_argument(
         "--state",
         default=None,

@@ -1,5 +1,7 @@
 """Tests for EvaluationContext and CheckOptions."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,39 @@ class TestCheckOptions:
         assert options.curve_method == "propagate"
         assert options.start_convention == "standard"
 
-    def test_with_replaces_fields(self):
-        options = CheckOptions().with_(grid_points=65)
+    def test_fields_are_the_ones_callers_set(self):
+        assert [f.name for f in fields(CheckOptions)] == [
+            "ode_rtol",
+            "ode_atol",
+            "grid_points",
+            "until_method",
+            "curve_method",
+            "transient_method",
+            "matrix_backend",
+            "propagator_tol",
+            "start_convention",
+            "deadline",
+            "max_solves",
+            "max_refinements",
+            "max_memory_mb",
+            "formula_optimizations",
+        ]
+        assert not hasattr(CheckOptions, "with_")
+
+    def test_signature_names_every_answer_shaping_field(self):
+        names = [
+            part.split("=")[0]
+            for part in CheckOptions().signature().split(";")
+        ]
+        assert len(names) == 12
+        assert "deadline" not in names and "max_solves" not in names
+
+    def test_replace_revalidates(self):
+        options = replace(CheckOptions(), grid_points=65)
         assert options.grid_points == 65
         assert options.ode_rtol == CheckOptions().ode_rtol
+        with pytest.raises(ModelError, match="grid_points"):
+            replace(options, grid_points=2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -28,26 +59,26 @@ class TestCheckOptions:
             {"curve_method": "bogus"},
             {"start_convention": "bogus"},
             {"ode_rtol": 0.0},
-            {"crossing_xtol": -1.0},
-            {"horizon_margin": -1.0},
+            {"ode_atol": -1.0},
+            {"propagator_tol": -1.0},
             {"curve_method": "cells"},
             {"transient_method": "propagator"},
             # Mistyped fields (as a JSON request may carry them).
-            {"workers": "2"},
+            {"propagator_tol": "1e-6"},
             {"ode_rtol": "1e-8"},
             {"grid_points": "129"},
             {"max_memory_mb": "5"},
-            {"solver_fallbacks": None},
-            {"solver_fallbacks": "Radau"},
-            {"workers": True},
+            {"ode_atol": None},
+            {"matrix_backend": "csr"},
+            {"grid_points": True},
             {"grid_points": 129.0},
             {"max_solves": 2.5},
             {"until_method": ["auto"]},
             {"formula_optimizations": ["vacuity", "dedup"]},
             # Non-finite limits and tolerances.
             {"ode_rtol": float("nan")},
-            {"residual_tol": float("nan")},
-            {"horizon_margin": float("nan")},
+            {"propagator_tol": float("nan")},
+            {"max_refinements": float("nan")},
             {"deadline": float("nan")},
             {"max_memory_mb": float("nan")},
             {"ode_atol": float("inf")},
@@ -64,11 +95,6 @@ class TestCheckOptions:
     def test_nan_tolerance_rejected_before_any_work(self):
         with pytest.raises(ModelError, match="ode_rtol must be finite"):
             CheckOptions(ode_rtol=float("nan"))
-
-    def test_list_solver_fallbacks_stored_as_tuple(self):
-        options = CheckOptions(solver_fallbacks=["BDF"])
-        assert options.solver_fallbacks == ("BDF",)
-        hash(options)
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -119,5 +145,5 @@ class TestEvaluationContext:
         assigning new ones is refused rather than left stale."""
         options = ctx1.options
         with pytest.raises(AttributeError):
-            ctx1.options = ctx1.options.with_(ode_rtol=1e-6)
+            ctx1.options = replace(ctx1.options, ode_rtol=1e-6)
         assert ctx1.options is options

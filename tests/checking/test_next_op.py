@@ -5,7 +5,7 @@ import pytest
 
 from repro.checking.next_op import next_curve, next_probabilities
 from repro.checking.satsets import Piece, PiecewiseSatSet
-from repro.exceptions import UnsupportedFormulaError
+from repro.exceptions import NumericalError, UnsupportedFormulaError
 from repro.logic.ast import TimeInterval
 
 
@@ -78,6 +78,26 @@ class TestNextProbabilities:
         sat = PiecewiseSatSet.constant(frozenset({1}), 0.0, 5.0)
         with pytest.raises(UnsupportedFormulaError):
             next_probabilities(ctx1, sat, TimeInterval(0, float("inf")))
+
+    def test_failed_integral_runs_the_fallback_chain(self, ctx1):
+        """The integral is a robust solve: a failing right-hand side is
+        retried on the stiff fallbacks, recorded in the trace, and only
+        then raised, naming the integral and its window."""
+
+        def broken(t):
+            raise FloatingPointError("injected")
+
+        ctx1._generator_fn = broken
+        sat = PiecewiseSatSet.constant(frozenset({1, 2}), 0.0, 5.0)
+        with pytest.raises(
+            NumericalError,
+            match=r"next-operator integral failed on \[0\.0, 1\.0\]",
+        ):
+            next_probabilities(ctx1, sat, TimeInterval(0, 1.0))
+        record = ctx1.trace.solves[-1]
+        assert [a.method for a in record.attempts] == [
+            "RK45", "Radau", "LSODA"
+        ]
 
 
 class TestNextCurve:

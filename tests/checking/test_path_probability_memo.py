@@ -10,7 +10,7 @@ single bit of the answer.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -125,8 +125,8 @@ class TestSolveCounts:
     def test_check_detailed_solves_a_single_leaf_once(self, case, simple_calls):
         formula = f"EP[<0.5]({case.paths[0]})"
         for mode in ("all", "none"):
-            options = (case.options or CheckOptions()).with_(
-                formula_optimizations=mode
+            options = replace(
+                case.options or CheckOptions(), formula_optimizations=mode
             )
             checker = MFModelChecker(case.model, options)
             ctx = checker.context(case.occupancy)

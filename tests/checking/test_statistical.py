@@ -205,14 +205,9 @@ class TestBatchedChecker:
         tol = 3.5 * (batched.stderr + serial.stderr)
         assert abs(batched.value - serial.value) <= tol
 
-    def test_workers_default_from_options(self, ctx1, virus1, m_example1):
-        from repro.checking import CheckOptions, EvaluationContext
-
-        ctx = EvaluationContext(
-            virus1, m_example1, CheckOptions(workers=3)
-        )
-        assert StatisticalChecker(ctx).workers == 3
-        assert StatisticalChecker(ctx, workers=1).workers == 1
+    def test_workers_default_in_process(self, ctx1):
+        assert StatisticalChecker(ctx1).workers == 1
+        assert StatisticalChecker(ctx1, workers=3).workers == 3
 
     def test_invalid_method_rejected(self, ctx1):
         with pytest.raises(ModelError):

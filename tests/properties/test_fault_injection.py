@@ -408,9 +408,10 @@ class TestDeadlineAtEachRung:
 
 class TestDeadlineReachesEverySolve:
     """A check that never settles still ends at its deadline: the
-    occupancy ODE and the steady-state long run obey the budget too.
-    Each check runs on a thread joined with a timeout, so a regression
-    fails here instead of hanging the suite."""
+    occupancy ODE and the steady-state long run obey the budget too,
+    and the next operator's integrals are charged to it.  Each check
+    that could run forever runs on a thread joined with a timeout, so a
+    regression fails here instead of hanging the suite."""
 
     @staticmethod
     def _check_by(deadline, model, occupancy, formula):
@@ -446,6 +447,17 @@ class TestDeadlineReachesEverySolve:
             2.0, MODEL_REGISTRY["diurnal"](), [0.5, 0.5], "ES[>0.1](tt)"
         )
         assert isinstance(error, BudgetExceededError)
+
+    def test_next_operator_integral_is_charged(self):
+        # The occupancy ODE takes the one allowed solve, so the next
+        # operator's integral is the second and must be refused.
+        checker = MFModelChecker(
+            MODEL_REGISTRY["virus1"](), CheckOptions(max_solves=1)
+        )
+        with pytest.raises(BudgetExceededError):
+            checker.check(
+                "EP[>0.1](X[0,1] infected)", np.array([0.8, 0.15, 0.05])
+            )
 
 
 class TestStatisticalRateBound:

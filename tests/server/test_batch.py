@@ -147,13 +147,13 @@ class TestBatchAnswers:
     def test_mistyped_item_option_fails_only_that_item(self, service):
         queries = [
             _request(),
-            _request(options={"workers": "2"}),
+            _request(options={"propagator_tol": "1e-6"}),
             _request(formula=FORMULA2),
         ]
         status, body = service.handle_batch({"queries": queries})
         assert status == 200
         assert body["exit_codes"] == [0, EXIT_MODEL_ERROR, 0]
-        assert "workers" in body["results"][1]["message"]
+        assert "propagator_tol" in body["results"][1]["message"]
 
     def test_unexpected_item_error_fails_only_that_item(
         self, service, monkeypatch

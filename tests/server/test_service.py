@@ -84,11 +84,11 @@ class TestValidation:
             check_request(options={"curve_method": "cells"}),
             check_request(options={"transient_method": "propagator"}),
             # Mistyped option fields.
-            check_request(options={"workers": "2"}),
+            check_request(options={"propagator_tol": "1e-6"}),
             check_request(options={"ode_rtol": "1e-8"}),
             check_request(options={"grid_points": "129"}),
             check_request(options={"max_memory_mb": "5"}),
-            check_request(options={"solver_fallbacks": None}),
+            check_request(options={"max_refinements": "2"}),
             check_request(
                 options={"formula_optimizations": ["vacuity", "dedup"]}
             ),
@@ -99,7 +99,7 @@ class TestValidation:
             check_request(options={"deadline": float("nan")}),
             check_request(options={"max_memory_mb": float("nan")}),
             check_request(options={"max_memory_mb": float("inf")}),
-            check_request(options={"residual_tol": float("nan")}),
+            check_request(options={"ode_atol": float("nan")}),
             check_request(options={"ode_rtol": float("nan")}),
             {**check_request(), "command": "csat", "theta": 10**400},
             check_request(deadline=5.0, options={"deadline": "soon"}),
@@ -114,6 +114,15 @@ class TestValidation:
         assert body["status"] == "error"
         assert body["exit_code"] in (2, 3)
         assert body["message"]
+
+    def test_removed_option_is_named(self, service):
+        """``residual_tol`` left the options: a request that sets it gets
+        an unknown-field 400 naming it, not a second cache entry."""
+        status, body = service.handle(
+            check_request(options={"residual_tol": 1e-6})
+        )
+        assert status == 400
+        assert "unknown option fields ['residual_tol']" in body["message"]
 
     def test_nan_tolerance_is_named(self, service):
         status, body = service.handle(

@@ -48,6 +48,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["check", "value", "csat"])
+    def test_workers_is_only_for_monte_carlo(self, command, capsys):
+        """Only ``simulate`` and ``mc`` run worker processes; on the
+        numerical subcommands ``--workers`` is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [command, "--occupancy", "0.8,0.15,0.05",
+                 "--workers", "2", LEAF]
+            )
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_satisfied_formula_exit_zero(self, capsys):
