@@ -14,7 +14,8 @@ Quantifies the three layers added for performance (docs/performance.md):
 - two cold paper queries on the small-K per-call path, each run
   ``COLD_RUNS`` times, their answers and counters asserted on every run
   and their median wall times appended to ``BENCH_compiled.json``;
-- scalar reads of a dense trajectory and window-shift solution through
+- scalar reads of dense trajectories (DOP853 at K = 3 and K = 1001, and
+  RK45 at K = 3) and of a window-shift solution through
   :class:`repro.diagnostics.DenseSolution` vs the ``OdeSolution`` it
   wraps, byte equality asserted and the cost per read appended to
   ``BENCH_compiled.json``.
@@ -216,8 +217,8 @@ COLD_RUNS = 5
 #: pins it against a reference in-process instead).
 COLD_COUNTERS = {
     "es_pool": {"generator_evals": 0, "solve_ivp_calls": 1},
-    "f3a_csat": {"rhs_evaluations": 610, "generator_evals": 269,
-                 "solve_ivp_calls": 4},
+    "f3a_csat": {"rhs_evaluations": 317, "generator_evals": 269,
+                 "solve_ivp_calls": 3},
 }
 
 
@@ -324,23 +325,40 @@ def _seconds_per_read(read):
     return best
 
 
+def _deep_occupancy(model):
+    weights = 0.70 ** np.arange(model.num_states, dtype=float)
+    weights[weights < 1e-14] = 0.0
+    return weights / weights.sum()
+
+
 @pytest.mark.benchmark(group="dense-reads")
 def test_dense_reads(benchmark, virus1):
-    """One scalar read of a K = 3 trajectory (the context's tolerances)
-    and of a window-shift solution (Eq. (6), window 1): the reader's
-    bytes equal scipy's, and its cost per read is recorded (advisory,
-    not gated) next to the ``OdeSolution``'s, in one process."""
+    """One scalar read of a trajectory over ``[0, 20]`` at the context's
+    tolerances — DOP853, the trajectory's method, at K = 3 (virus1) and
+    K = 1001 (``loadbalance-deep``), on both sides of the reader's size
+    cut, and RK45 at K = 3 (``trajectory``, its method before) — and of
+    a window-shift solution (Eq. (6), window 1): the reader's bytes
+    equal scipy's, and its cost per read is recorded (advisory, not
+    gated) next to the ``OdeSolution``'s, in one process."""
     ctx = EvaluationContext(virus1, M_EXAMPLE_1)
     options = ctx.options
-    readers = {
-        "trajectory": robust_solve_ivp(
-            virus1.drift,
+    deep = MODEL_REGISTRY["loadbalance-deep"]()
+
+    def trajectory(model, occupancy, method):
+        return robust_solve_ivp(
+            model.drift,
             (0.0, 20.0),
-            M_EXAMPLE_1,
+            occupancy,
+            method=method,
             rtol=options.ode_rtol * 1e-1,
             atol=options.ode_atol * 1e-1,
             dense_output=True,
-        ).sol,
+        ).sol
+
+    readers = {
+        "trajectory": trajectory(virus1, M_EXAMPLE_1, "RK45"),
+        "dop853_k3": trajectory(virus1, M_EXAMPLE_1, "DOP853"),
+        "dop853_k1001": trajectory(deep, _deep_occupancy(deep), "DOP853"),
         "window_shift": TransitionMatrixPropagator(
             ctx.generator_function(), window=1.0, t0=0.0, horizon=20.0
         )._solution,

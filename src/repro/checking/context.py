@@ -9,8 +9,9 @@ caching) so the checker modules stay stateless.
 
 Caching layers (see ``docs/performance.md``):
 
-- the occupancy trajectory itself is solved once, densely, and extended
-  lazily (:class:`~repro.meanfield.ode.OccupancyTrajectory`);
+- the occupancy trajectory itself is solved once, densely, to the
+  horizon the first caller names, and extended lazily past it
+  (:class:`~repro.meanfield.ode.OccupancyTrajectory`);
 - :meth:`generator_function` memoizes ``t -> Q(m̄(t))`` so the many ODE
   solves sharing one trajectory never assemble the same generator twice;
 - :meth:`transient_matrix` caches Kolmogorov solutions ``Π(t', t'+T)``
@@ -61,9 +62,9 @@ GENERATOR_CACHE_LIMIT = 200_000
 #: solver tolerance in use while still merging bit-wobbled duplicates.
 _KEY_DECIMALS = 12
 
-#: Extra time solved beyond the strictly-needed horizon of the occupancy
-#: ODE, so root refinement near the boundary never falls off the
-#: trajectory.
+#: Extra time a probability curve asks the occupancy ODE to cover beyond
+#: the last time it reads, so root refinement near the boundary never
+#: falls off the trajectory.
 HORIZON_MARGIN = 1.0
 
 #: ``matrix_backend="auto"`` resolves to sparse only for local models at
@@ -192,11 +193,17 @@ class EvaluationContext:
 
     @property
     def trajectory(self):
-        """The lazily-solved occupancy trajectory from ``initial``."""
+        """The occupancy trajectory from ``initial``.
+
+        Built unsolved: its first solve ends at the horizon the first
+        caller names through
+        :meth:`~repro.meanfield.ode.OccupancyTrajectory.cover` (or, for a
+        read nobody announced, past it by the lazy growth).
+        """
         if self._trajectory is None:
             self._trajectory = self.model.trajectory(
                 self.initial,
-                horizon=HORIZON_MARGIN,
+                horizon=0.0,
                 rtol=self.options.ode_rtol * 1e-1,
                 atol=self.options.ode_atol * 1e-1,
                 stats=self.stats,
@@ -468,6 +475,7 @@ class EvaluationContext:
                 self.budget.check_memory(
                     k * k * 8 * 8, "dense Kolmogorov solve"
                 )
+            self.trajectory.cover(t_start + duration)
             self.stats.solve_ivp_calls += 1
         return solve_forward_kolmogorov(
             q_of_t,

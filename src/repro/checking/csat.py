@@ -220,6 +220,7 @@ class _CsatEvaluator:
         if isinstance(formula, Expectation):
             checker = self._checker()
             sat = checker.sat_piecewise(formula.operand, theta)
+            ctx.trajectory.cover(theta)
 
             def g(t: float) -> float:
                 m = ctx.occupancy(t)
@@ -259,6 +260,7 @@ class _CsatEvaluator:
         if isinstance(formula, ExpectedProbability):
             checker = self._checker()
             curve = checker.path_curve(formula.path, theta)
+            ctx.trajectory.cover(theta)
 
             def g(t: float) -> float:
                 return float(ctx.occupancy(t) @ curve.values(t))

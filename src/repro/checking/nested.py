@@ -94,7 +94,7 @@ class TimeVaryingUntil:
                 raise CheckingError(
                     f"{name} covers only up to {sat.t_end}, need {needed}"
                 )
-        ctx.trajectory(needed + HORIZON_MARGIN)
+        ctx.trajectory.cover(needed + HORIZON_MARGIN)
         self._q_of_t = ctx.generator_function()
         self._k = ctx.num_states
 

@@ -56,6 +56,7 @@ def next_probabilities(
         # Interval [0, 0]: the probability of a jump at an exact instant
         # is zero.
         return np.zeros(k)
+    ctx.trajectory.cover(t + b)
     q_of_t = ctx.generator_function()
     rtol, atol = ctx.options.ode_rtol, ctx.options.ode_atol
 
@@ -124,7 +125,7 @@ def next_curve(
     discontinuities.
     """
     theta = float(theta)
-    ctx.trajectory(theta + interval.upper + HORIZON_MARGIN)
+    ctx.trajectory.cover(theta + interval.upper + HORIZON_MARGIN)
     discontinuities = []
     for e in operand_sat.boundaries():
         for shift in (interval.lower, interval.upper):

@@ -356,7 +356,7 @@ class SimpleUntilCurve(ProbabilityCurve):
         t1, t2 = interval.lower, interval.upper
         theta = float(theta)
         # Make sure the trajectory covers everything we will touch.
-        ctx.trajectory(theta + t2 + HORIZON_MARGIN)
+        ctx.trajectory.cover(theta + t2 + HORIZON_MARGIN)
         gamma2_cols = sorted(gamma2)
 
         if ctx.matrix_backend == "sparse" and method == "propagate":

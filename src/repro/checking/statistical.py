@@ -307,7 +307,7 @@ class StatisticalChecker:
         t1, t2, horizon, gamma1, gamma2, next_sat = self._resolve(path_formula)
 
         q_of_t = self.ctx.generator_function()
-        self.ctx.trajectory(horizon + HORIZON_MARGIN)
+        self.ctx.trajectory.cover(horizon + HORIZON_MARGIN)
         if rate_bound is None:
             rate_bound = estimate_rate_bound(q_of_t, horizon)
         rate_bound = float(rate_bound)

@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp.rk import RkDenseOutput
+from scipy.integrate._ivp.rk import Dop853DenseOutput, RkDenseOutput
 
 from repro.exceptions import NumericalError
 from repro.resilience import RHS_CHECK_INTERVAL, Budget
@@ -317,24 +317,77 @@ class DiagnosticTrace:
 # ----------------------------------------------------------------------
 
 
+#: A DOP853 step of at most this many components is read in Python
+#: floats, a larger one in numpy arrays.  The float read costs about
+#: 0.7 µs per component and the array read about 9 µs whatever the size,
+#: so they cross near 13 components (2-vCPU x86-64 VM, Python 3.11,
+#: numpy 2.4).
+DOP853_FLOAT_MAX_K = 12
+
+
+def _dop853_read(step):
+    """One DOP853 step's read ``t -> y(t)``, with the operations of
+    ``Dop853DenseOutput._call_impl``.
+
+    That read starts from zeros and, over the rows of ``F`` in reverse,
+    adds a row and multiplies by ``x`` and ``1 - x`` in turn, then adds
+    ``y_old``.  Every operation is elementwise, so each component may
+    be formed on its own in Python floats, from the step's columns of
+    ``F``; a larger step does the same in numpy arrays.
+    """
+    t_old, h = float(step.t_old), float(step.h)
+    rows = step.F[::-1]
+    if step.y_old.shape[0] <= DOP853_FLOAT_MAX_K:
+        columns = list(zip(rows.T.tolist(), step.y_old.tolist()))
+
+        def read(t):
+            x = (t - t_old) / h
+            w = 1 - x
+            out = []
+            for column, y_old in columns:
+                y = 0.0
+                for i, f in enumerate(column):
+                    y = (y + f) * (w if i & 1 else x)
+                out.append(y + y_old)
+            return np.array(out)
+
+        return read
+    rows = list(rows)
+    y_old = step.y_old
+
+    def read(t):
+        x = (t - t_old) / h
+        w = 1 - x
+        y = np.zeros_like(y_old)
+        for i, f in enumerate(rows):
+            y += f
+            y *= w if i & 1 else x
+        y += y_old
+        return y
+
+    return read
+
+
 class DenseSolution:
     """Callable ``t -> y(t)`` over a dense ``solve_ivp`` solution.
 
     Gives the bits of the wrapped ``OdeSolution`` at every time.  A
     scalar (``float`` or ``np.float64``) time is read without
-    ``OdeSolution.__call__``, ``np.searchsorted``,
-    ``DenseOutput.__call__`` and ``np.tile``: the step is found with
-    ``bisect`` on the solution's lookup side and clamped as
-    ``OdeSolution._call_single`` clamps it, and an ``RkDenseOutput``
-    step (RK45, RK23) is evaluated with ``RkDenseOutput._call_impl``'s
+    ``OdeSolution.__call__``, ``np.searchsorted`` and
+    ``DenseOutput.__call__``: the step is found with ``bisect`` on the
+    solution's lookup side and clamped as
+    ``OdeSolution._call_single`` clamps it.  An ``RkDenseOutput`` step
+    (RK45, RK23) is evaluated with ``RkDenseOutput._call_impl``'s
     operations — the powers of ``x`` by successive multiplication, as
-    ``np.cumprod`` forms them, then ``h * np.dot(Q, p) + y_old``.  Any
-    other step is called directly; any other time (an array) goes to
-    the wrapped solution.  ``tests/meanfield/test_dense_reads.py`` pins
-    both against scipy, byte for byte.
+    ``np.cumprod`` forms them, then ``h * np.dot(Q, p) + y_old``.  A
+    ``Dop853DenseOutput`` step is evaluated by :func:`_dop853_read`,
+    built once per step on its first read.  Any other step is called
+    directly; any other time (an array) goes to the wrapped solution.
+    ``tests/meanfield/test_dense_reads.py`` pins both against scipy,
+    byte for byte.
     """
 
-    __slots__ = ("ode_solution", "_ts", "_find", "_last", "_steps")
+    __slots__ = ("ode_solution", "_ts", "_find", "_last", "_steps", "_reads")
 
     def __init__(self, ode_solution):
         self.ode_solution = ode_solution
@@ -352,14 +405,20 @@ class DenseSolution:
         self._find = bisect_left if side == "left" else bisect_right
         self._last = len(steps) - 1
         self._steps = steps
+        self._reads = [None] * len(steps)
 
     def __call__(self, t):
         if not isinstance(t, float):
             return self.ode_solution(t)
-        step = self._steps[
-            min(max(self._find(self._ts, t) - 1, 0), self._last)
-        ]
-        if type(step) is not RkDenseOutput:
+        i = min(max(self._find(self._ts, t) - 1, 0), self._last)
+        step = self._steps[i]
+        kind = type(step)
+        if kind is Dop853DenseOutput:
+            read = self._reads[i]
+            if read is None:
+                read = self._reads[i] = _dop853_read(step)
+            return read(t)
+        if kind is not RkDenseOutput:
             return step(t)
         h = step.h
         x = (t - step.t_old) / h

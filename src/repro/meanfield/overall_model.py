@@ -142,10 +142,13 @@ class MeanFieldModel:
     ) -> OccupancyTrajectory:
         """Solve Equation (1) from ``initial``, returning a dense trajectory.
 
+        The solve runs to ``horizon`` now (``0`` defers it to the first
+        :meth:`~repro.meanfield.ode.OccupancyTrajectory.cover` or read).
         ``stats`` (an :class:`~repro.instrumentation.EvalStats`) makes the
         trajectory count its drift evaluations and ``solve_ivp`` calls.
         Extra keyword arguments (``fallbacks``, ``trace``,
-        ``residual_tol``, ``budget``, ``method``, …) are forwarded to
+        ``residual_tol``, ``budget``, ``max_horizon``, ``renormalize``,
+        ``method``, whose default is DOP853) are forwarded to
         :class:`~repro.meanfield.ode.OccupancyTrajectory`.
         """
         initial = validate_occupancy(initial, self.num_states)

@@ -5,10 +5,13 @@ The reader skips scipy's per-call wrappers but keeps its arithmetic
 (docs/numerics.md §7), so every read must give the bytes of the
 ``OdeSolution`` it wraps: at seeded times, at every step boundary
 (where the lookup side picks the step), at both ends, for ``float`` and
-``np.float64`` times, and for arrays of times.  The end-to-end lock
-runs paper queries with the reader and with the bare ``OdeSolution``
-in one process, so it holds whatever BLAS the machine has; a scipy
-release that renames what the reader reads fails here.
+``np.float64`` times, and for arrays of times.  DOP853, the occupancy
+trajectory's method, is read in Python floats up to
+``DOP853_FLOAT_MAX_K`` components and in numpy arrays above, so it is
+pinned on both sides of that cut.  The end-to-end lock runs paper
+queries with the reader and with the bare ``OdeSolution`` in one
+process, so it holds whatever BLAS the machine has; a scipy release
+that renames what the reader reads fails here.
 """
 
 import numpy as np
@@ -22,7 +25,11 @@ from repro.ctmc.inhomogeneous import (
     TransitionMatrixPropagator,
     solve_forward_kolmogorov,
 )
-from repro.diagnostics import DenseSolution, robust_solve_ivp
+from repro.diagnostics import (
+    DOP853_FLOAT_MAX_K,
+    DenseSolution,
+    robust_solve_ivp,
+)
 from repro.logic.ast import TimeInterval
 from repro.meanfield.ode import OccupancyTrajectory
 from repro.models import MODEL_REGISTRY
@@ -64,6 +71,62 @@ def test_scalar_reads_match_scipy(method):
     assert_same_reads(reader, ode_solution, seeded)
     assert_same_reads(reader, ode_solution, ode_solution.ts)
     assert_same_reads(reader, ode_solution, ends)
+
+
+def linear_drift(k, seed=0):
+    """``ṁ = m A`` for a seeded random generator ``A`` on ``k`` states."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 3.0 / k, (k, k))
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return (lambda t, m: m @ a), rng.dirichlet(np.ones(k))
+
+
+def deep_system():
+    """``loadbalance-deep`` from the ``deep-sparse`` geometric occupancy."""
+    model = MODEL_REGISTRY["loadbalance-deep"]()
+    weights = 0.70 ** np.arange(model.num_states, dtype=float)
+    weights[weights < 1e-14] = 0.0
+    return model.drift, weights / weights.sum(), 1.0
+
+
+#: DOP853 systems on both sides of the reader's size cut: the paper's
+#: K = 3, botnet's K = 5, the cut itself and one past it, and
+#: ``loadbalance-deep``'s K = 1001.
+DOP853_SYSTEMS = {
+    "virus1": lambda: (MODEL_REGISTRY["virus1"]().drift, M0, 22.0),
+    "botnet": lambda: (
+        MODEL_REGISTRY["botnet"]().drift,
+        np.array([0.9, 0.04, 0.03, 0.03, 0.0]),
+        21.0,
+    ),
+    "cut": lambda: (*linear_drift(DOP853_FLOAT_MAX_K), 5.0),
+    "past-cut": lambda: (*linear_drift(DOP853_FLOAT_MAX_K + 1), 5.0),
+    "loadbalance-deep": deep_system,
+}
+
+
+@pytest.mark.parametrize("system", sorted(DOP853_SYSTEMS))
+def test_dop853_reads_match_scipy_across_the_size_cut(system):
+    """The trajectory's tolerances (rtol 1e-9, atol 1e-11), and every read
+    a DOP853 read of the reader's own, not a call into the step."""
+    drift, start, end = DOP853_SYSTEMS[system]()
+    sol = robust_solve_ivp(
+        drift,
+        (0.0, end),
+        start,
+        method="DOP853",
+        rtol=1e-9,
+        atol=1e-11,
+        dense_output=True,
+        fallbacks=(),
+    )
+    reader, ode_solution = sol.sol, sol.sol.ode_solution
+    seeded = np.random.default_rng(12).uniform(0.0, end, 300)
+    assert_same_reads(reader, ode_solution, seeded)
+    assert_same_reads(reader, ode_solution, ode_solution.ts)
+    assert_same_reads(reader, ode_solution, (0.0, end))
+    assert all(read is not None for read in reader._reads)
 
 
 @pytest.mark.parametrize("method", ("RK45", "LSODA"))

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
+from repro.checking import EvaluationContext, MFModelChecker
 from repro.exceptions import ModelError, NumericalError
 from repro.meanfield.ode import OccupancyTrajectory
-from repro.models.virus import SETTING_1, overall_ode_matrix, virus_model
+from repro.models.virus import (
+    SETTING_1,
+    SETTING_2,
+    overall_ode_matrix,
+    virus_model,
+)
 
 
 @pytest.fixture
@@ -40,6 +47,51 @@ class TestAgainstClosedForm:
         for t in (1.0, 5.0, 14.0, 20.0):
             exact = m0 @ expm(a * t)
             assert np.allclose(traj(t), exact, atol=1e-7), f"t={t}"
+
+
+class TestContextTrajectoryClosedForm:
+    """The context's trajectory (DOP853 at rtol 1e-9, atol 1e-11) over the
+    horizons ``paper-cold`` names, against ``m̄(0)·expm(At)`` of Eq. (21).
+    At step ends DOP853 lands within about 1e-11; between its steps (about
+    twenty over these spans) the interpolant is off by up to 2e-10, still
+    five times under the trajectory's rtol."""
+
+    @pytest.mark.parametrize(
+        "setting, start, horizon",
+        [
+            (SETTING_1, (0.8, 0.15, 0.05), 22.0),
+            (SETTING_2, (0.85, 0.1, 0.05), 16.5),
+        ],
+        ids=("virus1", "virus2"),
+    )
+    def test_within_1e_9_at_step_ends_and_on_a_grid(
+        self, setting, start, horizon
+    ):
+        m0 = np.array(start)
+        a = overall_ode_matrix(setting)
+        ctx = EvaluationContext(virus_model(setting), m0)
+        ctx.trajectory.cover(horizon)
+        (segment,) = ctx.trajectory._segments
+        step_ends = segment.interpolant.ode_solution.ts
+        grid = np.linspace(0.0, horizon, 2201)
+        for t in np.concatenate([step_ends, grid]):
+            exact = m0 @ expm(a * t)
+            assert np.max(np.abs(ctx.occupancy(t) - exact)) <= 1e-9, t
+
+    def test_csat_crossing_within_1e_9_of_closed_form(self):
+        """``cSat(E[<0.15](infected), 20)`` starts where the closed-form
+        infected mass falls through 0.15 (t ≈ 6.2668)."""
+        m0 = np.array([0.8, 0.15, 0.05])
+        a = overall_ode_matrix(SETTING_1)
+        crossing = brentq(
+            lambda t: (m0 @ expm(a * t))[1:].sum() - 0.15, 5.0, 8.0,
+            xtol=1e-15,
+        )
+        checker = MFModelChecker(virus_model(SETTING_1))
+        result = checker.conditional_sat("E[<0.15](infected)", m0, 20.0)
+        (start, end), = result.intervals
+        assert end == 20.0
+        assert abs(start - crossing) <= 1e-9
 
 
 class TestLazyExtension:

@@ -90,7 +90,8 @@ M0 = np.array([0.8, 0.15, 0.05])
 
 class TestOccupancyFallback:
     def test_rk45_failure_retried_on_radau(self, virus_drift):
-        """One injected fault kills the RK45 attempt; Radau recovers."""
+        """One injected fault kills the primary attempt (DOP853, RK45
+        before it); Radau recovers."""
         clean = OccupancyTrajectory(virus_drift, M0, horizon=2.0)
         trace = DiagnosticTrace()
         injector = FaultInjector(virus_drift, mode="raise", window={3})
@@ -98,7 +99,7 @@ class TestOccupancyFallback:
 
         assert trace.num_fallbacks == 1
         record = trace.solves[0]
-        assert [a.method for a in record.attempts] == ["RK45", "Radau"]
+        assert [a.method for a in record.attempts] == ["DOP853", "Radau"]
         assert not record.attempts[0].success
         assert "injected fault" in record.attempts[0].message
         assert record.attempts[1].success
@@ -108,7 +109,7 @@ class TestOccupancyFallback:
         assert np.allclose(traj(1.5), clean(1.5), atol=1e-7)
         # The fallback chain is visible in the --diagnose rendering.
         text = trace.format()
-        assert "RK45 FAILED" in text
+        assert "DOP853 FAILED" in text
         assert "Radau ok" in text
         assert "[fallback]" in text
 
@@ -120,7 +121,7 @@ class TestOccupancyFallback:
             OccupancyTrajectory(injector, M0, horizon=2.0, trace=trace)
         message = str(err.value)
         assert "occupancy ODE solve failed" in message
-        for method in ("RK45", "Radau", "LSODA"):
+        for method in ("DOP853", "Radau", "LSODA"):
             assert method in message
         # The failed chain is still recorded for post-mortem diagnosis.
         assert len(trace.solves) == 1
